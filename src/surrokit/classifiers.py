@@ -18,7 +18,7 @@ from typing import Protocol, runtime_checkable
 import numpy as np
 
 from .errors import InvalidInputError
-from .network import ArchitectureDescriptor, forward, forward_batch
+from .network import ArchitectureDescriptor, forward, forward_batch, validate_weights
 from .signals import Epoch
 
 
@@ -37,6 +37,7 @@ class NetworkClassifier:
             raise InvalidInputError(
                 f"{len(label_vocabulary)} labels for a {descriptor.n_classes()}-way output"
             )
+        validate_weights(descriptor, weights)
         self.descriptor = descriptor
         self.weights = weights
         self.label_vocabulary = tuple(label_vocabulary)

@@ -187,7 +187,7 @@ def _cmd_evaluate(args):
     dataset = dataio.load_dataset(args.infile)
     classifier = _classifier_from_checkpoint(args.weights, dataset)
     result = evaluate(classifier, dataset)
-    probs = classifier.predict_batch(list(dataset.epochs))
+    probs = result.probabilities
     pred_idx = probs.argmax(axis=1)
     vocab = dataset.label_vocabulary
 

@@ -92,7 +92,15 @@ def save_dataset(path, dataset: Dataset) -> None:
         "label_vocabulary": list(dataset.label_vocabulary),
         "record_ids": list(dataset.record_ids),
     }
-    payload = np.stack([ep.to_array() for ep in dataset.epochs]).astype("<f4").tobytes()
+    with np.errstate(over="ignore"):
+        samples = np.stack([ep.to_array() for ep in dataset.epochs]).astype("<f4")
+    if not np.all(np.isfinite(samples)):
+        # a cast to inf would write a file that load_dataset rejects
+        raise InvalidInputError(
+            f"dataset holds samples beyond the float32 maximum "
+            f"({np.finfo(np.float32).max:.7g}) that a dataset file cannot store"
+        )
+    payload = samples.tobytes()
     labels = dataset.label_indices().astype("<i4").tobytes()
     blob = json.dumps(header, sort_keys=True).encode("utf-8") + b"\n" + payload + labels
     atomic_write_bytes(path, blob)

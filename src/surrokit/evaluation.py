@@ -86,6 +86,7 @@ class EvaluationResult:
     per_class_f1: np.ndarray
     macro_f1: float
     weighted_f1: float
+    probabilities: np.ndarray  # (n_epochs, n_classes), the rows argmax-evaluated
 
 
 def _predict_all(classifier, epochs) -> np.ndarray:
@@ -104,7 +105,7 @@ def evaluate(classifier, dataset: Dataset) -> EvaluationResult:
     confusion = confusion_from_predictions(true_idx, pred_idx, dataset.label_vocabulary)
     recall = np.diag(confusion.row_normalized())
     f1, macro, weighted = f1_scores(confusion)
-    return EvaluationResult(confusion, recall, f1, macro, weighted)
+    return EvaluationResult(confusion, recall, f1, macro, weighted, probs)
 
 
 def conditional_confusion(

@@ -18,6 +18,7 @@ Weights are a flat dict keyed "group/layer/param" of float64 arrays.
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidInputError, ShapeError
 from .signals import Epoch
@@ -25,6 +26,8 @@ from .signals import Epoch
 DEFAULT_ROLES = ("EEG1", "EEG2", "EOG", "EMG")
 DEFAULT_SHARING = {"EEG1": "eeg", "EEG2": "eeg", "EOG": "eog", "EMG": "emg"}
 JOINED_GROUP = "joined"
+# epochs per im2col chunk of a single-channel 1-D convolution
+IM2COL_CHUNK = 32
 
 
 @dataclass(frozen=True)
@@ -341,16 +344,28 @@ def _softmax(z):
 
 def _conv1d_forward(x, kernel, bias):
     # x: (B, L, C), kernel: (W, C, F) -> (B, L, F), same padding, stride 1.
-    # One matmul per kernel tap avoids materializing the W-fold im2col
-    # expansion, which dominates the runtime otherwise.
-    batch, length, _ = x.shape
+    batch, length, c_in = x.shape
     width, _, filters = kernel.shape
     pad_left = (width - 1) // 2
     pad_right = width - 1 - pad_left
     xp = np.pad(x, ((0, 0), (pad_left, pad_right), (0, 0)))
-    z = np.zeros((batch, length, filters))
-    for w in range(width):
-        z += xp[:, w : w + length] @ kernel[w]
+    z = np.empty((batch, length, filters))
+    if c_in == 1:
+        # single input channel: im2col (L, W) windows and one GEMM per
+        # chunk of IM2COL_CHUNK epochs, so the columns never exceed a
+        # chunk's worth of memory
+        windows = sliding_window_view(xp[:, :, 0], width, axis=1)  # (B, L, W)
+        taps = kernel[:, 0, :]
+        for start in range(0, batch, IM2COL_CHUNK):
+            stop = min(start + IM2COL_CHUNK, batch)
+            cols = np.ascontiguousarray(windows[start:stop]).reshape(-1, width)
+            np.matmul(cols, taps, out=z[start:stop].reshape(-1, filters))
+    else:
+        # one matmul per kernel tap; a W-fold im2col of C > 1 channels is
+        # memory-bound and measured slower at these shapes
+        z.fill(0.0)
+        for w in range(width):
+            z += xp[:, w : w + length] @ kernel[w]
     z += bias
     return z, (xp, pad_left)
 
@@ -370,16 +385,20 @@ def _conv1d_backward(dz, kernel, cache):
 
 
 def _maxpool_forward(x, width, stride):
-    # x: (B, L, C) -> (B, out_len, C), same padding with -inf
+    # x: (B, L, C) -> (B, out_len, C), same padding with -inf. A running
+    # maximum over the W strided views; arg records the winning tap, and
+    # the strict > keeps the lowest index on ties. arg is held for the
+    # backward pass, so it takes the smallest integer type that fits.
     _, length, _ = x.shape
     out_len, pad_left, pad_right = _pool_geometry(length, width, stride)
     xp = np.pad(x, ((0, 0), (pad_left, pad_right), (0, 0)), constant_values=-np.inf)
     last_start = (out_len - 1) * stride
-    stacked = np.stack(
-        [xp[:, w : last_start + w + 1 : stride] for w in range(width)]
-    )  # (W, B, out_len, C)
-    arg = stacked.argmax(axis=0)
-    y = np.take_along_axis(stacked, arg[None], axis=0)[0]
+    y = xp[:, 0 : last_start + 1 : stride].copy()
+    arg = np.zeros(y.shape, dtype=np.min_scalar_type(width - 1))
+    for w in range(1, width):
+        view = xp[:, w : last_start + w + 1 : stride]
+        np.copyto(arg, w, where=view > y)
+        np.maximum(y, view, out=y)
     return y, (xp.shape, pad_left, arg, out_len)
 
 
@@ -400,29 +419,32 @@ def _maxpool_backward(dy, x_shape, width, stride, cache):
 
 
 def _conv2d_forward(x, kernel, bias):
-    # x: (B, H, W, C), kernel: (KH, KW, C, F), valid padding -> (B, OH, OW, F)
-    batch, height, width, _ = x.shape
+    # x: (B, H, W, C), kernel: (KH, KW, C, F), valid padding -> (B, OH, OW, F).
+    # Each tap's patch is flattened to (B*OH*OW, C), so a tap is one GEMM.
+    batch, height, width, c_in = x.shape
     kh, kw, _, filters = kernel.shape
     oh, ow = height - kh + 1, width - kw + 1
-    z = np.zeros((batch, oh, ow, filters))
+    z = np.zeros((batch * oh * ow, filters))
     for i in range(kh):
         for j in range(kw):
-            z += x[:, i : i + oh, j : j + ow] @ kernel[i, j]
+            z += x[:, i : i + oh, j : j + ow].reshape(-1, c_in) @ kernel[i, j]
     z += bias
-    return z, (x, (oh, ow))
+    return z.reshape(batch, oh, ow, filters), (x, (oh, ow))
 
 
 def _conv2d_backward(dz, x_shape, kernel, cache):
     x, (oh, ow) = cache
-    kh, kw, _, _ = kernel.shape
+    kh, kw, c_in, filters = kernel.shape
     d_bias = dz.sum(axis=(0, 1, 2))
     d_kernel = np.empty_like(kernel)
     dx = np.zeros_like(x)
+    dz_flat = dz.reshape(-1, filters)
+    patch_shape = (x.shape[0], oh, ow, c_in)
     for i in range(kh):
         for j in range(kw):
-            patch = x[:, i : i + oh, j : j + ow]
-            d_kernel[i, j] = np.tensordot(patch, dz, axes=([0, 1, 2], [0, 1, 2]))
-            dx[:, i : i + oh, j : j + ow] += dz @ kernel[i, j].T
+            patch = x[:, i : i + oh, j : j + ow].reshape(-1, c_in)
+            d_kernel[i, j] = patch.T @ dz_flat
+            dx[:, i : i + oh, j : j + ow] += (dz_flat @ kernel[i, j].T).reshape(patch_shape)
     return dx, d_kernel, d_bias
 
 
@@ -548,6 +570,10 @@ def forward_batch(descriptor, weights, x, training=False, rng=None, return_cache
         x: (batch, n_channels, input_len) float64 array.
         training: enable dropout (requires rng).
 
+    ``weights`` are not checked here; ``validate_weights`` runs once where
+    they enter (checkpoint load and save, ``NetworkClassifier`` and
+    ``train_network``), not on every forward.
+
     Returns:
         (probabilities, logits) or, with ``return_caches``, a third
         element holding per-channel and joined layer caches.
@@ -558,7 +584,6 @@ def forward_batch(descriptor, weights, x, training=False, rng=None, return_cache
         raise InvalidInputError(
             f"expected input (batch, {n_roles}, {descriptor.input_len}), got {x.shape}"
         )
-    validate_weights(descriptor, weights)
     batch = x.shape[0]
     # channels sharing a parameter group run through the pipe as one
     # stacked batch, so shared gradients accumulate in a single pass

@@ -22,6 +22,7 @@ from .network import (
     init_weights,
     loss_and_gradients,
     reference_architecture,
+    validate_weights,
 )
 from .seeding import NS_BATCH, NS_DROPOUT, NS_INIT, spawn_rng
 
@@ -116,6 +117,7 @@ def train_network(
         raise InvalidInputError("training dataset is empty")
     x, y = _dataset_arrays(dataset)
     weights = init_weights(descriptor, spawn_rng(config.seed, NS_INIT))
+    validate_weights(descriptor, weights)
     state = init_rmsprop_state(weights)
     rng_batch = spawn_rng(config.seed, NS_BATCH)
     rng_dropout = spawn_rng(config.seed, NS_DROPOUT)

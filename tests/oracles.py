@@ -3,7 +3,8 @@
 These deliberately avoid the code paths under test: the DFT oracle is a
 direct O(N^2) summation, convolution/pooling oracles are plain Python
 loops, and the F1 oracle follows the textbook definition one class at a
-time.
+time. The per-tap batch kernels at the end are the straightforward
+one-product-per-tap form of the network's GEMM kernels.
 """
 
 import numpy as np
@@ -98,3 +99,88 @@ def ar2_path(a1, a2, noise_scale, n, rng, burn=300):
     for t in range(2, n + burn):
         x[t] = a1 * x[t - 1] + a2 * x[t - 2] + noise[t]
     return x[burn:]
+
+
+def maxpool_backward_oracle(x, dy, width, stride):
+    """Route each pooled gradient to the lowest-index maximum of its window. x: (L, C)."""
+    length, channels = x.shape
+    out_len = dy.shape[0]
+    pad_total = max(0, (out_len - 1) * stride + width - length)
+    pad_left = pad_total // 2
+    dx = np.zeros_like(x)
+    for t in range(out_len):
+        for c in range(channels):
+            best, best_src = -np.inf, None
+            for w in range(width):
+                src = t * stride + w - pad_left
+                if 0 <= src < length and x[src, c] > best:
+                    best, best_src = x[src, c], src
+            dx[best_src, c] += dy[t, c]
+    return dx
+
+
+def conv2d_valid_backward_oracle(x, kernel, dz):
+    """Naive gradients of the valid 2-D convolution. x: (H, W, C), dz: (OH, OW, F)."""
+    kh, kw, _, _ = kernel.shape
+    dx = np.zeros_like(x)
+    d_kernel = np.zeros_like(kernel)
+    for i in range(dz.shape[0]):
+        for j in range(dz.shape[1]):
+            for a in range(kh):
+                for b in range(kw):
+                    d_kernel[a, b] += np.outer(x[i + a, j + b], dz[i, j])
+                    dx[i + a, j + b] += kernel[a, b] @ dz[i, j]
+    return dx, d_kernel, dz.sum(axis=(0, 1))
+
+
+# Per-tap batch kernels with the network's signatures and caches: one
+# small matmul per kernel tap, and a stacked argmax for the pool. The
+# network's GEMM kernels reorder these sums and must agree to rounding.
+
+
+def conv1d_per_tap(x, kernel, bias):
+    batch, length, _ = x.shape
+    width, _, filters = kernel.shape
+    pad_left = (width - 1) // 2
+    xp = np.pad(x, ((0, 0), (pad_left, width - 1 - pad_left), (0, 0)))
+    z = np.zeros((batch, length, filters))
+    for w in range(width):
+        z += xp[:, w : w + length] @ kernel[w]
+    return z + bias, (xp, pad_left)
+
+
+def maxpool_stacked(x, width, stride):
+    length = x.shape[1]
+    out_len = -(-length // stride)
+    pad_total = max(0, (out_len - 1) * stride + width - length)
+    pad_left = pad_total // 2
+    xp = np.pad(x, ((0, 0), (pad_left, pad_total - pad_left), (0, 0)), constant_values=-np.inf)
+    last_start = (out_len - 1) * stride
+    stacked = np.stack([xp[:, w : last_start + w + 1 : stride] for w in range(width)])
+    arg = stacked.argmax(axis=0)
+    y = np.take_along_axis(stacked, arg[None], axis=0)[0]
+    return y, (xp.shape, pad_left, arg, out_len)
+
+
+def conv2d_per_tap(x, kernel, bias):
+    batch, height, width, _ = x.shape
+    kh, kw, _, filters = kernel.shape
+    oh, ow = height - kh + 1, width - kw + 1
+    z = np.zeros((batch, oh, ow, filters))
+    for i in range(kh):
+        for j in range(kw):
+            z += x[:, i : i + oh, j : j + ow] @ kernel[i, j]
+    return z + bias, (x, (oh, ow))
+
+
+def conv2d_backward_per_tap(dz, x_shape, kernel, cache):
+    x, (oh, ow) = cache
+    kh, kw, _, _ = kernel.shape
+    d_kernel = np.empty_like(kernel)
+    dx = np.zeros_like(x)
+    for i in range(kh):
+        for j in range(kw):
+            patch = x[:, i : i + oh, j : j + ow]
+            d_kernel[i, j] = np.tensordot(patch, dz, axes=([0, 1, 2], [0, 1, 2]))
+            dx[:, i : i + oh, j : j + ow] += dz @ kernel[i, j].T
+    return dx, d_kernel, dz.sum(axis=(0, 1, 2))

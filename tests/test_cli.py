@@ -1,8 +1,10 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from surrokit.classifiers import NetworkClassifier
 from surrokit.cli import main
 from surrokit.dataio import load_dataset
 from surrokit.synthetic import (
@@ -144,9 +146,20 @@ class TestTrainEvaluate:
         stdout = capsys.readouterr().out
         assert "step 0\tloss" in stdout
 
-    def test_evaluate_writes_report(self, tmp_path, dataset_file, weights_file, capsys):
+    def test_evaluate_writes_report(
+        self, tmp_path, dataset_file, weights_file, capsys, monkeypatch
+    ):
+        classified = []
+        predict_batch = NetworkClassifier.predict_batch
+
+        def counting(self, epochs):
+            classified.append(len(epochs))
+            return predict_batch(self, epochs)
+
+        monkeypatch.setattr(NetworkClassifier, "predict_batch", counting)
         report = tmp_path / "report.tsv"
         assert main(["evaluate", dataset_file, weights_file, "--out", str(report)]) == 0
+        assert classified == [28]  # one batched forward over the set
         text = report.read_text()
         assert "# section predictions" in text
         assert "# section confusion_counts" in text
@@ -212,6 +225,18 @@ class TestErrorHandling:
         assert "SURROKIT_SEED" in capsys.readouterr().err
         assert main(["synth", spec_file, out2, "--n", "4"]) == 0
         assert (tmp_path / "a.sdat").read_bytes() == (tmp_path / "b.sdat").read_bytes()
+
+    def test_unstorable_output_exit_2(self, tmp_path, capsys):
+        # noise this loud is finite in float64 but overflows float32 storage
+        classes = tuple(replace(c, noise_scale=1e39) for c in TINY_SPEC.classes)
+        loud = replace(TINY_SPEC, classes=classes)
+        spec = tmp_path / "loud.json"
+        spec.write_text(spec_to_json(loud))
+        out = tmp_path / "loud.sdat"
+        assert main(["synth", str(spec), str(out), "--n", "4"]) == 2
+        err = capsys.readouterr().err
+        assert "float32" in err and err.count("\n") == 1
+        assert not out.exists()
 
     def test_bad_env_seed_is_usage_error(self, spec_file, tmp_path, monkeypatch):
         monkeypatch.setenv("SURROKIT_SEED", "abc")

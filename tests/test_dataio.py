@@ -82,6 +82,14 @@ class TestDatasetFile:
         with pytest.raises(InvalidInputError):
             save_dataset(tmp_path / "x.sdat", ds)
 
+    def test_float32_overflow_rejected_before_writing(self, tmp_path):
+        data = np.random.default_rng(0).standard_normal((4, 16))
+        data[2, 5] = -1e39  # finite in float64, inf in float32
+        ds = Dataset((epoch_from_array(data, 32.0, "Wake"),), ("a",))
+        with pytest.raises(InvalidInputError, match="float32"):
+            save_dataset(tmp_path / "x.sdat", ds)
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestWeightCheckpoints:
     def test_round_trip(self, tmp_path):

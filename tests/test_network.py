@@ -1,9 +1,19 @@
 import numpy as np
 import pytest
 
-from oracles import conv1d_same_oracle, conv2d_valid_oracle, maxpool_same_oracle
+import oracles
+from oracles import (
+    conv1d_same_oracle,
+    conv2d_valid_backward_oracle,
+    conv2d_valid_oracle,
+    maxpool_backward_oracle,
+    maxpool_same_oracle,
+)
+from surrokit import network
+from surrokit.classifiers import NetworkClassifier
 from surrokit.errors import InvalidInputError, ShapeError
 from surrokit.network import (
+    IM2COL_CHUNK,
     ArchitectureDescriptor,
     Conv1D,
     Conv2D,
@@ -12,7 +22,9 @@ from surrokit.network import (
     MaxPool1D,
     Scale,
     _conv1d_forward,
+    _conv2d_backward,
     _conv2d_forward,
+    _maxpool_backward,
     _maxpool_forward,
     _softmax,
     count_parameters,
@@ -174,6 +186,82 @@ class TestLayerOracles:
             np.testing.assert_allclose(z[b], conv2d_valid_oracle(x[b], kernel, bias), atol=1e-12)
 
 
+class TestKernels:
+    def test_single_channel_conv1d_across_chunks(self, rng):
+        batch = IM2COL_CHUNK + 3
+        for width in (16, 27):
+            x = rng.standard_normal((batch, 40, 1))
+            kernel = rng.standard_normal((width, 1, 8))
+            bias = rng.standard_normal(8)
+            z, (xp, pad_left) = _conv1d_forward(x, kernel, bias)
+            assert xp.shape == (batch, 40 + width - 1, 1) and pad_left == (width - 1) // 2
+            for b in (0, IM2COL_CHUNK - 1, IM2COL_CHUNK, batch - 1):
+                np.testing.assert_allclose(
+                    z[b], conv1d_same_oracle(x[b], kernel, bias), rtol=0, atol=1e-12
+                )
+
+    def test_maxpool_ties_route_to_lowest_index(self, rng):
+        # ReLU output: runs of exact zeros make many windows tie
+        x = np.maximum(rng.standard_normal((3, 21, 4)), 0.0)
+        x[0, :6] = 0.0
+        y, cache = _maxpool_forward(x, 3, 2)
+        y_ref, cache_ref = oracles.maxpool_stacked(x, 3, 2)
+        np.testing.assert_array_equal(y, y_ref)
+        np.testing.assert_array_equal(cache[2], cache_ref[2])
+        dy = rng.standard_normal(y.shape)
+        dx = _maxpool_backward(dy, x.shape, 3, 2, cache)
+        for b in range(3):
+            np.testing.assert_allclose(
+                dx[b], maxpool_backward_oracle(x[b], dy[b], 3, 2), rtol=0, atol=1e-15
+            )
+
+    def test_conv2d_single_output_column(self, rng):
+        # ow == 1, as in both architectures (kernel as wide as the channel axis)
+        x = rng.standard_normal((3, 9, 4, 3))
+        kernel = rng.standard_normal((4, 4, 3, 5))
+        bias = rng.standard_normal(5)
+        z, cache = _conv2d_forward(x, kernel, bias)
+        assert z.shape == (3, 6, 1, 5)
+        dz = rng.standard_normal(z.shape)
+        dx, d_kernel, d_bias = _conv2d_backward(dz, x.shape, kernel, cache)
+        dk_sum = np.zeros_like(kernel)
+        db_sum = np.zeros_like(bias)
+        for b in range(3):
+            np.testing.assert_allclose(z[b], conv2d_valid_oracle(x[b], kernel, bias), atol=1e-12)
+            dx_b, dk_b, db_b = conv2d_valid_backward_oracle(x[b], kernel, dz[b])
+            np.testing.assert_allclose(dx[b], dx_b, atol=1e-12)
+            dk_sum += dk_b
+            db_sum += db_b
+        np.testing.assert_allclose(d_kernel, dk_sum, atol=1e-12)
+        np.testing.assert_allclose(d_bias, db_sum, atol=1e-12)
+
+    @pytest.mark.parametrize("build", [full_architecture, reference_architecture])
+    def test_network_matches_per_tap_kernels(self, build, rng, monkeypatch):
+        desc = build()
+        weights = init_weights(desc, 11)
+        x = rng.standard_normal((3, 4, 960)) * 20
+        labels = np.array([0, 3, 5])
+        probs, logits = forward_batch(desc, weights, x)
+        loss, grads = loss_and_gradients(desc, weights, x, labels, training=False)
+
+        monkeypatch.setattr(network, "_conv1d_forward", oracles.conv1d_per_tap)
+        monkeypatch.setattr(network, "_maxpool_forward", oracles.maxpool_stacked)
+        monkeypatch.setattr(network, "_conv2d_forward", oracles.conv2d_per_tap)
+        monkeypatch.setattr(network, "_conv2d_backward", oracles.conv2d_backward_per_tap)
+        probs_ref, logits_ref = forward_batch(desc, weights, x)
+        loss_ref, grads_ref = loss_and_gradients(desc, weights, x, labels, training=False)
+
+        def assert_close(a, b):
+            assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+        assert_close(logits, logits_ref)
+        assert_close(probs, probs_ref)
+        assert loss == pytest.approx(loss_ref, rel=1e-12)
+        assert sorted(grads) == sorted(grads_ref) == sorted(weights)
+        for key in grads:
+            assert_close(grads[key], grads_ref[key])
+
+
 class TestForward:
     def test_zero_weights_give_uniform_output(self):
         desc = full_architecture()
@@ -220,6 +308,22 @@ class TestForward:
             forward_batch(desc, weights, rng.standard_normal((1, 4, 959)))
         with pytest.raises(InvalidInputError):
             forward_batch(desc, weights, rng.standard_normal((1, 3, 960)))
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda w: w.pop("eeg/conv1/kernel"),
+            lambda w: w.__setitem__("joined/conv2d/bias", np.zeros(7)),
+            lambda w: w["eog/conv2/kernel"].__setitem__((0, 0, 0), np.nan),
+        ],
+        ids=["missing", "wrong-shape", "non-finite"],
+    )
+    def test_classifier_validates_weights_at_construction(self, corrupt):
+        desc = reference_architecture()
+        weights = init_weights(desc, 4)
+        corrupt(weights)
+        with pytest.raises(InvalidInputError):
+            NetworkClassifier(desc, weights, ("Wake", "S1", "S2", "S3", "S4", "REM"))
 
     def test_golden_regression_vector(self):
         # frozen at first implementation; guards against silent numeric drift
