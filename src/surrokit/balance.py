@@ -14,7 +14,10 @@ import numpy as np
 from .errors import InvalidInputError
 from .seeding import NS_AUGMENT, NS_UPSAMPLE, spawn_rng
 from .signals import Epoch, Signal
-from .surrogates import KIND_FT, SURROGATE_KINDS, _channel_surrogate
+from .surrogates import KIND_FT, SurrogateConfig, _surrogate_rows
+
+# channels surrogated as one block; bounds the FFT and sort temporaries
+IAAFT_CHUNK = 64
 
 DEFAULT_VOCABULARY = ("Wake", "S1", "S2", "S3", "S4", "REM")
 
@@ -76,8 +79,15 @@ class BalanceConfig:
             raise InvalidInputError(f"beta must lie in [0, 1], got {self.beta}")
         if not 0.0 <= self.alpha <= 1.0:
             raise InvalidInputError(f"alpha must lie in [0, 1], got {self.alpha}")
-        if self.surrogate_kind not in SURROGATE_KINDS:
-            raise InvalidInputError(f"unknown surrogate kind {self.surrogate_kind!r}")
+        self.surrogate_config  # validates the surrogate fields
+
+    @property
+    def surrogate_config(self) -> SurrogateConfig:
+        return SurrogateConfig(
+            kind=self.surrogate_kind,
+            iaaft_max_iters=self.iaaft_max_iters,
+            iaaft_tolerance=self.iaaft_tolerance,
+        )
 
 
 def repetition_counts(class_counts, beta: float) -> dict:
@@ -143,40 +153,50 @@ def upsample(dataset: Dataset, config: BalanceConfig):
     return shuffled, np.array(flags, dtype=bool)[order]
 
 
-def augment(dataset: Dataset, repeated_flags, config: BalanceConfig) -> Dataset:
+def augment(dataset: Dataset, repeated_flags, config: BalanceConfig, log=None) -> Dataset:
     """Replace channels of repeated epochs by surrogates with probability alpha.
 
     Epochs not marked in ``repeated_flags`` are passed through untouched.
     Deterministic given the config seed: epoch i, channel j draws from
-    the stream keyed (seed, augment, i, j).
+    the stream keyed (seed, augment, i, j). The chosen channels are
+    surrogated in blocks of ``IAAFT_CHUNK`` rows of equal length, which
+    gives the same samples as one channel at a time. ``log`` is an
+    optional callable that receives the reports of the replaced channels
+    (None for FT surrogates).
     """
     flags = np.asarray(repeated_flags, dtype=bool)
     if flags.shape != (len(dataset),):
         raise InvalidInputError(
             f"repeated_flags has shape {flags.shape}, expected ({len(dataset)},)"
         )
-    epochs = []
+    by_length = {}
     for i, ep in enumerate(dataset.epochs):
         if not flags[i]:
-            epochs.append(ep)
             continue
-        channels = []
-        changed = False
-        for j, ch in enumerate(ep.channels):
+        for j in range(len(ep.channels)):
             rng = spawn_rng(config.seed, NS_AUGMENT, i, j)
             if rng.uniform() < config.alpha:
-                samples, _ = _channel_surrogate(
-                    ch.samples,
-                    rng,
-                    config.surrogate_kind,
-                    config.iaaft_max_iters,
-                    config.iaaft_tolerance,
-                )
-                channels.append(Signal(samples, ch.sample_rate_hz))
-                changed = True
-            else:
-                channels.append(ch)
-        epochs.append(Epoch(tuple(channels), ep.label, ep.channel_roles) if changed else ep)
+                by_length.setdefault(ep.n_samples, []).append((i, j, rng))
+
+    surrogate_config = config.surrogate_config
+    replaced = {}
+    reports = []
+    for picks in by_length.values():
+        for start in range(0, len(picks), IAAFT_CHUNK):
+            chunk = picks[start : start + IAAFT_CHUNK]
+            block = np.stack([dataset.epochs[i].channels[j].samples for i, j, _ in chunk])
+            rngs = [rng for _, _, rng in chunk]
+            samples, chunk_reports = _surrogate_rows(block, rngs, surrogate_config)
+            reports.extend(chunk_reports)
+            for (i, j, _), row in zip(chunk, samples):
+                channels = replaced.setdefault(i, list(dataset.epochs[i].channels))
+                channels[j] = Signal(row, channels[j].sample_rate_hz)
+    if log is not None:
+        log(tuple(reports))
+
+    epochs = list(dataset.epochs)
+    for i, channels in replaced.items():
+        epochs[i] = Epoch(tuple(channels), epochs[i].label, epochs[i].channel_roles)
     return Dataset(tuple(epochs), dataset.record_ids, dataset.label_vocabulary)
 
 

@@ -9,6 +9,7 @@ the seed is 0. Every output file is written atomically.
 import argparse
 import os
 import sys
+from collections import Counter
 
 from . import dataio
 from .balance import BalanceConfig, Dataset, augment, record_holdout_split, upsample
@@ -18,7 +19,13 @@ from .evaluation import CONDITIONAL_KINDS, alpha_sweep, conditional_confusion, e
 from .network import ARCHITECTURES, count_parameters, infer_shapes
 from .saliency import SaliencySpec, surrogate_saliency, zero_out_saliency
 from .seeding import NS_EPOCH_FILE, derive_seed
-from .surrogates import SURROGATE_KINDS, SurrogateConfig, epoch_surrogate_with_reports
+from .surrogates import (
+    IAAFT_STOP_REASONS,
+    KIND_IAAFT,
+    SURROGATE_KINDS,
+    SurrogateConfig,
+    epoch_surrogate_with_reports,
+)
 from .synthetic import bundled_spec, generate_synthetic, spec_from_json
 from .training import TrainConfig, train_network
 
@@ -120,7 +127,18 @@ def _cmd_balance(args):
     config = BalanceConfig(beta=args.beta, alpha=args.alpha, seed=seed, surrogate_kind=args.kind)
     before = dataset.class_counts()
     upsampled, flags = upsample(dataset, config)
-    augmented = augment(upsampled, flags, config)
+    reports = []
+    augmented = augment(upsampled, flags, config, log=reports.extend)
+    if args.kind == KIND_IAAFT:
+        # diagnostics go to stderr so that stdout and the file stay reproducible
+        reasons = Counter(r.reason for r in reports)
+        counts = ", ".join(f"{reason} {reasons[reason]}" for reason in IAAFT_STOP_REASONS)
+        iterations = sum(r.iterations for r in reports)
+        print(
+            f"iaaft: {len(reports)} channels replaced, {iterations} iterations; "
+            f"stop reasons: {counts}",
+            file=sys.stderr,
+        )
     after = augmented.class_counts()
     print("class\tbefore\tafter")
     for label in dataset.label_vocabulary:

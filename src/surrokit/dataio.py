@@ -35,6 +35,7 @@ runs in float64.
 
 import hashlib
 import json
+import math
 import os
 import tempfile
 from dataclasses import asdict
@@ -106,6 +107,34 @@ def save_dataset(path, dataset: Dataset) -> None:
     atomic_write_bytes(path, blob)
 
 
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _check_dataset_header(path, header) -> None:
+    if not isinstance(header, dict) or header.get("format") != DATASET_FORMAT:
+        raise InvalidInputError(f"{path}: not a {DATASET_FORMAT} file")
+    for key in ("n_epochs", "n_channels", "epoch_len_samples", "sample_rate_hz",
+                "channel_roles", "label_vocabulary", "record_ids"):
+        if key not in header:
+            raise InvalidInputError(f"{path}: dataset header lacks {key!r}")
+    for key in ("n_epochs", "n_channels", "epoch_len_samples"):
+        if not _is_count(header[key]):
+            raise InvalidInputError(
+                f"{path}: header field {key!r} must be a non-negative integer, "
+                f"got a {type(header[key]).__name__}"
+            )
+    rate = header["sample_rate_hz"]
+    if not isinstance(rate, (int, float)) or isinstance(rate, bool):
+        raise InvalidInputError(
+            f"{path}: header field 'sample_rate_hz' must be a number, got a {type(rate).__name__}"
+        )
+    for key in ("channel_roles", "label_vocabulary", "record_ids"):
+        value = header[key]
+        if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+            raise InvalidInputError(f"{path}: header field {key!r} must be a list of strings")
+
+
 def load_dataset(path) -> Dataset:
     with open(path, "rb") as handle:
         header_line = handle.readline()
@@ -114,8 +143,7 @@ def load_dataset(path) -> Dataset:
         header = json.loads(header_line.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InvalidInputError(f"{path}: malformed dataset header: {exc}") from exc
-    if header.get("format") != DATASET_FORMAT:
-        raise InvalidInputError(f"{path}: not a {DATASET_FORMAT} file")
+    _check_dataset_header(path, header)
     n_epochs = header["n_epochs"]
     n_channels = header["n_channels"]
     n_samples = header["epoch_len_samples"]
@@ -199,23 +227,42 @@ def load_weights(path):
         header = json.loads(header_line.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InvalidInputError(f"{path}: malformed checkpoint header: {exc}") from exc
-    if header.get("format") != WEIGHTS_FORMAT:
+    if not isinstance(header, dict) or header.get("format") != WEIGHTS_FORMAT:
         raise InvalidInputError(f"{path}: not a {WEIGHTS_FORMAT} file")
     arch = header.get("arch")
-    if arch not in ARCHITECTURES:
+    if not isinstance(arch, str) or arch not in ARCHITECTURES:
         raise InvalidInputError(f"{path}: unknown architecture {arch!r}")
-    descriptor = ARCHITECTURES[arch](**header.get("arch_config", {}))
+    arch_config = header.get("arch_config", {})
+    if not isinstance(arch_config, dict):
+        raise InvalidInputError(
+            f"{path}: arch_config must be an object, got a {type(arch_config).__name__}"
+        )
+    try:
+        descriptor = ARCHITECTURES[arch](**arch_config)
+    except TypeError as exc:
+        raise InvalidInputError(f"{path}: arch_config does not fit {arch!r}: {exc}") from exc
     fingerprint = descriptor_fingerprint(descriptor)
     if fingerprint != header.get("fingerprint"):
         raise InvalidInputError(
             f"{path}: checkpoint fingerprint {header.get('fingerprint')!r} does not match "
             f"the {arch!r} architecture ({fingerprint!r})"
         )
+    tensors = header.get("tensors")
+    if not isinstance(tensors, list) or not all(
+        isinstance(entry, dict)
+        and isinstance(entry.get("key"), str)
+        and isinstance(entry.get("shape"), list)
+        and all(_is_count(d) for d in entry["shape"])
+        for entry in tensors
+    ):
+        raise InvalidInputError(
+            f"{path}: 'tensors' must be a list of {{\"key\": str, \"shape\": [int, ...]}} entries"
+        )
     weights = {}
     offset = 0
-    for entry in header["tensors"]:
+    for entry in tensors:
         shape = tuple(entry["shape"])
-        size = int(np.prod(shape)) * 8
+        size = math.prod(shape) * 8
         chunk = payload[offset : offset + size]
         if len(chunk) != size:
             raise InvalidInputError(f"{path}: truncated tensor payload at {entry['key']!r}")

@@ -13,7 +13,9 @@ the sorted surrogate samples equal the sorted originals bit for bit and
 the residual error lives in the amplitude spectrum. The loop stops when
 the spectral discrepancy stops improving or its relative change drops
 below the configured tolerance; the best iterate seen is returned, so
-the reported discrepancy sequence is strictly decreasing.
+the reported discrepancy sequence is strictly decreasing. Channels run
+in blocks that share each iteration's argsort and FFTs; every channel
+still gets exactly the result it would get alone.
 
 Partial surrogates replace one window of a signal with surrogate content
 generated from the remainder (the two flanking segments concatenated
@@ -32,6 +34,7 @@ from .signals import Epoch, Signal
 KIND_FT = "ft"
 KIND_IAAFT = "iaaft"
 SURROGATE_KINDS = (KIND_FT, KIND_IAAFT)
+IAAFT_STOP_REASONS = ("exact", "tolerance", "stalled", "max_iters")
 
 
 @dataclass(frozen=True)
@@ -67,7 +70,8 @@ class IaaftReport:
     ``discrepancies`` holds the relative L2 distance between the target
     and achieved one-sided amplitude spectra after each accepted
     rank-ordering step; it is non-increasing by construction.
-    ``reason`` is one of "exact", "tolerance", "stalled", "max_iters".
+    ``reason`` is one of ``IAAFT_STOP_REASONS``: "exact", "tolerance",
+    "stalled", "max_iters".
     """
 
     iterations: int
@@ -98,15 +102,18 @@ class PartialSurrogateSpec:
             raise InvalidInputError("window placement values must be non-negative")
 
 
-def _phase_randomize(samples: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Replace interior Fourier phases with uniform draws from [0, 2*pi)."""
-    n = samples.size
-    bins = np.fft.rfft(samples)
-    theta = rng.uniform(0.0, 2.0 * np.pi, bins.size)
+def _phase_randomize(block: np.ndarray, rngs) -> np.ndarray:
+    """Replace the interior Fourier phases of each row of a (k, n) block.
+
+    Row r draws its phases uniformly from [0, 2*pi) from ``rngs[r]``.
+    """
+    n = block.shape[1]
+    bins = np.fft.rfft(block)
+    theta = np.array([rng.uniform(0.0, 2.0 * np.pi, bins.shape[1]) for rng in rngs])
     randomized = np.abs(bins) * np.exp(1j * theta)
-    randomized[0] = bins[0]
+    randomized[:, 0] = bins[:, 0]
     if n % 2 == 0:
-        randomized[-1] = bins[-1]
+        randomized[:, -1] = bins[:, -1]
     return np.fft.irfft(randomized, n=n)
 
 
@@ -117,51 +124,84 @@ def ft_surrogate(signal: Signal, seed: int) -> Signal:
     generator used.
     """
     rng = spawn_rng(seed)
-    return Signal(_phase_randomize(signal.samples, rng), signal.sample_rate_hz)
+    return Signal(_phase_randomize(signal.samples[None], [rng])[0], signal.sample_rate_hz)
 
 
-def _iaaft_core(samples, rng, max_iters, tolerance):
-    n = samples.size
-    target = np.abs(np.fft.rfft(samples))
-    target_norm = np.linalg.norm(target)
-    sorted_values = np.sort(samples)
+def _iaaft_core(block, rngs, max_iters, tolerance):
+    """IAAFT on every row of a (k, n) block; row r draws from ``rngs[r]``.
 
-    current = _phase_randomize(samples, rng)
-    best = None
-    discrepancies = []
-    reason = "max_iters"
+    Each iteration ranks all active rows with one argsort and one
+    scatter, and takes one forward FFT for both the discrepancy and the
+    phases. A row leaves the block when its own stop rule fires, and
+    each discrepancy is summed over its row alone, so every row gets the
+    same iterate, discrepancies and reason, bit for bit, as it would in
+    a block of one.
+
+    Returns:
+        ((k, n) surrogates, tuple of one IaaftReport per row).
+    """
+    n = block.shape[1]
+    target = np.abs(np.fft.rfft(block))
+    target_norms = np.array([np.sqrt(t.dot(t)) for t in target])
+    sorted_values = np.sort(block, axis=1)
+
+    current = _phase_randomize(block, rngs)
+    best = np.empty_like(block)
+    histories = [[] for _ in block]
+    reasons = ["max_iters"] * len(block)
+    active = np.arange(len(block))
     for _ in range(max_iters):
-        ranks = np.argsort(np.argsort(current))
-        ranked = sorted_values[ranks]
-        if target_norm > 0:
-            achieved = np.abs(np.fft.rfft(ranked))
-            disc = float(np.linalg.norm(achieved - target) / target_norm)
-        else:
-            disc = 0.0
-        if discrepancies and disc >= discrepancies[-1]:
-            reason = "stalled"
-            break
-        discrepancies.append(disc)
-        best = ranked
-        if disc == 0.0:
-            reason = "exact"
-            break
-        if len(discrepancies) >= 2:
-            previous = discrepancies[-2]
-            if (previous - disc) / previous <= tolerance:
-                reason = "tolerance"
-                break
-        # spectral adjustment: impose the target amplitudes, keep the phases
+        ranked = np.empty_like(current)
+        np.put_along_axis(ranked, np.argsort(current, axis=1), sorted_values, axis=1)
         bins = np.fft.rfft(ranked)
+        residual = np.abs(bins) - target
+        accepted = np.zeros(active.size, dtype=bool)
+        running = np.zeros(active.size, dtype=bool)
+        for r, row in enumerate(active):
+            d = residual[r]
+            disc = float(np.sqrt(d.dot(d)) / target_norms[r]) if target_norms[r] > 0 else 0.0
+            history = histories[row]
+            if history and disc >= history[-1]:
+                reasons[row] = "stalled"
+                continue
+            history.append(disc)
+            accepted[r] = True
+            if disc == 0.0:
+                reasons[row] = "exact"
+            elif len(history) >= 2 and (history[-2] - disc) / history[-2] <= tolerance:
+                reasons[row] = "tolerance"
+            else:
+                running[r] = True
+        best[active[accepted]] = ranked[accepted]
+        if not running.any():
+            break
+        if not running.all():
+            active, target, target_norms, sorted_values, bins = (
+                a[running] for a in (active, target, target_norms, sorted_values, bins)
+            )
+        # spectral adjustment: impose the target amplitudes, keep the phases
         current = np.fft.irfft(target * np.exp(1j * np.angle(bins)), n=n)
 
-    report = IaaftReport(
-        iterations=len(discrepancies),
-        discrepancies=tuple(discrepancies),
-        converged=reason in ("exact", "tolerance", "stalled"),
-        reason=reason,
+    reports = tuple(
+        IaaftReport(
+            iterations=len(history),
+            discrepancies=tuple(history),
+            converged=reason in ("exact", "tolerance", "stalled"),
+            reason=reason,
+        )
+        for history, reason in zip(histories, reasons)
     )
-    return best, report
+    return best, reports
+
+
+def _surrogate_rows(block, rngs, config: SurrogateConfig):
+    """Surrogates of the rows of a (k, n) block; row r draws from ``rngs[r]``.
+
+    Returns the (k, n) surrogates and one report per row, None for FT.
+    """
+    if config.kind == KIND_FT:
+        return _phase_randomize(block, rngs), (None,) * len(block)
+    return _iaaft_core(block, rngs, config.iaaft_max_iters, config.iaaft_tolerance)
 
 
 def iaaft_surrogate(signal: Signal, config: SurrogateConfig):
@@ -176,11 +216,8 @@ def iaaft_surrogate(signal: Signal, config: SurrogateConfig):
     """
     if config.kind != KIND_IAAFT:
         raise InvalidInputError(f"config.kind must be {KIND_IAAFT!r}, got {config.kind!r}")
-    rng = spawn_rng(config.seed)
-    samples, report = _iaaft_core(
-        signal.samples, rng, config.iaaft_max_iters, config.iaaft_tolerance
-    )
-    return Signal(samples, signal.sample_rate_hz), report
+    samples, (report,) = _surrogate_rows(signal.samples[None], [spawn_rng(config.seed)], config)
+    return Signal(samples[0], signal.sample_rate_hz), report
 
 
 def crossfade_weights(window_len: int, crossfade_left: int, crossfade_right: int) -> np.ndarray:
@@ -218,7 +255,7 @@ def _splice_surrogate(samples, start, window_len, crossfade_left, crossfade_righ
         raise InvalidInputError(
             f"remainder of {remainder.size} samples cannot supply a {need}-sample patch"
         )
-    surrogate = _phase_randomize(remainder, rng)
+    surrogate = _phase_randomize(remainder[None], [rng])[0]
     offset = int(rng.integers(0, remainder.size - need + 1))
     patch = surrogate[offset : offset + need]
 
@@ -253,31 +290,23 @@ def partial_ft_surrogate(signal: Signal, spec: PartialSurrogateSpec, seed: int) 
     return Signal(out, rate)
 
 
-def _channel_surrogate(samples, rng, kind, max_iters=100, tolerance=1e-8):
-    if kind == KIND_FT:
-        return _phase_randomize(samples, rng), None
-    return _iaaft_core(samples, rng, max_iters, tolerance)
-
-
 def epoch_surrogate_with_reports(epoch: Epoch, config: SurrogateConfig, seed=None):
     """Per-channel surrogate of an epoch, returning IAAFT reports.
 
     Channel i draws from a stream derived from (seed, i), or from the
     bare seed for every channel when ``config.share_channel_phases`` is
-    set. Reports are None for FT surrogates.
+    set. The channels run as one block. Reports are None for FT
+    surrogates.
     """
     base = config.seed if seed is None else seed
-    channels = []
-    reports = []
-    for i, ch in enumerate(epoch.channels):
-        key = () if config.share_channel_phases else (i,)
-        rng = spawn_rng(base, *key)
-        samples, report = _channel_surrogate(
-            ch.samples, rng, config.kind, config.iaaft_max_iters, config.iaaft_tolerance
-        )
-        channels.append(Signal(samples, ch.sample_rate_hz))
-        reports.append(report)
-    return Epoch(tuple(channels), epoch.label, epoch.channel_roles), tuple(reports)
+    rngs = [
+        spawn_rng(base, *(() if config.share_channel_phases else (i,)))
+        for i in range(len(epoch.channels))
+    ]
+    samples, reports = _surrogate_rows(epoch.to_array(), rngs, config)
+    rate = epoch.sample_rate_hz
+    channels = tuple(Signal(row, rate) for row in samples)
+    return Epoch(channels, epoch.label, epoch.channel_roles), reports
 
 
 def epoch_surrogate(epoch: Epoch, config: SurrogateConfig, seed=None) -> Epoch:

@@ -4,10 +4,15 @@ These deliberately avoid the code paths under test: the DFT oracle is a
 direct O(N^2) summation, convolution/pooling oracles are plain Python
 loops, and the F1 oracle follows the textbook definition one class at a
 time. The per-tap batch kernels at the end are the straightforward
-one-product-per-tap form of the network's GEMM kernels.
+one-product-per-tap form of the network's GEMM kernels. The
+per-channel IAAFT loop at the very end is the surrogate code as it was
+before channels were run in blocks; the block core must reproduce it
+bit for bit.
 """
 
 import numpy as np
+
+from surrokit.surrogates import IaaftReport
 
 
 def dft_oracle(x):
@@ -184,3 +189,63 @@ def conv2d_backward_per_tap(dz, x_shape, kernel, cache):
             d_kernel[i, j] = np.tensordot(patch, dz, axes=([0, 1, 2], [0, 1, 2]))
             dx[:, i : i + oh, j : j + ow] += dz @ kernel[i, j].T
     return dx, d_kernel, dz.sum(axis=(0, 1, 2))
+
+
+# Per-channel FT phase randomization and IAAFT, one signal at a time:
+# a double argsort for the ranks and a second forward FFT for the phases.
+
+
+def phase_randomize_per_channel(samples, rng):
+    """Replace interior Fourier phases with uniform draws from [0, 2*pi)."""
+    n = samples.size
+    bins = np.fft.rfft(samples)
+    theta = rng.uniform(0.0, 2.0 * np.pi, bins.size)
+    randomized = np.abs(bins) * np.exp(1j * theta)
+    randomized[0] = bins[0]
+    if n % 2 == 0:
+        randomized[-1] = bins[-1]
+    return np.fft.irfft(randomized, n=n)
+
+
+def iaaft_per_channel(samples, rng, max_iters, tolerance):
+    n = samples.size
+    target = np.abs(np.fft.rfft(samples))
+    target_norm = np.linalg.norm(target)
+    sorted_values = np.sort(samples)
+
+    current = phase_randomize_per_channel(samples, rng)
+    best = None
+    discrepancies = []
+    reason = "max_iters"
+    for _ in range(max_iters):
+        ranks = np.argsort(np.argsort(current))
+        ranked = sorted_values[ranks]
+        if target_norm > 0:
+            achieved = np.abs(np.fft.rfft(ranked))
+            disc = float(np.linalg.norm(achieved - target) / target_norm)
+        else:
+            disc = 0.0
+        if discrepancies and disc >= discrepancies[-1]:
+            reason = "stalled"
+            break
+        discrepancies.append(disc)
+        best = ranked
+        if disc == 0.0:
+            reason = "exact"
+            break
+        if len(discrepancies) >= 2:
+            previous = discrepancies[-2]
+            if (previous - disc) / previous <= tolerance:
+                reason = "tolerance"
+                break
+        # spectral adjustment: impose the target amplitudes, keep the phases
+        bins = np.fft.rfft(ranked)
+        current = np.fft.irfft(target * np.exp(1j * np.angle(bins)), n=n)
+
+    report = IaaftReport(
+        iterations=len(discrepancies),
+        discrepancies=tuple(discrepancies),
+        converged=reason in ("exact", "tolerance", "stalled"),
+        reason=reason,
+    )
+    return best, report

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from oracles import one_sided_amplitudes
+from oracles import iaaft_per_channel, one_sided_amplitudes, phase_randomize_per_channel
 from surrokit.balance import (
+    IAAFT_CHUNK,
     BalanceConfig,
     Dataset,
     augment,
@@ -11,6 +12,7 @@ from surrokit.balance import (
     upsample,
 )
 from surrokit.errors import InvalidInputError
+from surrokit.seeding import NS_AUGMENT, spawn_rng
 from surrokit.signals import epoch_from_array
 
 
@@ -157,6 +159,59 @@ class TestAugment:
         ds = make_dataset({"A": 4})
         with pytest.raises(InvalidInputError):
             augment(ds, np.ones(3, dtype=bool), BalanceConfig(alpha=1.0))
+
+
+def assert_augment_matches_per_channel_reference(ds, flags, cfg):
+    """Replay augment one channel at a time with the frozen reference."""
+    logged = []
+    out = augment(ds, flags, cfg, log=logged.append)
+    (reports,) = logged
+    expected_reports = []
+    for i, (before, after) in enumerate(zip(ds.epochs, out.epochs)):
+        for j, (ch_b, ch_a) in enumerate(zip(before.channels, after.channels)):
+            rng = spawn_rng(cfg.seed, NS_AUGMENT, i, j)
+            if not (flags[i] and rng.uniform() < cfg.alpha):
+                assert ch_a is ch_b
+                continue
+            if cfg.surrogate_kind == "ft":
+                expected, report = phase_randomize_per_channel(ch_b.samples, rng), None
+            else:
+                expected, report = iaaft_per_channel(
+                    ch_b.samples, rng, cfg.iaaft_max_iters, cfg.iaaft_tolerance
+                )
+            assert ch_a.samples.tobytes() == expected.tobytes()
+            expected_reports.append(report)
+    assert sorted(reports, key=repr) == sorted(expected_reports, key=repr)
+    return reports
+
+
+class TestAugmentBlocks:
+    @pytest.mark.parametrize("kind", ["iaaft", "ft"])
+    def test_bit_identical_across_a_block_boundary(self, kind):
+        # 7/8 of 2 * IAAFT_CHUNK epochs flagged, 4 channels each: at alpha 0.5
+        # about 3.5 * IAAFT_CHUNK channels are chosen, in several blocks
+        ds = make_dataset({"A": 2 * IAAFT_CHUNK}, n_samples=48)
+        flags = np.arange(len(ds)) % 8 != 3
+        cfg = BalanceConfig(alpha=0.5, seed=21, surrogate_kind=kind)
+        reports = assert_augment_matches_per_channel_reference(ds, flags, cfg)
+        assert len(reports) > IAAFT_CHUNK + 3
+
+    def test_epochs_of_different_lengths(self):
+        short = make_dataset({"A": 5}, n_samples=33, seed=1)
+        long = make_dataset({"A": 5}, n_samples=40, seed=2)
+        ds = Dataset(
+            tuple(e for pair in zip(short.epochs, long.epochs) for e in pair),
+            tuple(f"r{i}" for i in range(10)),
+            ("A",),
+        )
+        cfg = BalanceConfig(alpha=0.5, seed=4, surrogate_kind="iaaft")
+        assert_augment_matches_per_channel_reference(ds, np.ones(10, dtype=bool), cfg)
+
+    def test_iaaft_fields_validated(self):
+        with pytest.raises(InvalidInputError):
+            BalanceConfig(surrogate_kind="iaaft", iaaft_max_iters=0)
+        with pytest.raises(InvalidInputError):
+            BalanceConfig(surrogate_kind="iaaft", iaaft_tolerance=-1.0)
 
 
 class TestPipelineIdentity:

@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -112,6 +113,24 @@ class TestBalance:
         counts = balanced.class_counts()
         assert counts["low"] == counts["high"]
 
+    def test_iaaft_summary_goes_to_stderr(self, tmp_path, dataset_file, capsys):
+        args = [dataset_file, "--beta", "1", "--alpha", "0.5", "--seed", "4"]
+        assert main(["balance", *args[:1], str(tmp_path / "ft.sdat"), *args[1:]]) == 0
+        ft = capsys.readouterr()
+        assert ft.err == ""
+        out = str(tmp_path / "ia.sdat")
+        assert main(["balance", *args[:1], out, *args[1:], "--kind", "iaaft"]) == 0
+        ia = capsys.readouterr()
+        assert ia.out == ft.out.replace("ft.sdat", "ia.sdat")
+        (line,) = ia.err.splitlines()
+        match = re.fullmatch(
+            r"iaaft: (\d+) channels replaced, (\d+) iterations; stop reasons: "
+            r"exact (\d+), tolerance (\d+), stalled (\d+), max_iters (\d+)",
+            line,
+        )
+        replaced, iterations, *per_reason = map(int, match.groups())
+        assert sum(per_reason) == replaced > 0 and iterations >= replaced
+
     def test_identity_balance_is_permutation(self, tmp_path, dataset_file):
         out = str(tmp_path / "same.sdat")
         assert main(["balance", dataset_file, out, "--beta", "0", "--alpha", "0"]) == 0
@@ -207,6 +226,58 @@ class TestTrainEvaluate:
              "--window", "2", "--step", "4", "--out", str(out)]
         )
         assert code == 0
+
+
+def _rewrite_header(src, dst, edit):
+    header_line, payload = open(src, "rb").read().split(b"\n", 1)
+    header = json.loads(header_line)
+    edit(header)
+    with open(dst, "wb") as handle:
+        handle.write(json.dumps(header).encode() + b"\n" + payload)
+
+
+class TestMalformedHeaders:
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda h: h.pop("n_epochs"),
+            lambda h: h.update(n_epochs="2"),
+            lambda h: h.update(epoch_len_samples=-1),
+            lambda h: h.update(label_vocabulary=3),
+            lambda h: h.update(record_ids=[1, 2]),
+            lambda h: h.update(sample_rate_hz="32"),
+        ],
+        ids=["no-n_epochs", "str-n_epochs", "negative-length", "int-vocabulary",
+             "int-record-ids", "str-rate"],
+    )
+    def test_dataset_header_exit_2(self, tmp_path, dataset_file, edit, capsys):
+        bad = str(tmp_path / "bad.sdat")
+        _rewrite_header(dataset_file, bad, edit)
+        capsys.readouterr()
+        assert main(["surrogate", bad, str(tmp_path / "o.sdat")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("surrokit: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda h: h["arch_config"].update(bogus=1),
+            lambda h: h.update(arch_config=[1, 2]),
+            lambda h: h.pop("tensors"),
+            lambda h: h.update(tensors={"key": "x"}),
+            lambda h: h["tensors"][0].pop("shape"),
+            lambda h: h["tensors"][0].update(shape=["3"]),
+        ],
+        ids=["unknown-arch-key", "list-arch-config", "no-tensors", "dict-tensors",
+             "tensor-without-shape", "str-shape"],
+    )
+    def test_checkpoint_header_exit_2(self, tmp_path, dataset_file, weights_file, edit, capsys):
+        bad = str(tmp_path / "bad.swt")
+        _rewrite_header(weights_file, bad, edit)
+        capsys.readouterr()
+        assert main(["evaluate", dataset_file, bad]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("surrokit: ") and err.count("\n") == 1
 
 
 class TestErrorHandling:

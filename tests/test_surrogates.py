@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import idft_oracle, one_sided_amplitudes
+from oracles import (
+    iaaft_per_channel,
+    idft_oracle,
+    one_sided_amplitudes,
+    phase_randomize_per_channel,
+)
 from surrokit.errors import InvalidInputError
 from surrokit.seeding import spawn_rng
 from surrokit.signals import Signal, epoch_from_array
@@ -9,8 +16,10 @@ from surrokit.surrogates import (
     IaaftReport,
     PartialSurrogateSpec,
     SurrogateConfig,
+    _iaaft_core,
     crossfade_weights,
     epoch_surrogate,
+    epoch_surrogate_with_reports,
     ft_surrogate,
     iaaft_surrogate,
     partial_ft_surrogate,
@@ -137,6 +146,96 @@ class TestIaaft:
         b, rb = iaaft_surrogate(ar2_signal, cfg)
         np.testing.assert_array_equal(a.samples, b.samples)
         assert ra == rb
+
+
+def assert_block_matches_oracle(block, seed, max_iters, tolerance):
+    """The block core equals the per-channel reference row by row, bit for bit."""
+    out, reports = _iaaft_core(
+        block, [spawn_rng(seed, r) for r in range(len(block))], max_iters, tolerance
+    )
+    assert out.shape == block.shape and len(reports) == len(block)
+    for r, row in enumerate(block):
+        expected, report = iaaft_per_channel(row.copy(), spawn_rng(seed, r), max_iters, tolerance)
+        assert out[r].tobytes() == expected.tobytes()
+        assert reports[r] == report
+    return reports
+
+
+class TestIaaftBlock:
+    def test_constant_row_is_exact(self, rng):
+        block = rng.standard_normal((3, 64))
+        block[1] = -2.5
+        reports = assert_block_matches_oracle(block, 1, 100, 1e-8)
+        assert reports[1].reason == "exact" and reports[1].iterations == 1
+
+    def test_heavy_ties(self, rng):
+        block = np.round(rng.standard_normal((5, 120)))  # a handful of distinct values
+        assert_block_matches_oracle(block, 2, 100, 1e-8)
+
+    def test_odd_length(self, rng):
+        assert_block_matches_oracle(rng.standard_normal((4, 97)) * 3, 3, 100, 1e-8)
+
+    def test_single_iteration(self, rng):
+        reports = assert_block_matches_oracle(rng.standard_normal((4, 64)), 4, 1, 1e-8)
+        assert {r.reason for r in reports} == {"max_iters"}
+
+    def test_zero_tolerance(self, rng):
+        assert_block_matches_oracle(rng.standard_normal((4, 64)), 5, 100, 0.0)
+
+    def test_rows_stop_for_different_reasons(self):
+        block = np.random.default_rng(0).standard_normal((8, 64))
+        block[0] = 2.0
+        reports = assert_block_matches_oracle(block, 0, 10, 1e-3)
+        assert {r.reason for r in reports} == {"exact", "tolerance", "stalled", "max_iters"}
+
+    def test_public_paths_match_per_channel_reference(self, rng, ar2_signal):
+        out, report = iaaft_surrogate(ar2_signal, SurrogateConfig(kind="iaaft", seed=8))
+        expected, expected_report = iaaft_per_channel(
+            ar2_signal.samples, spawn_rng(8), 100, 1e-8
+        )
+        assert out.samples.tobytes() == expected.tobytes() and report == expected_report
+        ft = ft_surrogate(ar2_signal, seed=8)
+        assert ft.samples.tobytes() == phase_randomize_per_channel(
+            ar2_signal.samples, spawn_rng(8)
+        ).tobytes()
+
+        epoch = epoch_from_array(rng.standard_normal((4, 90)), 32.0, "S2")
+        for kind, shared in (("iaaft", False), ("iaaft", True), ("ft", False)):
+            config = SurrogateConfig(kind=kind, share_channel_phases=shared)
+            surrogate, reports = epoch_surrogate_with_reports(epoch, config, seed=9)
+            for i, (before, after) in enumerate(zip(epoch.channels, surrogate.channels)):
+                stream = spawn_rng(9) if shared else spawn_rng(9, i)
+                if kind == "ft":
+                    expected = phase_randomize_per_channel(before.samples, stream)
+                    assert reports[i] is None
+                else:
+                    expected, expected_report = iaaft_per_channel(
+                        before.samples, stream, 100, 1e-8
+                    )
+                    assert reports[i] == expected_report
+                assert after.samples.tobytes() == expected.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        length=st.integers(2, 160),
+        rows=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+        quantise=st.booleans(),
+    )
+    def test_values_kept_and_discrepancies_strictly_decrease(self, length, rows, seed, quantise):
+        block = np.random.default_rng(seed).standard_normal((rows, length)) * 4
+        if quantise:
+            block = np.round(block)
+        out, reports = _iaaft_core(
+            block, [spawn_rng(seed, r) for r in range(rows)], 30, 1e-8
+        )
+        # bit patterns, with -0.0 folded onto 0.0: numpy's SIMD sort, which
+        # the reference used too, does not keep the signs of zeros apart
+        bits = lambda a: np.sort((a + 0.0).view(np.uint64), axis=1)
+        np.testing.assert_array_equal(bits(out), bits(block))
+        for report in reports:
+            assert report.iterations == len(report.discrepancies) >= 1
+            assert np.all(np.diff(report.discrepancies) < 0)
 
 
 class TestPartialSurrogate:
