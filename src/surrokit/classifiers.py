@@ -5,11 +5,11 @@ probability vector over that vocabulary can be evaluated or explained by
 the tools in :mod:`surrokit.evaluation` and :mod:`surrokit.saliency`;
 nothing requires differentiability.
 
-``NetworkClassifier`` wraps trained network weights. The band-power and
-transient-gated classifiers are simple analytic models: the former
-depends only on the amplitude spectrum (and is therefore exactly
-invariant under full FT surrogate replacement), the latter adds a
-matched-filter gate for a localized waveform, which surrogates destroy.
+``NetworkClassifier`` wraps trained network weights. The band-power
+classifier is a simple analytic model that depends only on the amplitude
+spectrum, and is therefore exactly invariant under full FT surrogate
+replacement. ``matched_filter_score`` measures a localized waveform,
+which surrogates destroy.
 """
 
 from dataclasses import dataclass
@@ -126,42 +126,3 @@ def matched_filter_score(epoch: Epoch, waveform: np.ndarray, channels, combine="
     if not scores:
         raise InvalidInputError(f"no channel matches roles {tuple(channels)!r}")
     return min(scores) if combine == "min" else max(scores)
-
-
-@dataclass
-class TransientGateClassifier:
-    """Band-power base classifier with a transient override.
-
-    A matched filter for ``waveform`` is run over the gate channels; a
-    logistic gate g of its peak score blends the base prediction with a
-    one-hot vector for ``target_label``:
-
-        p = (1 - g) * base(epoch) + g * onehot(target_label)
-
-    With a sharp gate this classifier is keyed to the presence of a
-    localized transient, which FT surrogates redistribute.
-    """
-
-    base: BandPowerClassifier
-    waveform: np.ndarray
-    gate_channels: tuple
-    target_label: str
-    threshold: float
-    sharpness: float = 1.0
-    combine: str = "min"
-
-    def __post_init__(self):
-        if self.target_label not in self.base.label_vocabulary:
-            raise InvalidInputError(f"unknown target label {self.target_label!r}")
-        self.label_vocabulary = self.base.label_vocabulary
-        self._target_index = self.base.label_vocabulary.index(self.target_label)
-
-    def gate(self, epoch: Epoch) -> float:
-        score = matched_filter_score(epoch, self.waveform, self.gate_channels, self.combine)
-        return float(1.0 / (1.0 + np.exp(-(score - self.threshold) / self.sharpness)))
-
-    def predict(self, epoch: Epoch) -> np.ndarray:
-        g = self.gate(epoch)
-        probs = (1.0 - g) * self.base.predict(epoch)
-        probs[self._target_index] += g
-        return probs

@@ -15,6 +15,7 @@ right, the 2-D convolution uses valid padding.
 Weights are a flat dict keyed "group/layer/param" of float64 arrays.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,14 +93,6 @@ class ArchitectureDescriptor:
     def sharing_map(self) -> dict:
         return dict(self.parameter_sharing)
 
-    def channel_groups(self) -> tuple:
-        seen = []
-        for role in self.channel_roles:
-            group = self.sharing_map()[role]
-            if group not in seen:
-                seen.append(group)
-        return tuple(seen)
-
     def n_classes(self) -> int:
         last = self.joined_pipe[-1]
         if not isinstance(last, Dense):
@@ -123,52 +116,83 @@ def _pool_geometry(length: int, width: int, stride: int):
     return out_len, pad_left, pad_total - pad_left
 
 
-def infer_shapes(descriptor: ArchitectureDescriptor) -> ShapeReport:
-    """Walk the descriptor and report every layer's output shape."""
-    shape = (descriptor.input_len,)
-    channel = []
-    for layer in descriptor.channel_pipe:
-        if isinstance(layer, Dropout):
-            continue
-        if isinstance(layer, Scale):
-            pass
-        elif isinstance(layer, Conv1D):
-            length = shape[0]
-            shape = (length, layer.filters)
-        elif isinstance(layer, MaxPool1D):
-            if len(shape) != 2:
-                raise ShapeError(f"{layer.name}: max-pool expects (length, channels), got {shape}")
-            out_len, _, _ = _pool_geometry(shape[0], layer.width, layer.stride)
-            shape = (out_len, shape[1])
-        else:
-            raise ShapeError(f"{layer.name}: layer type not allowed in the channel pipe")
-        channel.append((layer.name, shape))
+_CHANNEL_LAYERS = (Scale, Conv1D, MaxPool1D)
+_JOINED_LAYERS = (Conv2D, Dense)
 
+
+def _layer_rule(layer, shape):
+    """Output shape and ``{param: shape}`` of one layer applied to ``shape``."""
+    if isinstance(layer, Scale):
+        return shape, {"scale": (1,)}
+    if isinstance(layer, Conv1D):
+        c_in = shape[1] if len(shape) == 2 else 1
+        params = {"kernel": (layer.width, c_in, layer.filters), "bias": (layer.filters,)}
+        return (shape[0], layer.filters), params
+    if isinstance(layer, MaxPool1D):
+        if len(shape) != 2:
+            raise ShapeError(f"{layer.name}: max-pool expects (length, channels), got {shape}")
+        out_len, _, _ = _pool_geometry(shape[0], layer.width, layer.stride)
+        return (out_len, shape[1]), {}
+    if isinstance(layer, Conv2D):
+        if len(shape) != 3:
+            raise ShapeError(f"{layer.name}: 2-D convolution expects a rank-3 input, got {shape}")
+        h, w, c_in = shape
+        oh, ow = h - layer.height + 1, w - layer.width + 1
+        if oh < 1 or ow < 1:
+            raise ShapeError(
+                f"{layer.name}: kernel {layer.height}x{layer.width} exceeds input {h}x{w}"
+            )
+        kernel = (layer.height, layer.width, c_in, layer.filters)
+        return (oh, ow, layer.filters), {"kernel": kernel, "bias": (layer.filters,)}
+    # Dense flattens its input
+    return (layer.units,), {"kernel": (math.prod(shape), layer.units), "bias": (layer.units,)}
+
+
+def _joined_input(descriptor, shape):
+    """Stage-two input shape from the channel pipe's output shape."""
     if len(shape) != 2:
         raise ShapeError("channel pipe must end with a (length, filters) shape")
-    joined_input = (shape[0], len(descriptor.channel_roles), shape[1])
+    return (shape[0], len(descriptor.channel_roles), shape[1])
 
-    shape = joined_input
-    joined = []
-    for layer in descriptor.joined_pipe:
+
+def _walk_pipe(group, layers, shape, allowed, pipe):
+    for layer in layers:
         if isinstance(layer, Dropout):
             continue
-        if isinstance(layer, Conv2D):
-            if len(shape) != 3:
-                raise ShapeError(f"{layer.name}: 2-D convolution expects a rank-3 input, got {shape}")
-            h, w, _ = shape
-            oh, ow = h - layer.height + 1, w - layer.width + 1
-            if oh < 1 or ow < 1:
-                raise ShapeError(
-                    f"{layer.name}: kernel {layer.height}x{layer.width} exceeds input {h}x{w}"
-                )
-            shape = (oh, ow, layer.filters)
-        elif isinstance(layer, Dense):
-            shape = (layer.units,)
-        else:
-            raise ShapeError(f"{layer.name}: layer type not allowed in the joined pipe")
-        joined.append((layer.name, shape))
-    return ShapeReport(tuple(channel), joined_input, tuple(joined))
+        if not isinstance(layer, allowed):
+            raise ShapeError(f"{layer.name}: layer type not allowed in the {pipe} pipe")
+        shape, params = _layer_rule(layer, shape)
+        yield group, layer, shape, params
+    return shape
+
+
+def _walk(descriptor):
+    """Yield ``(group, layer, out_shape, {param: shape})`` in init order.
+
+    Channel groups come in first-appearance order, each walking the
+    channel pipe, then the joined pipe; dropout layers are skipped. A
+    layer that does not fit its input raises ShapeError.
+    """
+    shape = (descriptor.input_len,)  # with no channel roles, _joined_input rejects it
+    for group, _ in _group_channels(descriptor):
+        if group == JOINED_GROUP:
+            raise InvalidInputError(f"parameter group {group!r} is reserved for the joined pipe")
+        shape = yield from _walk_pipe(
+            group, descriptor.channel_pipe, (descriptor.input_len,), _CHANNEL_LAYERS, "channel"
+        )
+    joined_input = _joined_input(descriptor, shape)
+    yield from _walk_pipe(
+        JOINED_GROUP, descriptor.joined_pipe, joined_input, _JOINED_LAYERS, "joined"
+    )
+
+
+def infer_shapes(descriptor: ArchitectureDescriptor) -> ShapeReport:
+    """Walk the descriptor and report every layer's output shape."""
+    steps = list(_walk(descriptor))
+    first = steps[0][0]
+    channel = tuple((layer.name, shape) for group, layer, shape, _ in steps if group == first)
+    joined = tuple((layer.name, shape) for group, layer, shape, _ in steps if group == JOINED_GROUP)
+    return ShapeReport(channel, _joined_input(descriptor, channel[-1][1]), joined)
 
 
 @dataclass(frozen=True)
@@ -179,80 +203,29 @@ class ParameterCount:
     total: int
 
 
-def _pipe_param_counts(layers, in_shape):
-    """Yield (layer, n_params, fan_in_shape) walking a pipe."""
-    shape = in_shape
-    for layer in layers:
-        if isinstance(layer, Dropout):
-            continue
-        if isinstance(layer, Scale):
-            yield layer, 1, shape
-        elif isinstance(layer, Conv1D):
-            c_in = shape[1] if len(shape) == 2 else 1
-            yield layer, layer.width * c_in * layer.filters + layer.filters, shape
-            shape = (shape[0], layer.filters)
-        elif isinstance(layer, MaxPool1D):
-            out_len, _, _ = _pool_geometry(shape[0], layer.width, layer.stride)
-            shape = (out_len, shape[1])
-            yield layer, 0, shape
-        elif isinstance(layer, Conv2D):
-            c_in = shape[2]
-            yield layer, layer.height * layer.width * c_in * layer.filters + layer.filters, shape
-            shape = (shape[0] - layer.height + 1, shape[1] - layer.width + 1, layer.filters)
-        elif isinstance(layer, Dense):
-            fan_in = int(np.prod(shape))
-            yield layer, fan_in * layer.units + layer.units, shape
-            shape = (layer.units,)
-
-
 def count_parameters(descriptor: ArchitectureDescriptor) -> ParameterCount:
     """Trainable parameter totals per pipe, derived from the descriptor."""
-    shapes = infer_shapes(descriptor)
-    channel = sum(n for _, n, _ in _pipe_param_counts(descriptor.channel_pipe, (descriptor.input_len,)))
-    joined = sum(n for _, n, _ in _pipe_param_counts(descriptor.joined_pipe, shapes.joined_input))
-    n_groups = len(descriptor.channel_groups())
+    per_group = {}
+    for group, _, _, params in _walk(descriptor):
+        n = sum(math.prod(shape) for shape in params.values())
+        per_group[group] = per_group.get(group, 0) + n
+    joined = per_group.pop(JOINED_GROUP, 0)
+    channel = next(iter(per_group.values()))
     return ParameterCount(
         channel_pipe=channel,
         joined_pipe=joined,
-        channel_groups=n_groups,
-        total=n_groups * channel + joined,
+        channel_groups=len(per_group),
+        total=len(per_group) * channel + joined,
     )
 
 
 def weight_shapes(descriptor: ArchitectureDescriptor) -> dict:
     """Expected tensor shapes keyed "group/layer/param"."""
-    shapes = infer_shapes(descriptor)
-    out = {}
-
-    def pipe_shapes(group, layers, in_shape):
-        shape = in_shape
-        for layer in layers:
-            if isinstance(layer, Dropout):
-                continue
-            if isinstance(layer, Scale):
-                out[f"{group}/{layer.name}/scale"] = (1,)
-            elif isinstance(layer, Conv1D):
-                c_in = shape[1] if len(shape) == 2 else 1
-                out[f"{group}/{layer.name}/kernel"] = (layer.width, c_in, layer.filters)
-                out[f"{group}/{layer.name}/bias"] = (layer.filters,)
-                shape = (shape[0], layer.filters)
-            elif isinstance(layer, MaxPool1D):
-                out_len, _, _ = _pool_geometry(shape[0], layer.width, layer.stride)
-                shape = (out_len, shape[1])
-            elif isinstance(layer, Conv2D):
-                out[f"{group}/{layer.name}/kernel"] = (layer.height, layer.width, shape[2], layer.filters)
-                out[f"{group}/{layer.name}/bias"] = (layer.filters,)
-                shape = (shape[0] - layer.height + 1, shape[1] - layer.width + 1, layer.filters)
-            elif isinstance(layer, Dense):
-                fan_in = int(np.prod(shape))
-                out[f"{group}/{layer.name}/kernel"] = (fan_in, layer.units)
-                out[f"{group}/{layer.name}/bias"] = (layer.units,)
-                shape = (layer.units,)
-
-    for group in descriptor.channel_groups():
-        pipe_shapes(group, descriptor.channel_pipe, (descriptor.input_len,))
-    pipe_shapes(JOINED_GROUP, descriptor.joined_pipe, shapes.joined_input)
-    return out
+    return {
+        f"{group}/{layer.name}/{param}": shape
+        for group, layer, _, params in _walk(descriptor)
+        for param, shape in params.items()
+    }
 
 
 def glorot_limit(fan_in: int, fan_out: int) -> float:
@@ -262,53 +235,26 @@ def glorot_limit(fan_in: int, fan_out: int) -> float:
 def init_weights(descriptor: ArchitectureDescriptor, rng) -> dict:
     """Glorot-uniform kernels, zero biases, configured scale constants.
 
-    ``rng`` may be a Generator or an integer seed. Iteration order is
-    fixed (channel groups in first-appearance order, then the joined
-    pipe), so initialization is deterministic given the seed.
+    ``rng`` may be a Generator or an integer seed. Kernels are drawn in
+    walk order (channel groups in first-appearance order, then the joined
+    pipe); biases and scales draw nothing, so initialization is
+    deterministic given the seed. A kernel of shape
+    ``(*receptive, c_in, f)`` has fan-in ``prod(shape[:-1])`` and fan-out
+    ``prod(receptive) * f``.
     """
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(np.random.SeedSequence(rng))
     weights = {}
-
-    def init_pipe(group, layers, in_shape):
-        shape = in_shape
-        for layer in layers:
-            if isinstance(layer, Dropout):
-                continue
-            if isinstance(layer, Scale):
-                weights[f"{group}/{layer.name}/scale"] = np.array([layer.init])
-            elif isinstance(layer, Conv1D):
-                c_in = shape[1] if len(shape) == 2 else 1
-                limit = glorot_limit(layer.width * c_in, layer.width * layer.filters)
-                weights[f"{group}/{layer.name}/kernel"] = rng.uniform(
-                    -limit, limit, (layer.width, c_in, layer.filters)
-                )
-                weights[f"{group}/{layer.name}/bias"] = np.zeros(layer.filters)
-                shape = (shape[0], layer.filters)
-            elif isinstance(layer, MaxPool1D):
-                out_len, _, _ = _pool_geometry(shape[0], layer.width, layer.stride)
-                shape = (out_len, shape[1])
-            elif isinstance(layer, Conv2D):
-                receptive = layer.height * layer.width
-                limit = glorot_limit(receptive * shape[2], receptive * layer.filters)
-                weights[f"{group}/{layer.name}/kernel"] = rng.uniform(
-                    -limit, limit, (layer.height, layer.width, shape[2], layer.filters)
-                )
-                weights[f"{group}/{layer.name}/bias"] = np.zeros(layer.filters)
-                shape = (shape[0] - layer.height + 1, shape[1] - layer.width + 1, layer.filters)
-            elif isinstance(layer, Dense):
-                fan_in = int(np.prod(shape))
-                limit = glorot_limit(fan_in, layer.units)
-                weights[f"{group}/{layer.name}/kernel"] = rng.uniform(
-                    -limit, limit, (fan_in, layer.units)
-                )
-                weights[f"{group}/{layer.name}/bias"] = np.zeros(layer.units)
-                shape = (layer.units,)
-
-    shapes = infer_shapes(descriptor)
-    for group in descriptor.channel_groups():
-        init_pipe(group, descriptor.channel_pipe, (descriptor.input_len,))
-    init_pipe(JOINED_GROUP, descriptor.joined_pipe, shapes.joined_input)
+    for group, layer, _, params in _walk(descriptor):
+        for param, shape in params.items():
+            key = f"{group}/{layer.name}/{param}"
+            if param == "scale":
+                weights[key] = np.array([layer.init])
+            elif param == "bias":
+                weights[key] = np.zeros(shape)
+            else:
+                limit = glorot_limit(math.prod(shape[:-1]), math.prod(shape[:-2]) * shape[-1])
+                weights[key] = rng.uniform(-limit, limit, shape)
     return weights
 
 
@@ -662,6 +608,33 @@ def loss_and_gradients(descriptor, weights, x, labels, training=True, rng=None):
 # descriptor builders
 
 
+# per builder: channel-pipe filters of the four Conv1D blocks, Conv2D
+# filters, units of the two hidden Dense layers
+_WIDTHS = {"full": ((16, 19, 23, 27), 10, 85), "reference": ((8, 8, 8, 8), 8, 32)}
+
+
+def _build(name, n_classes, input_len, dropout_conv, dropout_dense, dropout_after_conv2d):
+    filters, conv2d_filters, units = _WIDTHS[name]
+    channel = [Scale("scale", init=0.05)]
+    for i, (width, n_filters) in enumerate(zip((16, 19, 23, 27), filters), start=1):
+        channel.append(Conv1D(f"conv{i}", width=width, filters=n_filters))
+        channel.append(Dropout(f"drop{i}", rate=dropout_conv))
+        channel.append(MaxPool1D(f"pool{i}", width=3, stride=2))
+    joined = [Conv2D("conv2d", height=20, width=4, filters=conv2d_filters)]
+    if dropout_after_conv2d:
+        joined.append(Dropout("drop_conv2d", rate=dropout_dense))
+    joined += [
+        Dense("dense1", units=units),
+        Dropout("drop_dense1", rate=dropout_dense),
+        Dense("dense2", units=units),
+        Dropout("drop_dense2", rate=dropout_dense),
+        Dense("output", units=n_classes, activation="softmax"),
+    ]
+    return ArchitectureDescriptor(
+        name=name, input_len=input_len, channel_pipe=tuple(channel), joined_pipe=tuple(joined)
+    )
+
+
 def full_architecture(
     n_classes: int = 6,
     input_len: int = 960,
@@ -676,24 +649,7 @@ def full_architecture(
     Joined pipe: a 20x4 Conv2D with 10 filters, two 85-unit dense layers
     and the softmax output (64,371 trainable parameters).
     """
-    channel = [Scale("scale", init=0.05)]
-    for i, (width, filters) in enumerate(((16, 16), (19, 19), (23, 23), (27, 27)), start=1):
-        channel.append(Conv1D(f"conv{i}", width=width, filters=filters))
-        channel.append(Dropout(f"drop{i}", rate=dropout_conv))
-        channel.append(MaxPool1D(f"pool{i}", width=3, stride=2))
-    joined = [Conv2D("conv2d", height=20, width=4, filters=10)]
-    if dropout_after_conv2d:
-        joined.append(Dropout("drop_conv2d", rate=dropout_dense))
-    joined += [
-        Dense("dense1", units=85),
-        Dropout("drop_dense1", rate=dropout_dense),
-        Dense("dense2", units=85),
-        Dropout("drop_dense2", rate=dropout_dense),
-        Dense("output", units=n_classes, activation="softmax"),
-    ]
-    return ArchitectureDescriptor(
-        name="full", input_len=input_len, channel_pipe=tuple(channel), joined_pipe=tuple(joined)
-    )
+    return _build("full", n_classes, input_len, dropout_conv, dropout_dense, dropout_after_conv2d)
 
 
 def reference_architecture(
@@ -704,26 +660,8 @@ def reference_architecture(
     dropout_after_conv2d: bool = True,
 ) -> ArchitectureDescriptor:
     """Width-reduced variant for desk-scale training (filters 8, dense 32)."""
-    channel = [Scale("scale", init=0.05)]
-    for i, width in enumerate((16, 19, 23, 27), start=1):
-        channel.append(Conv1D(f"conv{i}", width=width, filters=8))
-        channel.append(Dropout(f"drop{i}", rate=dropout_conv))
-        channel.append(MaxPool1D(f"pool{i}", width=3, stride=2))
-    joined = [Conv2D("conv2d", height=20, width=4, filters=8)]
-    if dropout_after_conv2d:
-        joined.append(Dropout("drop_conv2d", rate=dropout_dense))
-    joined += [
-        Dense("dense1", units=32),
-        Dropout("drop_dense1", rate=dropout_dense),
-        Dense("dense2", units=32),
-        Dropout("drop_dense2", rate=dropout_dense),
-        Dense("output", units=n_classes, activation="softmax"),
-    ]
-    return ArchitectureDescriptor(
-        name="reference",
-        input_len=input_len,
-        channel_pipe=tuple(channel),
-        joined_pipe=tuple(joined),
+    return _build(
+        "reference", n_classes, input_len, dropout_conv, dropout_dense, dropout_after_conv2d
     )
 
 

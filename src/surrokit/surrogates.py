@@ -143,7 +143,9 @@ def _iaaft_core(block, rngs, max_iters, tolerance):
     n = block.shape[1]
     target = np.abs(np.fft.rfft(block))
     target_norms = np.array([np.sqrt(t.dot(t)) for t in target])
-    sorted_values = np.sort(block, axis=1)
+    # the stable sort keeps the sign bit of every zero; the default SIMD
+    # sort may write -0.0 back as 0.0
+    sorted_values = np.sort(block, axis=1, kind="stable")
 
     current = _phase_randomize(block, rngs)
     best = np.empty_like(block)

@@ -211,7 +211,7 @@ def iaaft_per_channel(samples, rng, max_iters, tolerance):
     n = samples.size
     target = np.abs(np.fft.rfft(samples))
     target_norm = np.linalg.norm(target)
-    sorted_values = np.sort(samples)
+    sorted_values = np.sort(samples, kind="stable")
 
     current = phase_randomize_per_channel(samples, rng)
     best = None

@@ -236,6 +236,7 @@ class TransientGate:
         return np.array([1.0 - g, g])
 
 
+@pytest.mark.slow
 def test_criterion_08_alpha_sweep_direction():
     with criterion(
         8, "transient-class F1 drops at alpha=1; FT conditional confusion leaks", 900.0

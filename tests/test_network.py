@@ -1,3 +1,6 @@
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,7 @@ from oracles import (
 )
 from surrokit import network
 from surrokit.classifiers import NetworkClassifier
+from surrokit.dataio import descriptor_fingerprint
 from surrokit.errors import InvalidInputError, ShapeError
 from surrokit.network import (
     IM2COL_CHUNK,
@@ -159,6 +163,52 @@ class TestInit:
         desc = tiny_descriptor()
         weights = init_weights(desc, 0)
         assert {k: v.shape for k, v in weights.items()} == weight_shapes(desc)
+
+    def test_seeding_contract_is_pinned(self):
+        # sha256 over key + tensor bytes in dict order; a change in draw
+        # order, fan rule, key order or fingerprint moves these digests
+        golden = {
+            full_architecture: (
+                "4790f87ba03d402d6a11baccd766b8f3514049d87b3e80b509856d6ff590b285",
+                {
+                    0: "24d001c69bc1b4fe5e6eb6779c65beb5184c8a55c1d500846423509e30f64571",
+                    7: "b989dae8a3b79d372e1c68aa19a2059482cf2db7b428c5c10fb6fc07e56d928c",
+                    1234: "f1b18fafe15591c7555c308e115f34fb21d9b720e39fa8d40b568155eaa03ade",
+                },
+            ),
+            reference_architecture: (
+                "5e06581c8d5b78cac7b623ee78b428292eb9a2f9c3dce7b0a642f46ea214b257",
+                {
+                    0: "6911225c8a1fe036f43c42e8fcf38daae1d3539f9c0b33b219c3672c91b94b98",
+                    7: "6eb02d50acd2e605e371c930d683d881ef916a936204bfc000ef8d481afd14d7",
+                    1234: "ff39271427611d2da83a776921e2d6d73e1f1eccfff673e1dd1a6476539efc64",
+                },
+            ),
+        }
+        for builder, (fingerprint, digests) in golden.items():
+            desc = builder()
+            assert descriptor_fingerprint(desc) == fingerprint
+            for seed, expected in digests.items():
+                h = hashlib.sha256()
+                for key, tensor in init_weights(desc, seed).items():
+                    h.update(key.encode() + tensor.astype("<f8").tobytes())
+                assert h.hexdigest() == expected, (builder.__name__, seed)
+
+    def test_channel_pipe_conv2d_rejected_by_every_view(self):
+        base = tiny_descriptor()
+        desc = dataclasses.replace(
+            base, channel_pipe=base.channel_pipe + (Conv2D("bad", height=1, width=1, filters=2),)
+        )
+        for view in (infer_shapes, count_parameters, weight_shapes, lambda d: init_weights(d, 0)):
+            with pytest.raises(ShapeError, match="bad: layer type not allowed in the channel pipe"):
+                view(desc)
+
+    def test_channel_group_may_not_take_the_joined_name(self):
+        sharing = (("X1", "shared"), ("X2", network.JOINED_GROUP))
+        desc = dataclasses.replace(tiny_descriptor(), parameter_sharing=sharing)
+        for view in (infer_shapes, count_parameters, weight_shapes, lambda d: init_weights(d, 0)):
+            with pytest.raises(InvalidInputError, match="reserved for the joined pipe"):
+                view(desc)
 
 
 class TestLayerOracles:

@@ -172,6 +172,14 @@ class TestIaaftBlock:
         block = np.round(rng.standard_normal((5, 120)))  # a handful of distinct values
         assert_block_matches_oracle(block, 2, 100, 1e-8)
 
+    def test_signed_zeros_keep_their_bits(self, rng):
+        block = rng.choice(np.array([0.0, -0.0, 1.0, -1.0, 2.0]), size=(40, 15))
+        block[:, :2] = [0.0, -0.0]  # every row holds both zeros
+        assert_block_matches_oracle(block, 6, 100, 1e-8)
+        out, _ = _iaaft_core(block, [spawn_rng(6, r) for r in range(len(block))], 100, 1e-8)
+        bits = lambda a: np.sort(a.view(np.uint64), axis=1)
+        np.testing.assert_array_equal(bits(out), bits(block))
+
     def test_odd_length(self, rng):
         assert_block_matches_oracle(rng.standard_normal((4, 97)) * 3, 3, 100, 1e-8)
 
@@ -229,9 +237,7 @@ class TestIaaftBlock:
         out, reports = _iaaft_core(
             block, [spawn_rng(seed, r) for r in range(rows)], 30, 1e-8
         )
-        # bit patterns, with -0.0 folded onto 0.0: numpy's SIMD sort, which
-        # the reference used too, does not keep the signs of zeros apart
-        bits = lambda a: np.sort((a + 0.0).view(np.uint64), axis=1)
+        bits = lambda a: np.sort(a.view(np.uint64), axis=1)
         np.testing.assert_array_equal(bits(out), bits(block))
         for report in reports:
             assert report.iterations == len(report.discrepancies) >= 1

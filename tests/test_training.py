@@ -152,6 +152,7 @@ class TestTrainNetwork:
         accuracy = np.trace(ev.confusion.counts) / ev.confusion.total
         assert accuracy >= 0.99
 
+    @pytest.mark.slow
     def test_six_class_synthetic_reaches_macro_f1(self):
         # held-out macro-F1 on the bundled generator; desk-scale step count,
         # threshold frozen after calibration (measured 0.874)
