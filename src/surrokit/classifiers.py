@@ -18,7 +18,15 @@ from typing import Protocol, runtime_checkable
 import numpy as np
 
 from .errors import InvalidInputError
-from .network import ArchitectureDescriptor, forward, forward_batch, validate_weights
+from .network import (
+    ArchitectureDescriptor,
+    _epoch_batch,
+    channel_activations,
+    forward,
+    forward_batch,
+    spliced_forward,
+    validate_weights,
+)
 from .signals import Epoch
 
 
@@ -49,6 +57,25 @@ class NetworkClassifier:
         x = np.stack([ep.to_array() for ep in epochs])
         probs, _ = forward_batch(self.descriptor, self.weights, x, training=False)
         return probs
+
+    def splice_predictor(self, epoch: Epoch):
+        """The epoch's probabilities and a predictor for spliced copies of it.
+
+        The predictor takes ``({channel index: (R, n_samples) rows}, lo,
+        hi)``, rows that equal the epoch's channel outside samples [lo,
+        hi), and returns (R, K) probabilities by exact incremental
+        inference: the epoch's channel-pipe activations are computed once
+        here, and each call recomputes only what the changed samples reach
+        (``network.spliced_forward``).
+        """
+        activations = channel_activations(
+            self.descriptor, self.weights, _epoch_batch(self.descriptor, epoch)
+        )
+
+        def predict_rows(rows, lo, hi):
+            return spliced_forward(self.descriptor, self.weights, activations, rows, lo, hi)
+
+        return predict_rows({}, 0, 0)[0], predict_rows
 
 
 def band_power_features(epoch: Epoch, bands) -> np.ndarray:

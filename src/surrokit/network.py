@@ -10,7 +10,10 @@ Shapes, parameter counts, initialization, and the forward/backward pass
 are all derived from the descriptor, never hard-coded. Padding
 conventions: 1-D convolutions use same-padding with unit stride (left
 pad (W-1)//2), max-pool uses same-padding with the extra sample on the
-right, the 2-D convolution uses valid padding.
+right, the 2-D convolution uses valid padding. ``spliced_forward`` is the
+inference pass for copies of one epoch that differ in one sample range:
+from the epoch's cached channel-pipe activations it recomputes only the
+output ranges those samples reach, by the same padding rules.
 
 Weights are a flat dict keyed "group/layer/param" of float64 arrays.
 """
@@ -331,13 +334,20 @@ def _conv1d_backward(dz, kernel, cache):
 
 
 def _maxpool_forward(x, width, stride):
-    # x: (B, L, C) -> (B, out_len, C), same padding with -inf. A running
-    # maximum over the W strided views; arg records the winning tap, and
-    # the strict > keeps the lowest index on ties. arg is held for the
-    # backward pass, so it takes the smallest integer type that fits.
+    # x: (B, L, C) -> (B, out_len, C), same padding with -inf
     _, length, _ = x.shape
     out_len, pad_left, pad_right = _pool_geometry(length, width, stride)
     xp = np.pad(x, ((0, 0), (pad_left, pad_right), (0, 0)), constant_values=-np.inf)
+    y, arg = _maxpool_padded(xp, width, stride, out_len)
+    return y, (xp.shape, pad_left, arg, out_len)
+
+
+def _maxpool_padded(xp, width, stride, out_len):
+    # Pool an already padded xp: output t is the maximum of
+    # xp[:, t*stride : t*stride + width]. A running maximum over the W
+    # strided views; arg records the winning tap, and the strict > keeps
+    # the lowest index on ties. arg is held for the backward pass, so it
+    # takes the smallest integer type that fits.
     last_start = (out_len - 1) * stride
     y = xp[:, 0 : last_start + 1 : stride].copy()
     arg = np.zeros(y.shape, dtype=np.min_scalar_type(width - 1))
@@ -345,19 +355,19 @@ def _maxpool_forward(x, width, stride):
         view = xp[:, w : last_start + w + 1 : stride]
         np.copyto(arg, w, where=view > y)
         np.maximum(y, view, out=y)
-    return y, (xp.shape, pad_left, arg, out_len)
+    return y, arg
 
 
 def _maxpool_backward(dy, x_shape, width, stride, cache):
     xp_shape, pad_left, arg, out_len = cache
     batch, length, chans = x_shape
-    starts = np.arange(out_len) * stride
-    positions = starts[None, :, None] + arg  # (B, out_len, C) indices into padded length
-    flat = (
-        np.arange(batch)[:, None, None] * (xp_shape[1] * chans)
-        + positions * chans
-        + np.arange(chans)[None, None, :]
-    )
+    # flat index ((b * padded_len + t * stride + arg) * chans + c), built in
+    # one int64 array so no other pooled-size temporary is allocated
+    flat = arg.astype(np.int64)
+    flat += (np.arange(out_len) * stride)[:, None]
+    flat += (np.arange(batch) * xp_shape[1])[:, None, None]
+    flat *= chans
+    flat += np.arange(chans)
     dxp = np.bincount(
         flat.ravel(), weights=dy.ravel(), minlength=batch * xp_shape[1] * chans
     ).reshape(batch, xp_shape[1], chans)
@@ -509,6 +519,26 @@ def _group_channels(descriptor):
     return [(group, tuple(members[group])) for group in order]
 
 
+def _checked_input(descriptor, x):
+    x = np.asarray(x, dtype=np.float64)
+    n_roles = len(descriptor.channel_roles)
+    if x.ndim != 3 or x.shape[1] != n_roles or x.shape[2] != descriptor.input_len:
+        raise InvalidInputError(
+            f"expected input (batch, {n_roles}, {descriptor.input_len}), got {x.shape}"
+        )
+    return x
+
+
+def _epoch_batch(descriptor, epoch: Epoch) -> np.ndarray:
+    """One epoch as a (1, n_channels, n_samples) batch, its roles checked."""
+    if tuple(epoch.channel_roles) != tuple(descriptor.channel_roles):
+        raise InvalidInputError(
+            f"epoch roles {epoch.channel_roles} do not match descriptor roles "
+            f"{descriptor.channel_roles}"
+        )
+    return epoch.to_array()[None]
+
+
 def forward_batch(descriptor, weights, x, training=False, rng=None, return_caches=False):
     """Forward pass over a batch.
 
@@ -524,12 +554,8 @@ def forward_batch(descriptor, weights, x, training=False, rng=None, return_cache
         (probabilities, logits) or, with ``return_caches``, a third
         element holding per-channel and joined layer caches.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = _checked_input(descriptor, x)
     n_roles = len(descriptor.channel_roles)
-    if x.ndim != 3 or x.shape[1] != n_roles or x.shape[2] != descriptor.input_len:
-        raise InvalidInputError(
-            f"expected input (batch, {n_roles}, {descriptor.input_len}), got {x.shape}"
-        )
     batch = x.shape[0]
     # channels sharing a parameter group run through the pipe as one
     # stacked batch, so shared gradients accumulate in a single pass
@@ -562,15 +588,120 @@ def forward(descriptor, weights, epoch: Epoch, inference_mode=True, rng=None) ->
     In inference mode (the default) dropout is disabled and the result is
     deterministic.
     """
-    if tuple(epoch.channel_roles) != tuple(descriptor.channel_roles):
-        raise InvalidInputError(
-            f"epoch roles {epoch.channel_roles} do not match descriptor roles "
-            f"{descriptor.channel_roles}"
-        )
     probs, _ = forward_batch(
-        descriptor, weights, epoch.to_array()[None], training=not inference_mode, rng=rng
+        descriptor, weights, _epoch_batch(descriptor, epoch), training=not inference_mode, rng=rng
     )
     return probs[0]
+
+
+def channel_activations(descriptor, weights, x) -> list:
+    """Inference-mode output of every channel-pipe layer, per channel.
+
+    Args:
+        x: (batch, n_channels, input_len) float64 array.
+
+    Returns:
+        One list per channel: the pipe input (batch, input_len, 1), then
+        each non-dropout layer's (batch, length, filters) output. Channels
+        of one parameter group run as one stacked batch, as in
+        ``forward_batch``, so the arithmetic is the same.
+    """
+    x = _checked_input(descriptor, x)
+    layers = [layer for layer in descriptor.channel_pipe if not isinstance(layer, Dropout)]
+    batch = x.shape[0]
+    activations = [None] * x.shape[1]
+    for group, idxs in _group_channels(descriptor):
+        outs = [x[:, idxs].transpose(1, 0, 2).reshape(len(idxs) * batch, -1, 1)]
+        for layer in layers:
+            outs.append(_run_pipe((layer,), group, weights, outs[-1], False, None, []))
+        for j, idx in enumerate(idxs):
+            activations[idx] = [out[j * batch : (j + 1) * batch] for out in outs]
+    return activations
+
+
+def _layer_reach(layer, length, lo, hi):
+    """Output range [olo, ohi) that input samples [lo, hi) reach, and the
+    input range [a, b) those outputs read, unclipped (it may cross the
+    padding). Output t reads inputs [t*stride - pad, t*stride - pad + width);
+    a Scale is a width-1 convolution."""
+    if isinstance(layer, MaxPool1D):
+        width, stride = layer.width, layer.stride
+        out_len, pad, _ = _pool_geometry(length, width, stride)
+    else:
+        width = layer.width if isinstance(layer, Conv1D) else 1
+        stride, out_len, pad = 1, length, (width - 1) // 2
+    olo = max(0, (lo + pad - width) // stride + 1)
+    ohi = min(out_len, -(-(hi + pad) // stride))
+    if ohi <= olo:
+        return olo, olo, 0, 0
+    return olo, ohi, olo * stride - pad, (ohi - 1) * stride - pad + width
+
+
+def spliced_layers(descriptor, weights, activations, channel, rows, lo, hi):
+    """Yield ``(segment, olo, ohi)`` per non-dropout channel-pipe layer.
+
+    ``rows`` (R, input_len) equal input ``channel`` of the epoch whose
+    ``channel_activations`` are ``activations`` (a batch of one)
+    everywhere outside samples [lo, hi). Each layer is recomputed only
+    over the output range [olo, ohi) those samples reach; ``segment``
+    (R, ohi - olo, filters) holds it, and outside it the layer's output
+    equals the cached one. A convolution runs the network's kernel on the
+    input range it reads, clipped to the signal, so its own zero padding
+    is the full forward's; a max-pool pads that range with -inf itself.
+    """
+    group = descriptor.sharing_map()[descriptor.channel_roles[channel]]
+    layers = [layer for layer in descriptor.channel_pipe if not isinstance(layer, Dropout)]
+    acts = activations[channel]
+    n_rows = len(rows)
+    segment = rows[:, lo:hi, None]
+    for layer, base, cached in zip(layers, acts, acts[1:]):
+        length = base.shape[1]
+        olo, ohi, a, b = _layer_reach(layer, length, lo, hi)
+        if ohi == olo:
+            segment = np.empty((n_rows, 0, cached.shape[2]))
+        else:
+            if not isinstance(layer, MaxPool1D):
+                a, b = max(a, 0), min(b, length)
+            # the input over [a, b): the cached samples with the recomputed
+            # range written over them, and -inf where a pool's range
+            # crosses the signal edge
+            x = np.full((n_rows, b - a, base.shape[2]), -np.inf)
+            a_in, b_in = max(a, 0), min(b, length)
+            x[:, a_in - a : b_in - a] = base[:, a_in:b_in]
+            s_lo, s_hi = max(lo, a), min(hi, b)
+            x[:, s_lo - a : s_hi - a] = segment[:, s_lo - lo : s_hi - lo]
+            if isinstance(layer, MaxPool1D):
+                segment, _ = _maxpool_padded(x, layer.width, layer.stride, ohi - olo)
+            else:
+                y = _run_pipe((layer,), group, weights, x, False, None, [])
+                segment = y[:, olo - a : ohi - a]
+        lo, hi = olo, ohi
+        yield segment, lo, hi
+
+
+def spliced_forward(descriptor, weights, activations, rows, lo, hi) -> np.ndarray:
+    """Class probabilities of copies of one epoch with some channels replaced.
+
+    ``activations`` are the epoch's ``channel_activations``; ``rows`` maps
+    channel indices to (R, input_len) replacements that equal the epoch
+    outside samples [lo, hi). Only what those samples reach is recomputed
+    in the channel pipes (``spliced_layers``); the joined pipe runs in
+    full. With no rows this is the epoch's own prediction, shape (1, K).
+    """
+    n_rows = max((len(r) for r in rows.values()), default=1)
+    outputs = []
+    for channel, acts in enumerate(activations):
+        out = acts[-1]
+        if channel in rows:
+            *_, (segment, olo, ohi) = spliced_layers(
+                descriptor, weights, activations, channel, rows[channel], lo, hi
+            )
+            out = np.repeat(out, n_rows, axis=0)
+            out[:, olo:ohi] = segment
+        outputs.append(np.broadcast_to(out, (n_rows,) + out.shape[1:]))
+    joined = np.stack(outputs, axis=2)
+    logits = _run_pipe(descriptor.joined_pipe, JOINED_GROUP, weights, joined, False, None, [])
+    return _softmax(logits)
 
 
 def loss_and_gradients(descriptor, weights, x, labels, training=True, rng=None):

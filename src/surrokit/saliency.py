@@ -10,18 +10,34 @@ instead; it needs no ensemble and is provided as the naive baseline the
 surrogate method improves on.
 
 Window positions cover [0, epoch_len - window_len] with the configured
-step. Crossfades are truncated at the epoch boundaries so the first and
-last positions remain valid.
+step, which must be at least one sample. Crossfades are truncated at the
+epoch boundaries so the first and last positions remain valid.
+
+Both methods run one loop: per position, the replacements go to the
+classifier in blocks of ``SALIENCY_CHUNK``. A ``NetworkClassifier`` maps
+a block by exact incremental inference (``network.spliced_forward``):
+the epoch's channel-pipe activations are computed once, and only the
+output ranges the changed samples reach are recomputed, so maps agree
+with one full forward per replacement to rounding. Any other classifier
+is called through ``predict`` once per replaced epoch. The default CLI
+map (51 positions x 500 replacements) takes about 18 s with the reference
+architecture on a 2-core Intel Xeon with one OpenBLAS thread.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .classifiers import NetworkClassifier
 from .errors import InvalidInputError
 from .seeding import NS_SALIENCY, spawn_rng
 from .signals import Epoch, Signal
 from .surrogates import _splice_surrogate, crossfade_weights
+
+# replacements per block sent to the classifier; bounds the stacked rows
+# and the joined-pipe activations held at once
+SALIENCY_CHUNK = 32
 
 
 @dataclass(frozen=True)
@@ -34,6 +50,8 @@ class SaliencySpec:
     seed: int = 0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.window_len_s, self.step_s, self.crossfade_s))):
+            raise InvalidInputError("window, step and crossfade must be finite")
         if self.window_len_s <= 0 or self.step_s <= 0 or self.crossfade_s < 0:
             raise InvalidInputError("window and step must be positive, crossfade non-negative")
         if self.n_replacements < 1:
@@ -84,10 +102,68 @@ def _validate(epoch: Epoch, spec: SaliencySpec):
         raise InvalidInputError(f"target channels {sorted(unknown)} not present in epoch")
     if not spec.target_channels:
         raise InvalidInputError("target_channels is empty")
+    # window starts are rounded to whole samples
+    if spec.step_s < 1.0 / epoch.sample_rate_hz:
+        raise InvalidInputError(
+            f"step of {spec.step_s} s is shorter than one sample "
+            f"({1.0 / epoch.sample_rate_hz} s)"
+        )
     if spec.window_len_s > epoch.duration_s:
         raise InvalidInputError(
             f"window of {spec.window_len_s} s exceeds the {epoch.duration_s} s epoch"
         )
+
+
+def _predictor(classifier, epoch: Epoch):
+    """The epoch's probabilities and a function of replacement rows.
+
+    The function takes ``{channel index: (R, n_samples) rows}`` that equal
+    the epoch outside samples [lo, hi) and returns (R, K) probabilities.
+    A ``NetworkClassifier`` gets them by exact incremental inference; any
+    other classifier is called through ``predict`` once per replaced
+    epoch, in row order.
+    """
+    if isinstance(classifier, NetworkClassifier):
+        return classifier.splice_predictor(epoch)
+
+    def predict_rows(rows, lo, hi):
+        probs = []
+        for r in range(len(next(iter(rows.values())))):
+            channels = tuple(
+                Signal(rows[c][r], ch.sample_rate_hz) if c in rows else ch
+                for c, ch in enumerate(epoch.channels)
+            )
+            probs.append(classifier.predict(Epoch(channels, epoch.label, epoch.channel_roles)))
+        return np.array(probs, dtype=np.float64)
+
+    return np.asarray(classifier.predict(epoch), dtype=np.float64), predict_rows
+
+
+def _saliency(classifier, epoch: Epoch, spec: SaliencySpec, n_replacements, replace):
+    """Positions, baseline, and per-position mean and std of the probabilities.
+
+    ``replace(p_idx, r, c_idx, geometry)`` returns replacement ``r`` of
+    channel ``c_idx`` at position ``p_idx``; the replacements of a
+    position go to the classifier in blocks of ``SALIENCY_CHUNK``.
+    """
+    _validate(epoch, spec)
+    baseline, predict_rows = _predictor(classifier, epoch)
+    positions = window_positions(epoch.duration_s, spec.window_len_s, spec.step_s)
+    targets = [c for c, role in enumerate(epoch.channel_roles) if role in spec.target_channels]
+    means = np.empty((positions.size, baseline.size))
+    stds = np.empty((positions.size, baseline.size))
+    for p_idx, pos in enumerate(positions):
+        geometry = _window_geometry(epoch, pos, spec)
+        start, window_len, cf_left, cf_right = geometry
+        lo, hi = start - cf_left, start + window_len + cf_right
+        probs = np.empty((n_replacements, baseline.size))
+        for first in range(0, n_replacements, SALIENCY_CHUNK):
+            block = range(first, min(first + SALIENCY_CHUNK, n_replacements))
+            rows = {c: np.stack([replace(p_idx, r, c, geometry) for r in block]) for c in targets}
+            probs[block.start : block.stop] = predict_rows(rows, lo, hi)
+        means[p_idx] = probs.mean(axis=0)
+        stds[p_idx] = probs.std(axis=0, ddof=1) if n_replacements > 1 else 0.0
+    return positions, baseline, means, stds
 
 
 def surrogate_saliency(classifier, epoch: Epoch, spec: SaliencySpec) -> SaliencyMap:
@@ -97,53 +173,31 @@ def surrogate_saliency(classifier, epoch: Epoch, spec: SaliencySpec) -> Saliency
     stream keyed (seed, saliency, p, r, c), so maps are deterministic
     given the spec.
     """
-    _validate(epoch, spec)
-    baseline = np.asarray(classifier.predict(epoch), dtype=np.float64)
-    positions = window_positions(epoch.duration_s, spec.window_len_s, spec.step_s)
-    means = np.empty((positions.size, baseline.size))
-    stds = np.empty((positions.size, baseline.size))
-    for p_idx, pos in enumerate(positions):
-        start, window_len, cf_left, cf_right = _window_geometry(epoch, pos, spec)
-        probs = np.empty((spec.n_replacements, baseline.size))
-        for r in range(spec.n_replacements):
-            channels = []
-            for c_idx, (role, ch) in enumerate(zip(epoch.channel_roles, epoch.channels)):
-                if role not in spec.target_channels:
-                    channels.append(ch)
-                    continue
-                rng = spawn_rng(spec.seed, NS_SALIENCY, p_idx, r, c_idx)
-                samples = _splice_surrogate(
-                    ch.samples, start, window_len, cf_left, cf_right, rng
-                )
-                channels.append(Signal(samples, ch.sample_rate_hz))
-            replaced = Epoch(tuple(channels), epoch.label, epoch.channel_roles)
-            probs[r] = classifier.predict(replaced)
-        means[p_idx] = probs.mean(axis=0)
-        stds[p_idx] = probs.std(axis=0, ddof=1) if spec.n_replacements > 1 else 0.0
+
+    def replace(p_idx, r, c_idx, geometry):
+        rng = spawn_rng(spec.seed, NS_SALIENCY, p_idx, r, c_idx)
+        return _splice_surrogate(epoch.channels[c_idx].samples, *geometry, rng)
+
+    positions, baseline, means, stds = _saliency(
+        classifier, epoch, spec, spec.n_replacements, replace
+    )
     return SaliencyMap(positions, means, baseline, tuple(classifier.label_vocabulary), stds)
 
 
 def zero_out_saliency(classifier, epoch: Epoch, spec: SaliencySpec) -> SaliencyMap:
     """Baseline saliency map: smoothly blend each window to zero.
 
-    One deterministic evaluation per position; ``n_replacements`` is
+    One deterministic replacement per position; ``n_replacements`` is
     ignored. Uses the same cosine crossfade as the surrogate method.
     """
-    _validate(epoch, spec)
-    baseline = np.asarray(classifier.predict(epoch), dtype=np.float64)
-    positions = window_positions(epoch.duration_s, spec.window_len_s, spec.step_s)
-    means = np.empty((positions.size, baseline.size))
-    for p_idx, pos in enumerate(positions):
-        start, window_len, cf_left, cf_right = _window_geometry(epoch, pos, spec)
+
+    def replace(p_idx, r, c_idx, geometry):
+        start, window_len, cf_left, cf_right = geometry
         weights = crossfade_weights(window_len, cf_left, cf_right)
         region = slice(start - cf_left, start - cf_left + weights.size)
-        channels = []
-        for role, ch in zip(epoch.channel_roles, epoch.channels):
-            if role not in spec.target_channels:
-                channels.append(ch)
-                continue
-            samples = ch.samples.copy()
-            samples[region] = (1.0 - weights) * samples[region]
-            channels.append(Signal(samples, ch.sample_rate_hz))
-        means[p_idx] = classifier.predict(Epoch(tuple(channels), epoch.label, epoch.channel_roles))
+        samples = epoch.channels[c_idx].samples.copy()
+        samples[region] = (1.0 - weights) * samples[region]
+        return samples
+
+    positions, baseline, means, _ = _saliency(classifier, epoch, spec, 1, replace)
     return SaliencyMap(positions, means, baseline, tuple(classifier.label_vocabulary))

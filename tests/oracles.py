@@ -3,16 +3,19 @@
 These deliberately avoid the code paths under test: the DFT oracle is a
 direct O(N^2) summation, convolution/pooling oracles are plain Python
 loops, and the F1 oracle follows the textbook definition one class at a
-time. The per-tap batch kernels at the end are the straightforward
+time. The per-tap batch kernels are the straightforward
 one-product-per-tap form of the network's GEMM kernels. The
-per-channel IAAFT loop at the very end is the surrogate code as it was
-before channels were run in blocks; the block core must reproduce it
-bit for bit.
+per-channel IAAFT loop is the surrogate code as it was before channels
+were run in blocks; the block core must reproduce it bit for bit. The
+saliency loops at the very end run one full forward per replacement.
 """
 
 import numpy as np
 
-from surrokit.surrogates import IaaftReport
+from surrokit.saliency import _validate, _window_geometry, window_positions
+from surrokit.seeding import NS_SALIENCY, spawn_rng
+from surrokit.signals import Epoch, Signal
+from surrokit.surrogates import IaaftReport, _splice_surrogate, crossfade_weights
 
 
 def dft_oracle(x):
@@ -249,3 +252,56 @@ def iaaft_per_channel(samples, rng, max_iters, tolerance):
         reason=reason,
     )
     return best, report
+
+
+# The saliency loops as they were before exact incremental inference: one
+# full single-epoch ``predict`` per replacement. Maps from the block path
+# must agree with these to rounding.
+
+
+def surrogate_saliency_per_replacement(classifier, epoch, spec):
+    """(mean probabilities per position, baseline probabilities)."""
+    _validate(epoch, spec)
+    baseline = np.asarray(classifier.predict(epoch), dtype=np.float64)
+    positions = window_positions(epoch.duration_s, spec.window_len_s, spec.step_s)
+    means = np.empty((positions.size, baseline.size))
+    for p_idx, pos in enumerate(positions):
+        start, window_len, cf_left, cf_right = _window_geometry(epoch, pos, spec)
+        probs = np.empty((spec.n_replacements, baseline.size))
+        for r in range(spec.n_replacements):
+            channels = []
+            for c_idx, (role, ch) in enumerate(zip(epoch.channel_roles, epoch.channels)):
+                if role not in spec.target_channels:
+                    channels.append(ch)
+                    continue
+                rng = spawn_rng(spec.seed, NS_SALIENCY, p_idx, r, c_idx)
+                samples = _splice_surrogate(
+                    ch.samples, start, window_len, cf_left, cf_right, rng
+                )
+                channels.append(Signal(samples, ch.sample_rate_hz))
+            replaced = Epoch(tuple(channels), epoch.label, epoch.channel_roles)
+            probs[r] = classifier.predict(replaced)
+        means[p_idx] = probs.mean(axis=0)
+    return means, baseline
+
+
+def zero_out_saliency_per_position(classifier, epoch, spec):
+    """(probabilities per position, baseline probabilities)."""
+    _validate(epoch, spec)
+    baseline = np.asarray(classifier.predict(epoch), dtype=np.float64)
+    positions = window_positions(epoch.duration_s, spec.window_len_s, spec.step_s)
+    means = np.empty((positions.size, baseline.size))
+    for p_idx, pos in enumerate(positions):
+        start, window_len, cf_left, cf_right = _window_geometry(epoch, pos, spec)
+        weights = crossfade_weights(window_len, cf_left, cf_right)
+        region = slice(start - cf_left, start - cf_left + weights.size)
+        channels = []
+        for role, ch in zip(epoch.channel_roles, epoch.channels):
+            if role not in spec.target_channels:
+                channels.append(ch)
+                continue
+            samples = ch.samples.copy()
+            samples[region] = (1.0 - weights) * samples[region]
+            channels.append(Signal(samples, ch.sample_rate_hz))
+        means[p_idx] = classifier.predict(Epoch(tuple(channels), epoch.label, epoch.channel_roles))
+    return means, baseline

@@ -227,6 +227,24 @@ class TestTrainEvaluate:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("method", ["surrogate", "zero"])
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--window", "nan"), ("--step", "nan"), ("--crossfade", "nan"), ("--step", "1e-300")],
+    )
+    def test_hostile_saliency_arguments_exit_2(
+        self, tmp_path, dataset_file, weights_file, method, flag, value, capsys
+    ):
+        capsys.readouterr()
+        code = main(
+            ["saliency", dataset_file, weights_file, "--method", method, "--reps", "1",
+             flag, value, "--out", str(tmp_path / "bad.tsv")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("surrokit: ") and err.count("\n") == 1
+        assert not (tmp_path / "bad.tsv").exists()
+
 
 def _rewrite_header(src, dst, edit):
     header_line, payload = open(src, "rb").read().split(b"\n", 1)

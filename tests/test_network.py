@@ -3,6 +3,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from oracles import (
@@ -31,6 +33,7 @@ from surrokit.network import (
     _maxpool_backward,
     _maxpool_forward,
     _softmax,
+    channel_activations,
     count_parameters,
     forward,
     forward_batch,
@@ -40,6 +43,8 @@ from surrokit.network import (
     init_weights,
     loss_and_gradients,
     reference_architecture,
+    spliced_forward,
+    spliced_layers,
     weight_shapes,
 )
 from surrokit.signals import epoch_from_array
@@ -470,3 +475,50 @@ class TestGradients:
         _, g1 = loss_and_gradients(desc, weights, x, np.array([0, 1]), training=False)
         _, g2 = loss_and_gradients(desc, weights, x_same, np.array([0, 1]), training=False)
         assert not np.allclose(g1["shared/conv_a/kernel"], g2["shared/conv_a/kernel"])
+
+
+@st.composite
+def splices(draw):
+    """A network, an epoch, and rows replacing one channel's samples [lo, hi)
+    of a window with crossfades cut at the epoch edges."""
+    if draw(st.booleans()):
+        desc = reference_architecture(input_len=draw(st.integers(320, 1000)))
+    else:
+        desc = tiny_descriptor(input_len=draw(st.integers(6, 80)))
+    n = desc.input_len
+    window = draw(st.integers(0, n))
+    start = draw(st.integers(0, n - window))
+    crossfade = draw(st.integers(0, n // 4))
+    lo, hi = start - min(crossfade, start), start + window + min(crossfade, n - start - window)
+    channel = draw(st.integers(0, len(desc.channel_roles) - 1))
+    n_rows = draw(st.integers(1, 5))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return desc, lo, hi, channel, n_rows, seed
+
+
+class TestSplicedForward:
+    @settings(max_examples=60, deadline=None)
+    @given(splices())
+    def test_layers_match_full_forward(self, case):
+        desc, lo, hi, channel, n_rows, seed = case
+        rng = np.random.default_rng(seed)
+        weights = init_weights(desc, seed)
+        x = rng.standard_normal((len(desc.channel_roles), desc.input_len)) * 20
+        rows = np.repeat(x[channel][None], n_rows, axis=0)
+        rows[:, lo:hi] = rng.standard_normal((n_rows, hi - lo)) * 20
+        replaced = np.repeat(x[None], n_rows, axis=0)
+        replaced[:, channel] = rows
+        cached = channel_activations(desc, weights, x[None])
+        full = channel_activations(desc, weights, replaced)[channel]
+        layers = spliced_layers(desc, weights, cached, channel, rows, lo, hi)
+        for k, (segment, olo, ohi) in enumerate(layers, start=1):
+            outside = np.ones(full[k].shape[1], dtype=bool)
+            outside[olo:ohi] = False
+            expected = np.broadcast_to(cached[channel][k][:, outside], full[k][:, outside].shape)
+            np.testing.assert_array_equal(full[k][:, outside], expected)
+            scale = np.max(np.abs(full[k]))
+            assert np.max(np.abs(segment - full[k][:, olo:ohi]), initial=0.0) <= 1e-12 * scale
+        assert k == len(full) - 1
+        probs = spliced_forward(desc, weights, cached, {channel: rows}, lo, hi)
+        probs_ref, _ = forward_batch(desc, weights, replaced)
+        assert np.max(np.abs(probs - probs_ref)) <= 1e-12 * np.max(probs_ref)

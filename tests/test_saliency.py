@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
 
+import oracles
+from surrokit import saliency
+from surrokit.classifiers import NetworkClassifier
 from surrokit.errors import InvalidInputError
+from surrokit.network import full_architecture, init_weights, reference_architecture
 from surrokit.saliency import (
+    SALIENCY_CHUNK,
     SaliencySpec,
     surrogate_saliency,
     window_positions,
@@ -150,3 +155,84 @@ class TestZeroOutSaliency:
         a = surrogate_saliency(WindowEnergyClassifier(), epoch, spec)
         b = zero_out_saliency(WindowEnergyClassifier(), epoch, spec)
         np.testing.assert_array_equal(a.positions_s, b.positions_s)
+
+
+def network_setup(build, rng):
+    desc = build()
+    classifier = NetworkClassifier(desc, init_weights(desc, 7), "ABCDEF")
+    epoch = epoch_from_array(rng.standard_normal((4, 960)) * 20, 32.0, "A")
+    return classifier, epoch
+
+
+def assert_map_close(new, reference):
+    assert np.max(np.abs(new - reference)) <= 1e-12 * np.max(np.abs(reference))
+
+
+TARGET_SETS = [("EEG1", "EEG2"), ("EEG2",), ("EEG1", "EEG2", "EOG", "EMG"), ("EMG",)]
+
+
+class TestIncrementalInference:
+    """Network maps against one full single-epoch forward per replacement."""
+
+    @pytest.mark.parametrize("build", [full_architecture, reference_architecture])
+    @pytest.mark.parametrize("targets", TARGET_SETS, ids="+".join)
+    def test_surrogate_map_matches_full_forwards(self, build, targets, rng, monkeypatch):
+        # positions 0, 12.5 and 25 s: the crossfade is cut at both epoch
+        # edges; 3 replacements in blocks of 2 cross a block boundary
+        monkeypatch.setattr(saliency, "SALIENCY_CHUNK", 2)
+        classifier, epoch = network_setup(build, rng)
+        spec = SaliencySpec(
+            window_len_s=5.0, step_s=12.5, n_replacements=3, target_channels=targets, seed=4
+        )
+        smap = surrogate_saliency(classifier, epoch, spec)
+        means, baseline = oracles.surrogate_saliency_per_replacement(classifier, epoch, spec)
+        np.testing.assert_array_equal(smap.baseline_probabilities, baseline)
+        assert np.max(np.abs(means - baseline)) > 1e-6  # the replacements move the output
+        assert_map_close(smap.mean_probabilities, means)
+
+    def test_module_block_size_crossed(self, rng):
+        classifier, epoch = network_setup(reference_architecture, rng)
+        spec = SaliencySpec(window_len_s=5.0, step_s=25.0, n_replacements=SALIENCY_CHUNK + 1)
+        smap = surrogate_saliency(classifier, epoch, spec)
+        means, _ = oracles.surrogate_saliency_per_replacement(classifier, epoch, spec)
+        assert_map_close(smap.mean_probabilities, means)
+
+    @pytest.mark.parametrize("build", [full_architecture, reference_architecture])
+    @pytest.mark.parametrize("targets", TARGET_SETS[::2], ids="+".join)
+    def test_zero_out_map_matches_full_forwards(self, build, targets, rng):
+        classifier, epoch = network_setup(build, rng)
+        spec = SaliencySpec(window_len_s=5.0, step_s=5.0, target_channels=targets)
+        smap = zero_out_saliency(classifier, epoch, spec)
+        means, baseline = oracles.zero_out_saliency_per_position(classifier, epoch, spec)
+        np.testing.assert_array_equal(smap.baseline_probabilities, baseline)
+        assert_map_close(smap.mean_probabilities, means)
+
+
+class TestBlackBoxPath:
+    @pytest.mark.parametrize("method", ["surrogate", "zero"])
+    def test_predict_sees_every_replacement_in_order(self, method, rng, monkeypatch):
+        monkeypatch.setattr(saliency, "SALIENCY_CHUNK", 2)
+        epoch = flat_epoch(rng)
+        spec = SaliencySpec(
+            window_len_s=2.0, step_s=3.0, n_replacements=3, target_channels=("EEG2", "EMG"),
+            seed=5,
+        )
+        if method == "surrogate":
+            new, old = surrogate_saliency, oracles.surrogate_saliency_per_replacement
+        else:
+            new, old = zero_out_saliency, oracles.zero_out_saliency_per_position
+        recorder, reference = RecordingClassifier(), RecordingClassifier()
+        new(recorder, epoch, spec)
+        old(reference, epoch, spec)
+        assert len(recorder.seen) == len(reference.seen) > 1
+        for seen, expected in zip(recorder.seen, reference.seen):
+            assert seen.channel_roles == expected.channel_roles
+            np.testing.assert_array_equal(seen.to_array(), expected.to_array())
+
+
+class TestHostileSpec:
+    @pytest.mark.parametrize("field", ["window_len_s", "step_s", "crossfade_s"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(InvalidInputError):
+            SaliencySpec(**{field: value})
