@@ -7,6 +7,7 @@ the seed is 0. Every output file is written atomically.
 """
 
 import argparse
+import ctypes
 import os
 import sys
 from collections import Counter
@@ -437,7 +438,32 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# glibc's mallopt parameter for the number of malloc arenas
+M_ARENA_MAX = -8
+
+
+def _cap_malloc_arenas():
+    """Keep the process to one glibc malloc arena.
+
+    glibc gives each thread that allocates concurrently an arena of its
+    own, and an arena keeps freed memory for reuse, so the channel-group
+    worker threads of ``network`` would grow the resident set by what each
+    of them ever held. One shared arena keeps the peak near the memory
+    actually in use. The cap holds for the whole process and for every
+    thread, ours or not, that allocates after the call. Where the C
+    library has no ``mallopt`` nothing happens.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(M_ARENA_MAX, 1)
+
+
 def main(argv=None) -> int:
+    _cap_malloc_arenas()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -19,6 +19,8 @@ Weights are a flat dict keyed "group/layer/param" of float64 arrays.
 """
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -281,10 +283,6 @@ def validate_weights(descriptor: ArchitectureDescriptor, weights: dict) -> None:
 # forward / backward
 
 
-def _relu(z):
-    return np.maximum(z, 0.0)
-
-
 def _softmax(z):
     shifted = z - z.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
@@ -404,97 +402,99 @@ def _conv2d_backward(dz, x_shape, kernel, cache):
     return dx, d_kernel, d_bias
 
 
-def _run_pipe(layers, group, weights, x, training, rng, caches):
-    """Apply a layer pipe; cache per-layer state for the backward pass."""
+def _run_pipe(layers, group, weights, x, keeps=None, caches=None):
+    """Apply a layer pipe to ``x``, which it may overwrite.
+
+    ``keeps`` iterates the pipe's dropout keep-masks (``_draw_keeps``);
+    without it dropout is off. A ``caches`` list receives each layer's
+    state for the backward pass; without one none is kept.
+    """
     for layer in layers:
         if isinstance(layer, Scale):
-            k = weights[f"{group}/{layer.name}/scale"]
-            caches.append((layer, group, x))
-            x = k[0] * x
-        elif isinstance(layer, Conv1D):
-            kernel = weights[f"{group}/{layer.name}/kernel"]
-            bias = weights[f"{group}/{layer.name}/bias"]
-            z, cache = _conv1d_forward(x, kernel, bias)
-            mask = z > 0 if layer.activation == "relu" else None
-            caches.append((layer, group, (x.shape, cache, mask)))
-            x = _relu(z) if layer.activation == "relu" else z
+            if caches is not None:
+                caches.append((layer, group, x))
+            x = weights[f"{group}/{layer.name}/scale"][0] * x
         elif isinstance(layer, MaxPool1D):
             y, cache = _maxpool_forward(x, layer.width, layer.stride)
-            caches.append((layer, group, (x.shape, cache)))
-            x = y
-        elif isinstance(layer, Conv2D):
-            kernel = weights[f"{group}/{layer.name}/kernel"]
-            bias = weights[f"{group}/{layer.name}/bias"]
-            z, cache = _conv2d_forward(x, kernel, bias)
-            mask = z > 0 if layer.activation == "relu" else None
-            caches.append((layer, group, (x.shape, cache, mask)))
-            x = _relu(z) if layer.activation == "relu" else z
-        elif isinstance(layer, Dense):
-            kernel = weights[f"{group}/{layer.name}/kernel"]
-            bias = weights[f"{group}/{layer.name}/bias"]
-            flat = x.reshape(x.shape[0], -1)
-            z = flat @ kernel + bias
-            if layer.activation == "relu":
-                mask = z > 0
-                y = _relu(z)
-            else:
-                # softmax / linear handled by the caller via logits
-                mask = None
-                y = z
-            caches.append((layer, group, (x.shape, flat, mask)))
+            if caches is not None:
+                caches.append((layer, group, (x.shape, cache)))
             x = y
         elif isinstance(layer, Dropout):
-            if training and layer.rate > 0.0:
-                if rng is None:
-                    raise InvalidInputError("training-mode forward needs an rng for dropout")
-                keep = rng.random(x.shape) >= layer.rate
-                scale = 1.0 / (1.0 - layer.rate)
+            keep = next(keeps) if keeps is not None else None
+            if keep is not None:
+                x *= keep
+                x *= 1.0 / (1.0 - layer.rate)
+            if caches is not None:
                 caches.append((layer, group, keep))
-                x = x * keep * scale
+        elif isinstance(layer, (Conv1D, Conv2D, Dense)):
+            kernel = weights[f"{group}/{layer.name}/kernel"]
+            bias = weights[f"{group}/{layer.name}/bias"]
+            if isinstance(layer, Conv1D):
+                z, cache = _conv1d_forward(x, kernel, bias)
+            elif isinstance(layer, Conv2D):
+                z, cache = _conv2d_forward(x, kernel, bias)
             else:
-                caches.append((layer, group, None))
+                cache = x.reshape(x.shape[0], -1)  # Dense flattens its input
+                z = cache @ kernel + bias
+            relu = layer.activation == "relu"  # a softmax output stays logits here
+            if caches is not None:
+                caches.append((layer, group, (x.shape, cache, z > 0 if relu else None)))
+            if relu:
+                np.maximum(z, 0.0, out=z)
+            x = z
         else:
             raise ShapeError(f"{layer.name}: unsupported layer type")
     return x
 
 
+def _draw_keeps(layers, shape, rng):
+    """An iterator over the dropout keep-masks of one training pass of a
+    pipe over inputs of ``shape`` (batch first), in layer order; None for
+    a zero rate. All are drawn before it returns."""
+    keeps = []
+    for layer in layers:
+        if not isinstance(layer, Dropout):
+            shape = shape[:1] + _layer_rule(layer, shape[1:])[0]
+        elif layer.rate == 0.0:
+            keeps.append(None)
+        elif rng is None:
+            raise InvalidInputError("training-mode forward needs an rng for dropout")
+        else:
+            keeps.append(rng.random(shape) >= layer.rate)
+    return iter(keeps)
+
+
 def _pipe_backward(caches, weights, grads, dy):
-    """Walk cached layers in reverse, accumulating parameter gradients."""
-    for layer, group, cache in reversed(caches):
+    """Pop the cached layers last to first, accumulating parameter
+    gradients; each layer's state is released once it is used. ``dy``
+    may be overwritten."""
+    while caches:
+        layer, group, cache = caches.pop()
+        prefix = f"{group}/{layer.name}/"
         if isinstance(layer, Scale):
-            x = cache
-            k = weights[f"{group}/{layer.name}/scale"]
-            _acc(grads, f"{group}/{layer.name}/scale", np.array([np.sum(dy * x)]))
-            dy = k[0] * dy
-        elif isinstance(layer, Conv1D):
-            x_shape, conv_cache, mask = cache
-            dz = dy * mask if mask is not None else dy
-            kernel = weights[f"{group}/{layer.name}/kernel"]
-            dx, dk, db = _conv1d_backward(dz, kernel, conv_cache)
-            _acc(grads, f"{group}/{layer.name}/kernel", dk)
-            _acc(grads, f"{group}/{layer.name}/bias", db)
-            dy = dx
+            _acc(grads, prefix + "scale", np.array([np.sum(dy * cache)]))
+            dy = weights[prefix + "scale"][0] * dy
         elif isinstance(layer, MaxPool1D):
             x_shape, pool_cache = cache
             dy = _maxpool_backward(dy, x_shape, layer.width, layer.stride, pool_cache)
-        elif isinstance(layer, Conv2D):
-            x_shape, conv_cache, mask = cache
-            dz = dy * mask if mask is not None else dy
-            kernel = weights[f"{group}/{layer.name}/kernel"]
-            dx, dk, db = _conv2d_backward(dz, x_shape, kernel, conv_cache)
-            _acc(grads, f"{group}/{layer.name}/kernel", dk)
-            _acc(grads, f"{group}/{layer.name}/bias", db)
-            dy = dx
-        elif isinstance(layer, Dense):
-            x_shape, flat, mask = cache
-            dz = dy * mask if mask is not None else dy
-            kernel = weights[f"{group}/{layer.name}/kernel"]
-            _acc(grads, f"{group}/{layer.name}/kernel", flat.T @ dz)
-            _acc(grads, f"{group}/{layer.name}/bias", dz.sum(axis=0))
-            dy = (dz @ kernel.T).reshape(x_shape)
         elif isinstance(layer, Dropout):
             if cache is not None:
-                dy = dy * cache * (1.0 / (1.0 - layer.rate))
+                dy *= cache
+                dy *= 1.0 / (1.0 - layer.rate)
+        else:
+            x_shape, inputs, mask = cache
+            if mask is not None:
+                dy *= mask
+            kernel = weights[prefix + "kernel"]
+            if isinstance(layer, Conv1D):
+                dx, dk, db = _conv1d_backward(dy, kernel, inputs)
+            elif isinstance(layer, Conv2D):
+                dx, dk, db = _conv2d_backward(dy, x_shape, kernel, inputs)
+            else:
+                dx, dk, db = (dy @ kernel.T).reshape(x_shape), inputs.T @ dy, dy.sum(axis=0)
+            _acc(grads, prefix + "kernel", dk)
+            _acc(grads, prefix + "bias", db)
+            dy = dx
     return dy
 
 
@@ -503,6 +503,45 @@ def _acc(grads, key, value):
         grads[key] = grads[key] + value
     else:
         grads[key] = value
+
+
+def _partitions(sizes, n_parts):
+    """Item indices split into at most ``n_parts`` partitions, each in
+    index order. Largest size first (lowest index on ties), each item goes
+    to the partition with the least total size so far (lowest on ties), so
+    partition 0 holds the largest item."""
+    loads = [0] * n_parts
+    parts = [[] for _ in range(n_parts)]
+    for i in sorted(range(len(sizes)), key=lambda i: -sizes[i]):
+        p = loads.index(min(loads))
+        parts[p].append(i)
+        loads[p] += sizes[i]
+    return [sorted(part) for part in parts if part]
+
+
+def _map_partitioned(fn, sizes):
+    """``[fn(i) for i in range(len(sizes))]`` spread over the cores.
+
+    The items are split by ``_partitions`` into at most ``os.cpu_count()``
+    partitions; the calling thread runs the first and one worker thread
+    each of the others. numpy releases the interpreter lock inside BLAS
+    and ufunc loops, so the partitions overlap there. Each ``fn(i)`` must
+    touch no state another item writes. A worker's exception is raised
+    here when its result is read.
+    """
+    parts = _partitions(sizes, os.cpu_count() or 1)
+    if len(parts) == 1:
+        return [fn(i) for i in parts[0]]
+
+    def run(part):
+        return [(i, fn(i)) for i in part]
+
+    with ThreadPoolExecutor(max_workers=len(parts) - 1) as pool:
+        futures = [pool.submit(run, part) for part in parts[1:]]
+        done = run(parts[0])
+        for future in futures:
+            done += future.result()
+    return [result for _, result in sorted(done, key=lambda item: item[0])]
 
 
 def _group_channels(descriptor):
@@ -550,35 +589,47 @@ def forward_batch(descriptor, weights, x, training=False, rng=None, return_cache
     they enter (checkpoint load and save, ``NetworkClassifier`` and
     ``train_network``), not on every forward.
 
+    Channels sharing a parameter group run through the pipe as one
+    stacked batch, so shared gradients accumulate in a single pass. The
+    groups' pipes run in parallel (``_map_partitioned``). Every dropout
+    keep-mask is drawn from ``rng`` before they start, group by group and
+    layer by layer, then the joined pipe's, so the draws do not depend on
+    which pipe finishes first.
+
     Returns:
         (probabilities, logits) or, with ``return_caches``, a third
         element holding per-channel and joined layer caches.
     """
     x = _checked_input(descriptor, x)
-    n_roles = len(descriptor.channel_roles)
     batch = x.shape[0]
-    # channels sharing a parameter group run through the pipe as one
-    # stacked batch, so shared gradients accumulate in a single pass
     group_channels = _group_channels(descriptor)
-    outputs = [None] * n_roles
-    group_caches = []
-    for group, idxs in group_channels:
+    pipe_keeps = [
+        _draw_keeps(descriptor.channel_pipe, (len(idxs) * batch, descriptor.input_len, 1), rng)
+        if training
+        else None
+        for _, idxs in group_channels
+    ]
+
+    def run_group(g):
+        group, idxs = group_channels[g]
         stacked = x[:, idxs].transpose(1, 0, 2).reshape(len(idxs) * batch, descriptor.input_len, 1)
-        caches = []
-        h = _run_pipe(descriptor.channel_pipe, group, weights, stacked, training, rng, caches)
-        h = h.reshape(len(idxs), batch, h.shape[1], h.shape[2])
+        caches = [] if return_caches else None
+        h = _run_pipe(descriptor.channel_pipe, group, weights, stacked, pipe_keeps[g], caches)
+        return h.reshape(len(idxs), batch, h.shape[1], h.shape[2]), caches
+
+    results = _map_partitioned(run_group, [len(idxs) for _, idxs in group_channels])
+    outputs = [None] * len(descriptor.channel_roles)
+    for (_, idxs), (h, _) in zip(group_channels, results):
         for j, idx in enumerate(idxs):
             outputs[idx] = h[j]
-        group_caches.append(caches)
     joined = np.stack(outputs, axis=2)  # (B, L, n_channels, F)
 
-    joined_caches = []
-    logits = _run_pipe(
-        descriptor.joined_pipe, JOINED_GROUP, weights, joined, training, rng, joined_caches
-    )
+    keeps = _draw_keeps(descriptor.joined_pipe, joined.shape, rng) if training else None
+    joined_caches = [] if return_caches else None
+    logits = _run_pipe(descriptor.joined_pipe, JOINED_GROUP, weights, joined, keeps, joined_caches)
     probs = _softmax(logits)
     if return_caches:
-        return probs, logits, (group_channels, group_caches, joined_caches)
+        return probs, logits, (group_channels, [c for _, c in results], joined_caches)
     return probs, logits
 
 
@@ -613,7 +664,7 @@ def channel_activations(descriptor, weights, x) -> list:
     for group, idxs in _group_channels(descriptor):
         outs = [x[:, idxs].transpose(1, 0, 2).reshape(len(idxs) * batch, -1, 1)]
         for layer in layers:
-            outs.append(_run_pipe((layer,), group, weights, outs[-1], False, None, []))
+            outs.append(_run_pipe((layer,), group, weights, outs[-1]))
         for j, idx in enumerate(idxs):
             activations[idx] = [out[j * batch : (j + 1) * batch] for out in outs]
     return activations
@@ -673,7 +724,7 @@ def spliced_layers(descriptor, weights, activations, channel, rows, lo, hi):
             if isinstance(layer, MaxPool1D):
                 segment, _ = _maxpool_padded(x, layer.width, layer.stride, ohi - olo)
             else:
-                y = _run_pipe((layer,), group, weights, x, False, None, [])
+                y = _run_pipe((layer,), group, weights, x)
                 segment = y[:, olo - a : ohi - a]
         lo, hi = olo, ohi
         yield segment, lo, hi
@@ -700,7 +751,7 @@ def spliced_forward(descriptor, weights, activations, rows, lo, hi) -> np.ndarra
             out[:, olo:ohi] = segment
         outputs.append(np.broadcast_to(out, (n_rows,) + out.shape[1:]))
     joined = np.stack(outputs, axis=2)
-    logits = _run_pipe(descriptor.joined_pipe, JOINED_GROUP, weights, joined, False, None, [])
+    logits = _run_pipe(descriptor.joined_pipe, JOINED_GROUP, weights, joined)
     return _softmax(logits)
 
 
@@ -729,9 +780,19 @@ def loss_and_gradients(descriptor, weights, x, labels, training=True, rng=None):
 
     grads = {}
     d_joined = _pipe_backward(joined_caches, weights, grads, d_logits)
-    for (group, idxs), caches in zip(group_channels, group_caches):
-        d_stacked = np.concatenate([d_joined[:, :, i, :] for i in idxs], axis=0)
-        _pipe_backward(caches, weights, grads, d_stacked)
+
+    def backward_group(g):
+        group_grads = {}
+        d_stacked = np.concatenate([d_joined[:, :, i, :] for i in group_channels[g][1]], axis=0)
+        _pipe_backward(group_caches[g], weights, group_grads, d_stacked)
+        return group_grads
+
+    # the groups' pipes run in parallel as in the forward pass; their
+    # gradients merge here in group order
+    sizes = [len(idxs) for _, idxs in group_channels]
+    for group_grads in _map_partitioned(backward_group, sizes):
+        for key, value in group_grads.items():
+            _acc(grads, key, value)
     return loss, grads
 
 

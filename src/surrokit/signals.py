@@ -13,13 +13,13 @@ Conventions used throughout the package:
   32-bit, see :mod:`surrokit.dataio`.
 
 All values here are immutable after construction and safe to share
-across concurrent tasks.
+across concurrent tasks. ``scipy.signal`` is imported by the functions
+that use it, not with the package: the import takes over a second.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal as sps
 
 from .errors import InvalidInputError
 
@@ -219,6 +219,8 @@ def butterworth_lowpass(
         )
     if order < 1:
         raise InvalidInputError(f"filter order must be >= 1, got {order}")
+    from scipy import signal as sps
+
     sos = sps.butter(order, cutoff_hz, btype="low", fs=signal.sample_rate_hz, output="sos")
     if zero_phase:
         filtered = sps.sosfiltfilt(sos, signal.samples)
@@ -245,5 +247,7 @@ def resample(signal: Signal, target_rate_hz: float) -> Signal:
         raise InvalidInputError(
             f"resampling to {target_rate_hz} Hz would leave {new_n} samples"
         )
+    from scipy import signal as sps
+
     resampled = sps.resample(signal.samples, new_n)
     return Signal(resampled, target_rate_hz)

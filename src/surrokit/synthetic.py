@@ -34,7 +34,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal as sps
 
 from .balance import DEFAULT_VOCABULARY, Dataset
 from .errors import InvalidInputError
@@ -144,6 +143,8 @@ def _ar_path(coeffs, noise_scale, n, rng):
     noise = rng.standard_normal(n + burn) * noise_scale
     if not coeffs:
         return noise[burn:]
+    from scipy import signal as sps  # imported here: it takes over a second
+
     denominator = np.concatenate([[1.0], -np.asarray(coeffs)])
     return sps.lfilter([1.0], denominator, noise)[burn:]
 

@@ -7,11 +7,18 @@ time. The per-tap batch kernels are the straightforward
 one-product-per-tap form of the network's GEMM kernels. The
 per-channel IAAFT loop is the surrogate code as it was before channels
 were run in blocks; the block core must reproduce it bit for bit. The
-saliency loops at the very end run one full forward per replacement.
+saliency loops run one full forward per replacement. The serial network
+pass at the very end is the forward and backward as they were before
+the channel-group pipes ran on threads: one group after another, each
+dropout keep-mask drawn as its layer is reached; the threaded pass must
+reproduce it bit for bit.
 """
 
 import numpy as np
 
+from surrokit import network
+from surrokit.errors import InvalidInputError
+from surrokit.network import Conv1D, Conv2D, Dense, Dropout, MaxPool1D, Scale
 from surrokit.saliency import _validate, _window_geometry, window_positions
 from surrokit.seeding import NS_SALIENCY, spawn_rng
 from surrokit.signals import Epoch, Signal
@@ -305,3 +312,131 @@ def zero_out_saliency_per_position(classifier, epoch, spec):
             channels.append(Signal(samples, ch.sample_rate_hz))
         means[p_idx] = classifier.predict(Epoch(tuple(channels), epoch.label, epoch.channel_roles))
     return means, baseline
+
+
+# The serial network pass: every channel group's pipe on the calling
+# thread, one after another, then the joined pipe. Kernels come from the
+# network module, so only the orchestration differs.
+
+
+def _serial_run_pipe(layers, group, weights, x, training, rng, caches):
+    for layer in layers:
+        if isinstance(layer, Scale):
+            k = weights[f"{group}/{layer.name}/scale"]
+            caches.append((layer, group, x))
+            x = k[0] * x
+        elif isinstance(layer, Conv1D):
+            kernel = weights[f"{group}/{layer.name}/kernel"]
+            bias = weights[f"{group}/{layer.name}/bias"]
+            z, cache = network._conv1d_forward(x, kernel, bias)
+            mask = z > 0 if layer.activation == "relu" else None
+            caches.append((layer, group, (x.shape, cache, mask)))
+            x = np.maximum(z, 0.0) if layer.activation == "relu" else z
+        elif isinstance(layer, MaxPool1D):
+            y, cache = network._maxpool_forward(x, layer.width, layer.stride)
+            caches.append((layer, group, (x.shape, cache)))
+            x = y
+        elif isinstance(layer, Conv2D):
+            kernel = weights[f"{group}/{layer.name}/kernel"]
+            bias = weights[f"{group}/{layer.name}/bias"]
+            z, cache = network._conv2d_forward(x, kernel, bias)
+            mask = z > 0 if layer.activation == "relu" else None
+            caches.append((layer, group, (x.shape, cache, mask)))
+            x = np.maximum(z, 0.0) if layer.activation == "relu" else z
+        elif isinstance(layer, Dense):
+            kernel = weights[f"{group}/{layer.name}/kernel"]
+            bias = weights[f"{group}/{layer.name}/bias"]
+            flat = x.reshape(x.shape[0], -1)
+            z = flat @ kernel + bias
+            mask = z > 0 if layer.activation == "relu" else None
+            caches.append((layer, group, (x.shape, flat, mask)))
+            x = np.maximum(z, 0.0) if layer.activation == "relu" else z
+        elif isinstance(layer, Dropout):
+            if training and layer.rate > 0.0:
+                if rng is None:
+                    raise InvalidInputError("training-mode forward needs an rng for dropout")
+                keep = rng.random(x.shape) >= layer.rate
+                caches.append((layer, group, keep))
+                x = x * keep * (1.0 / (1.0 - layer.rate))
+            else:
+                caches.append((layer, group, None))
+    return x
+
+
+def _serial_pipe_backward(caches, weights, grads, dy):
+    for layer, group, cache in reversed(caches):
+        prefix = f"{group}/{layer.name}/"
+        if isinstance(layer, Scale):
+            grads[prefix + "scale"] = np.array([np.sum(dy * cache)])
+            dy = weights[prefix + "scale"][0] * dy
+        elif isinstance(layer, MaxPool1D):
+            x_shape, pool_cache = cache
+            dy = network._maxpool_backward(dy, x_shape, layer.width, layer.stride, pool_cache)
+        elif isinstance(layer, Dropout):
+            if cache is not None:
+                dy = dy * cache * (1.0 / (1.0 - layer.rate))
+        else:
+            x_shape, inputs, mask = cache
+            dz = dy * mask if mask is not None else dy
+            kernel = weights[prefix + "kernel"]
+            if isinstance(layer, Conv1D):
+                dy, grads[prefix + "kernel"], grads[prefix + "bias"] = network._conv1d_backward(
+                    dz, kernel, inputs
+                )
+            elif isinstance(layer, Conv2D):
+                dy, grads[prefix + "kernel"], grads[prefix + "bias"] = network._conv2d_backward(
+                    dz, x_shape, kernel, inputs
+                )
+            else:
+                grads[prefix + "kernel"] = inputs.T @ dz
+                grads[prefix + "bias"] = dz.sum(axis=0)
+                dy = (dz @ kernel.T).reshape(x_shape)
+    return dy
+
+
+def serial_forward_batch(descriptor, weights, x, training=False, rng=None, caches=None):
+    """(probabilities, logits); with a ``caches`` dict, it receives the
+    per-group and joined layer caches."""
+    x = np.asarray(x, dtype=np.float64)
+    batch = x.shape[0]
+    group_channels = network._group_channels(descriptor)
+    outputs = [None] * len(descriptor.channel_roles)
+    group_caches = []
+    for group, idxs in group_channels:
+        stacked = x[:, idxs].transpose(1, 0, 2).reshape(len(idxs) * batch, descriptor.input_len, 1)
+        pipe_caches = []
+        h = _serial_run_pipe(
+            descriptor.channel_pipe, group, weights, stacked, training, rng, pipe_caches
+        )
+        h = h.reshape(len(idxs), batch, h.shape[1], h.shape[2])
+        for j, idx in enumerate(idxs):
+            outputs[idx] = h[j]
+        group_caches.append(pipe_caches)
+    joined_caches = []
+    logits = _serial_run_pipe(
+        descriptor.joined_pipe, network.JOINED_GROUP, weights, np.stack(outputs, axis=2),
+        training, rng, joined_caches,
+    )
+    if caches is not None:
+        caches.update(groups=list(zip(group_channels, group_caches)), joined=joined_caches)
+    return network._softmax(logits), logits
+
+
+def serial_loss_and_gradients(descriptor, weights, x, labels, training=True, rng=None):
+    """(loss, grads, probabilities) of the serial pass."""
+    labels = np.asarray(labels)
+    caches = {}
+    probs, logits = serial_forward_batch(descriptor, weights, x, training, rng, caches)
+    batch = logits.shape[0]
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    loss = float(-log_probs[np.arange(batch), labels].mean())
+    d_logits = probs.copy()
+    d_logits[np.arange(batch), labels] -= 1.0
+    d_logits /= batch
+    grads = {}
+    d_joined = _serial_pipe_backward(caches["joined"], weights, grads, d_logits)
+    for (group, idxs), pipe_caches in caches["groups"]:
+        d_stacked = np.concatenate([d_joined[:, :, i, :] for i in idxs], axis=0)
+        _serial_pipe_backward(pipe_caches, weights, grads, d_stacked)
+    return loss, grads, probs

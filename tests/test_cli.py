@@ -1,10 +1,16 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import surrokit
+from surrokit import cli
 from surrokit.classifiers import NetworkClassifier
 from surrokit.cli import main
 from surrokit.dataio import load_dataset
@@ -71,6 +77,29 @@ class TestSynth:
 
     def test_missing_spec_file_is_data_error(self, tmp_path):
         assert main(["synth", str(tmp_path / "nope.json"), str(tmp_path / "o"), "--n", "4"]) == 2
+
+
+class TestImport:
+    def test_import_loads_no_scipy_and_starts_no_thread(self):
+        # a fresh interpreter, so modules other tests imported do not count
+        package_root = str(Path(surrokit.__file__).resolve().parent.parent)
+        pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+        code = (
+            "import sys, threading, surrokit.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), "
+            "threading.active_count())"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": pythonpath},
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["[]", "1"]
+
+    def test_c_library_without_mallopt_is_skipped(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: object())
+        assert main(["shapes", "--arch", "reference"]) == 0
+        assert "trainable parameters" in capsys.readouterr().out
 
 
 class TestShapes:

@@ -1,5 +1,9 @@
 import dataclasses
 import hashlib
+import os
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -15,6 +19,7 @@ from oracles import (
     maxpool_same_oracle,
 )
 from surrokit import network
+from surrokit.balance import Dataset
 from surrokit.classifiers import NetworkClassifier
 from surrokit.dataio import descriptor_fingerprint
 from surrokit.errors import InvalidInputError, ShapeError
@@ -48,6 +53,7 @@ from surrokit.network import (
     weight_shapes,
 )
 from surrokit.signals import epoch_from_array
+from surrokit.training import TrainConfig, train_network
 
 TABLE_CHANNEL_SHAPES = [
     ("scale", (960,)),
@@ -198,6 +204,26 @@ class TestInit:
                 for key, tensor in init_weights(desc, seed).items():
                     h.update(key.encode() + tensor.astype("<f8").tobytes())
                 assert h.hexdigest() == expected, (builder.__name__, seed)
+
+    def test_dropout_draw_order_is_pinned(self):
+        # sha256 over key + tensor bytes of the weights after a short seeded
+        # training run with dropout on; frozen before the channel-group
+        # pipes ran on threads, so a change in the order the keep-masks are
+        # drawn from the dropout stream moves it
+        labels = ("Wake", "S1", "S2", "S3", "S4", "REM")
+        rng = np.random.default_rng(5)
+        epochs = [
+            epoch_from_array(rng.standard_normal((4, 960)) * 20, 32.0, labels[i % 6])
+            for i in range(12)
+        ]
+        data = Dataset(epochs, [f"r{i % 3}" for i in range(12)])
+        result = train_network(
+            reference_architecture(), data, TrainConfig(batch_size=4, steps=3, seed=11)
+        )
+        h = hashlib.sha256()
+        for key, tensor in result.weights.items():
+            h.update(key.encode() + tensor.astype("<f8").tobytes())
+        assert h.hexdigest() == "1f240db2e7f0f534899c204a3919c0567f19b39fc4c264c5fa4939f34cec9338"
 
     def test_channel_pipe_conv2d_rejected_by_every_view(self):
         base = tiny_descriptor()
@@ -475,6 +501,149 @@ class TestGradients:
         _, g1 = loss_and_gradients(desc, weights, x, np.array([0, 1]), training=False)
         _, g2 = loss_and_gradients(desc, weights, x_same, np.array([0, 1]), training=False)
         assert not np.allclose(g1["shared/conv_a/kernel"], g2["shared/conv_a/kernel"])
+
+
+def per_role_descriptor():
+    """The reference network with one parameter group per role: four
+    groups, more than the cores of a small machine."""
+    desc = reference_architecture()
+    return dataclasses.replace(
+        desc, parameter_sharing=tuple((role, role.lower()) for role in desc.channel_roles)
+    )
+
+
+def single_group_descriptor():
+    """The reference network with every role in one parameter group."""
+    desc = reference_architecture()
+    return dataclasses.replace(
+        desc, parameter_sharing=tuple((role, "all") for role in desc.channel_roles)
+    )
+
+
+THREADED_BUILDS = {
+    "reference": reference_architecture,
+    "full": full_architecture,
+    "per-role": per_role_descriptor,
+    "single-group": single_group_descriptor,
+}
+
+
+def threaded_pass(desc, weights, x, labels):
+    loss, grads = loss_and_gradients(desc, weights, x, labels, rng=np.random.default_rng(8))
+    probs, _ = forward_batch(desc, weights, x, training=True, rng=np.random.default_rng(8))
+    return loss, grads, probs
+
+
+def assert_same_pass(got, expected):
+    loss, grads, probs = got
+    loss_ref, grads_ref, probs_ref = expected
+    assert loss == loss_ref
+    assert list(grads) == list(grads_ref)
+    for key in grads_ref:
+        assert grads[key].tobytes() == grads_ref[key].tobytes(), key
+    assert probs.tobytes() == probs_ref.tobytes()
+
+
+class TestThreadedPipes:
+    """The channel-group pipes run on threads; the serial loop they
+    replaced (``oracles.serial_loss_and_gradients``) is the reference."""
+
+    @pytest.mark.parametrize("build", THREADED_BUILDS.values(), ids=THREADED_BUILDS)
+    def test_bit_equal_to_serial_loop_with_dropout(self, build, rng):
+        desc = build()
+        weights = init_weights(desc, 21)
+        x = rng.standard_normal((5, 4, 960)) * 20
+        labels = np.array([0, 1, 2, 3, 5])
+        expected = oracles.serial_loss_and_gradients(
+            desc, weights, x, labels, rng=np.random.default_rng(8)
+        )
+        assert_same_pass(threaded_pass(desc, weights, x, labels), expected)
+        probs, logits = forward_batch(desc, weights, x)
+        probs_ref, logits_ref = oracles.serial_forward_batch(desc, weights, x)
+        assert probs.tobytes() == probs_ref.tobytes()
+        assert logits.tobytes() == logits_ref.tobytes()
+
+    def test_more_partitions_than_cores_give_the_same_bits(self, rng, monkeypatch):
+        # four groups on four partitions: three worker threads, and the
+        # switch interval shortened so the threads interleave finely
+        desc = per_role_descriptor()
+        weights = init_weights(desc, 22)
+        x = rng.standard_normal((4, 4, 960)) * 20
+        labels = np.array([0, 1, 2, 3])
+        expected = oracles.serial_loss_and_gradients(
+            desc, weights, x, labels, rng=np.random.default_rng(8)
+        )
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results, errors = [], []
+
+            def caller():
+                deadline = time.monotonic() + 1.5
+                try:
+                    while time.monotonic() < deadline:
+                        results.append(threaded_pass(desc, weights, x, labels))
+                except Exception as exc:  # reported below, on the test's thread
+                    errors.append(exc)
+
+            callers = [threading.Thread(target=caller) for _ in range(2)]
+            for thread in callers:
+                thread.start()
+            for thread in callers:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in callers)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors
+        assert len(results) >= 2
+        for got in results:
+            assert_same_pass(got, expected)
+
+    def test_no_more_threads_than_cores(self, rng, monkeypatch):
+        desc = per_role_descriptor()
+        weights = init_weights(desc, 23)
+        counts = []
+        conv = network._conv1d_forward
+
+        def counting_conv(*args):
+            counts.append(threading.active_count())
+            return conv(*args)
+
+        monkeypatch.setattr(network, "_conv1d_forward", counting_conv)
+        before = threading.active_count()
+        loss_and_gradients(desc, weights, rng.standard_normal((2, 4, 960)), np.array([0, 1]),
+                           rng=np.random.default_rng(0))
+        assert max(counts) - before + 1 <= (os.cpu_count() or 1)
+        assert threading.active_count() == before
+
+    def test_partitions_balance_channel_counts(self):
+        # default sharing: EEG (2 channels) on the caller, EOG and EMG on one worker
+        assert network._partitions([2, 1, 1], 2) == [[0], [1, 2]]
+        assert network._partitions([1, 1, 1, 1], 2) == [[0, 2], [1, 3]]
+        assert network._partitions([1, 3, 1], 2) == [[1], [0, 2]]
+        assert network._partitions([4], 2) == [[0]]
+        assert network._partitions([2, 1, 1], 1) == [[0, 1, 2]]
+
+    def test_worker_exception_reaches_the_caller(self, rng):
+        desc = reference_architecture()
+        weights = init_weights(desc, 24)
+        del weights["emg/conv3/kernel"]  # the EMG pipe runs on a worker
+        x = rng.standard_normal((2, 4, 960))
+        with pytest.raises(KeyError, match="emg/conv3/kernel"):
+            loss_and_gradients(desc, weights, x, np.array([0, 1]), rng=np.random.default_rng(0))
+        with pytest.raises(KeyError, match="emg/conv3/kernel"):
+            forward_batch(desc, weights, x)
+
+    def test_training_without_rng_is_rejected(self, rng):
+        desc = reference_architecture()
+        weights = init_weights(desc, 25)
+        x = rng.standard_normal((2, 4, 960))
+        message = "training-mode forward needs an rng for dropout"
+        with pytest.raises(InvalidInputError, match=message):
+            forward_batch(desc, weights, x, training=True, rng=None)
+        with pytest.raises(InvalidInputError, match=message):
+            loss_and_gradients(desc, weights, x, np.array([0, 1]), training=True, rng=None)
 
 
 @st.composite
