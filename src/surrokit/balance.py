@@ -7,87 +7,108 @@ Augmentation then replaces each channel of a repeated epoch by its
 surrogate with probability alpha; original epochs are never touched.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import InvalidInputError
 from .seeding import NS_AUGMENT, NS_UPSAMPLE, spawn_rng
-from .signals import Epoch, Signal
-from .surrogates import KIND_FT, SurrogateConfig, _surrogate_rows
-
-# channels surrogated as one block; bounds the FFT and sort temporaries
-IAAFT_CHUNK = 64
+from .signals import DEFAULT_ROLES, _check_samples, epoch_from_array
+from .surrogates import SurrogateConfig, _surrogate_rows
 
 DEFAULT_VOCABULARY = ("Wake", "S1", "S2", "S3", "S4", "REM")
 
 
 @dataclass(frozen=True)
 class Dataset:
-    """Ordered collection of epochs with provenance and label vocabulary."""
+    """Labeled epochs as one (n_epochs, n_channels, n_samples) array.
 
-    epochs: tuple
+    ``labels`` are int64 indices into ``label_vocabulary``; all epochs
+    share ``channel_roles`` and ``sample_rate_hz``. The dataset takes
+    ownership of the array it gets: a float64 ``x`` is kept as it is,
+    not copied, and made read-only. ``epoch(i)`` and ``epochs`` build
+    ``Epoch`` objects for the APIs that take one.
+    """
+
+    x: np.ndarray
+    labels: np.ndarray
     record_ids: tuple
+    sample_rate_hz: float
     label_vocabulary: tuple = DEFAULT_VOCABULARY
+    channel_roles: tuple = DEFAULT_ROLES
 
     def __post_init__(self):
-        epochs = tuple(self.epochs)
+        x = np.asarray(self.x, dtype=np.float64)
+        labels = np.asarray(self.labels, dtype=np.int64)
         record_ids = tuple(str(r) for r in self.record_ids)
-        vocabulary = tuple(self.label_vocabulary)
-        if len(record_ids) != len(epochs):
+        vocabulary = tuple(str(v) for v in self.label_vocabulary)
+        roles = tuple(str(r) for r in self.channel_roles)
+        if x.ndim != 3:
             raise InvalidInputError(
-                f"{len(record_ids)} record ids for {len(epochs)} epochs"
+                f"expected a (n_epochs, n_channels, n_samples) array, got shape {x.shape}"
+            )
+        if len(roles) != x.shape[1]:
+            raise InvalidInputError(f"{len(roles)} channel roles for {x.shape[1]} channels")
+        _check_samples(x, self.sample_rate_hz)
+        if labels.shape != (len(x),) or len(record_ids) != len(x):
+            raise InvalidInputError(
+                f"{labels.size} labels and {len(record_ids)} record ids for {len(x)} epochs"
             )
         if len(set(vocabulary)) != len(vocabulary):
             raise InvalidInputError("label vocabulary contains duplicates")
-        known = set(vocabulary)
-        for ep in epochs:
-            if ep.label not in known:
-                raise InvalidInputError(f"epoch label {ep.label!r} not in vocabulary")
-        object.__setattr__(self, "epochs", epochs)
+        if labels.size and (labels.min() < 0 or labels.max() >= len(vocabulary)):
+            raise InvalidInputError("label index outside the vocabulary")
+        x.setflags(write=False)
+        labels.setflags(write=False)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "record_ids", record_ids)
+        object.__setattr__(self, "sample_rate_hz", float(self.sample_rate_hz))
         object.__setattr__(self, "label_vocabulary", vocabulary)
+        object.__setattr__(self, "channel_roles", roles)
 
     def __len__(self) -> int:
-        return len(self.epochs)
+        return len(self.x)
+
+    @property
+    def n_samples(self) -> int:
+        return self.x.shape[2]
+
+    def epoch(self, i: int):
+        label = self.label_vocabulary[self.labels[i]]
+        return epoch_from_array(self.x[i], self.sample_rate_hz, label, self.channel_roles)
+
+    @property
+    def epochs(self) -> tuple:
+        """Every epoch as an ``Epoch``, built on each access."""
+        return tuple(self.epoch(i) for i in range(len(self)))
+
+    def take(self, indices) -> "Dataset":
+        """The epochs at ``indices``, in that order, as a new dataset."""
+        indices = np.asarray(indices, dtype=np.int64)
+        record_ids = tuple(self.record_ids[i] for i in indices)
+        return replace(self, x=self.x[indices], labels=self.labels[indices], record_ids=record_ids)
 
     def class_counts(self) -> dict:
         """Per-class epoch counts over the full vocabulary (zeros included)."""
-        counts = {label: 0 for label in self.label_vocabulary}
-        for ep in self.epochs:
-            counts[ep.label] += 1
-        return counts
-
-    def label_indices(self) -> np.ndarray:
-        index = {label: i for i, label in enumerate(self.label_vocabulary)}
-        return np.array([index[ep.label] for ep in self.epochs], dtype=np.int64)
+        counts = np.bincount(self.labels, minlength=len(self.label_vocabulary))
+        return {label: int(c) for label, c in zip(self.label_vocabulary, counts)}
 
 
 @dataclass(frozen=True)
 class BalanceConfig:
-    """Up-sampling factor beta, augmentation probability alpha, and seed."""
+    """Up-sampling factor beta, augmentation probability alpha, seed, surrogates."""
 
     beta: float = 0.0
     alpha: float = 0.0
     seed: int = 0
-    surrogate_kind: str = KIND_FT
-    iaaft_max_iters: int = 100
-    iaaft_tolerance: float = 1e-8
+    surrogate: SurrogateConfig = SurrogateConfig()
 
     def __post_init__(self):
         if not 0.0 <= self.beta <= 1.0:
             raise InvalidInputError(f"beta must lie in [0, 1], got {self.beta}")
         if not 0.0 <= self.alpha <= 1.0:
             raise InvalidInputError(f"alpha must lie in [0, 1], got {self.alpha}")
-        self.surrogate_config  # validates the surrogate fields
-
-    @property
-    def surrogate_config(self) -> SurrogateConfig:
-        return SurrogateConfig(
-            kind=self.surrogate_kind,
-            iaaft_max_iters=self.iaaft_max_iters,
-            iaaft_tolerance=self.iaaft_tolerance,
-        )
 
 
 def repetition_counts(class_counts, beta: float) -> dict:
@@ -121,36 +142,20 @@ def upsample(dataset: Dataset, config: BalanceConfig):
     needed = repetition_counts(dataset.class_counts(), config.beta)
     rng = spawn_rng(config.seed, NS_UPSAMPLE)
 
-    by_class = {label: [] for label in dataset.label_vocabulary}
-    for i, ep in enumerate(dataset.epochs):
-        by_class[ep.label].append(i)
-
-    epochs = list(dataset.epochs)
-    record_ids = list(dataset.record_ids)
-    flags = [False] * len(dataset)
-    for label in dataset.label_vocabulary:
+    index = [np.arange(len(dataset))]
+    for k, label in enumerate(dataset.label_vocabulary):
         count = needed[label]
         if count == 0:
             continue
-        source = by_class[label]
-        if not source:
+        source = np.flatnonzero(dataset.labels == k)
+        if not source.size:
             raise InvalidInputError(
                 f"class {label!r} needs {count} repetitions but has no source epochs"
             )
-        picks = rng.integers(0, len(source), size=count)
-        for p in picks:
-            idx = source[p]
-            epochs.append(dataset.epochs[idx])
-            record_ids.append(dataset.record_ids[idx])
-            flags.append(True)
-
-    order = rng.permutation(len(epochs))
-    shuffled = Dataset(
-        tuple(epochs[i] for i in order),
-        tuple(record_ids[i] for i in order),
-        dataset.label_vocabulary,
-    )
-    return shuffled, np.array(flags, dtype=bool)[order]
+        index.append(source[rng.integers(0, source.size, size=count)])
+    index = np.concatenate(index)
+    order = rng.permutation(index.size)
+    return dataset.take(index[order]), order >= len(dataset)
 
 
 def augment(dataset: Dataset, repeated_flags, config: BalanceConfig, log=None) -> Dataset:
@@ -159,45 +164,29 @@ def augment(dataset: Dataset, repeated_flags, config: BalanceConfig, log=None) -
     Epochs not marked in ``repeated_flags`` are passed through untouched.
     Deterministic given the config seed: epoch i, channel j draws from
     the stream keyed (seed, augment, i, j). The chosen channels are
-    surrogated in blocks of ``IAAFT_CHUNK`` rows of equal length, which
-    gives the same samples as one channel at a time. ``log`` is an
-    optional callable that receives the reports of the replaced channels
-    (None for FT surrogates).
+    surrogated as one block of rows, which gives the same samples as one
+    channel at a time. ``log`` is an optional callable that receives the
+    reports of the replaced channels (None for FT surrogates).
     """
     flags = np.asarray(repeated_flags, dtype=bool)
     if flags.shape != (len(dataset),):
         raise InvalidInputError(
             f"repeated_flags has shape {flags.shape}, expected ({len(dataset)},)"
         )
-    by_length = {}
-    for i, ep in enumerate(dataset.epochs):
-        if not flags[i]:
-            continue
-        for j in range(len(ep.channels)):
-            rng = spawn_rng(config.seed, NS_AUGMENT, i, j)
+    picks = []
+    for i in np.flatnonzero(flags):
+        for j in range(len(dataset.channel_roles)):
+            rng = spawn_rng(config.seed, NS_AUGMENT, int(i), j)
             if rng.uniform() < config.alpha:
-                by_length.setdefault(ep.n_samples, []).append((i, j, rng))
-
-    surrogate_config = config.surrogate_config
-    replaced = {}
-    reports = []
-    for picks in by_length.values():
-        for start in range(0, len(picks), IAAFT_CHUNK):
-            chunk = picks[start : start + IAAFT_CHUNK]
-            block = np.stack([dataset.epochs[i].channels[j].samples for i, j, _ in chunk])
-            rngs = [rng for _, _, rng in chunk]
-            samples, chunk_reports = _surrogate_rows(block, rngs, surrogate_config)
-            reports.extend(chunk_reports)
-            for (i, j, _), row in zip(chunk, samples):
-                channels = replaced.setdefault(i, list(dataset.epochs[i].channels))
-                channels[j] = Signal(row, channels[j].sample_rate_hz)
+                picks.append((i, j, rng))
+    x = dataset.x.copy()
+    reports = ()
+    if picks:
+        rows, channels, rngs = zip(*picks)
+        x[rows, channels], reports = _surrogate_rows(x[rows, channels], rngs, config.surrogate)
     if log is not None:
-        log(tuple(reports))
-
-    epochs = list(dataset.epochs)
-    for i, channels in replaced.items():
-        epochs[i] = Epoch(tuple(channels), epochs[i].label, epochs[i].channel_roles)
-    return Dataset(tuple(epochs), dataset.record_ids, dataset.label_vocabulary)
+        log(reports)
+    return replace(dataset, x=x)
 
 
 def record_holdout_split(dataset: Dataset, fold: int, n_folds: int, group_labels):
@@ -229,11 +218,5 @@ def record_holdout_split(dataset: Dataset, fold: int, n_folds: int, group_labels
             )
         held_out.add(records[fold])
 
-    train_idx = [i for i, rid in enumerate(dataset.record_ids) if rid not in held_out]
-    val_idx = [i for i, rid in enumerate(dataset.record_ids) if rid in held_out]
-    pick = lambda idx: Dataset(
-        tuple(dataset.epochs[i] for i in idx),
-        tuple(dataset.record_ids[i] for i in idx),
-        dataset.label_vocabulary,
-    )
-    return pick(train_idx), pick(val_idx)
+    held = np.array([rid in held_out for rid in dataset.record_ids], dtype=bool)
+    return dataset.take(np.flatnonzero(~held)), dataset.take(np.flatnonzero(held))

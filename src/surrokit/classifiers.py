@@ -20,6 +20,7 @@ import numpy as np
 from .errors import InvalidInputError
 from .network import (
     ArchitectureDescriptor,
+    _check_roles,
     _epoch_batch,
     channel_activations,
     forward,
@@ -53,9 +54,10 @@ class NetworkClassifier:
     def predict(self, epoch: Epoch) -> np.ndarray:
         return forward(self.descriptor, self.weights, epoch, inference_mode=True)
 
-    def predict_batch(self, epochs) -> np.ndarray:
-        x = np.stack([ep.to_array() for ep in epochs])
-        probs, _ = forward_batch(self.descriptor, self.weights, x, training=False)
+    def predict_batch(self, dataset) -> np.ndarray:
+        """(n_epochs, K) probabilities of every epoch of a ``Dataset``."""
+        _check_roles(self.descriptor, dataset.channel_roles)
+        probs, _ = forward_batch(self.descriptor, self.weights, dataset.x, training=False)
         return probs
 
     def splice_predictor(self, epoch: Epoch):

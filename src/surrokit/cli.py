@@ -11,6 +11,7 @@ import ctypes
 import os
 import sys
 from collections import Counter
+from dataclasses import replace
 
 from . import dataio
 from .balance import BalanceConfig, Dataset, augment, record_holdout_split, upsample
@@ -106,17 +107,17 @@ def _cmd_surrogate(args):
     config = SurrogateConfig(
         kind=args.kind, iaaft_max_iters=args.iters, iaaft_tolerance=args.tol
     )
-    epochs = []
-    for i, epoch in enumerate(dataset.epochs):
+    x = dataset.x.copy()
+    for i in range(len(dataset)):
         surrogate, reports = epoch_surrogate_with_reports(
-            epoch, config, seed=derive_seed(seed, NS_EPOCH_FILE, i)
+            dataset.epoch(i), config, derive_seed(seed, NS_EPOCH_FILE, i)
         )
-        epochs.append(surrogate)
+        x[i] = surrogate.to_array()
         if args.kind == "iaaft":
             iters = ",".join(str(r.iterations) for r in reports)
             discs = ",".join(f"{r.final_discrepancy:.3e}" for r in reports)
             print(f"epoch {i}: iterations [{iters}] discrepancy [{discs}]")
-    out = Dataset(tuple(epochs), dataset.record_ids, dataset.label_vocabulary)
+    out = replace(dataset, x=x)
     dataio.save_dataset(args.out, out)
     print(f"wrote {len(out)} {args.kind} surrogate epochs to {args.out}")
     return 0
@@ -125,7 +126,9 @@ def _cmd_surrogate(args):
 def _cmd_balance(args):
     seed = _resolve_seed(args)
     dataset = dataio.load_dataset(args.infile)
-    config = BalanceConfig(beta=args.beta, alpha=args.alpha, seed=seed, surrogate_kind=args.kind)
+    config = BalanceConfig(
+        beta=args.beta, alpha=args.alpha, seed=seed, surrogate=SurrogateConfig(kind=args.kind)
+    )
     before = dataset.class_counts()
     upsampled, flags = upsample(dataset, config)
     reports = []
@@ -166,13 +169,12 @@ def _cmd_split(args):
 def _cmd_train(args):
     seed = _resolve_seed(args)
     dataset = dataio.load_dataset(args.infile)
-    first = dataset.epochs[0]
     config = TrainConfig(
         learning_rate=args.lr, batch_size=args.batch, steps=args.steps, seed=seed
     )
     arch_config = {
         "n_classes": len(dataset.label_vocabulary),
-        "input_len": first.n_samples,
+        "input_len": dataset.n_samples,
         "dropout_conv": config.dropout_conv,
         "dropout_dense": config.dropout_dense,
     }
@@ -213,9 +215,9 @@ def _cmd_evaluate(args):
     lines = ["# section predictions"]
     columns = ["epoch_index", "record_id", "true", "pred"] + [f"p_{c}" for c in vocab]
     rows = []
-    for i, ep in enumerate(dataset.epochs):
+    for i in range(len(dataset)):
         rows.append(
-            [i, dataset.record_ids[i], ep.label, vocab[pred_idx[i]]]
+            [i, dataset.record_ids[i], vocab[dataset.labels[i]], vocab[pred_idx[i]]]
             + [float(p) for p in probs[i]]
         )
     lines.append(dataio.table_text(columns, rows).rstrip("\n"))
@@ -291,7 +293,7 @@ def _cmd_saliency(args):
         raise InvalidInputError(
             f"epoch index {args.epoch_index} outside dataset of {len(dataset)} epochs"
         )
-    epoch = dataset.epochs[args.epoch_index]
+    epoch = dataset.epoch(args.epoch_index)
     classifier = _classifier_from_checkpoint(args.weights, dataset)
     channels = tuple(c for c in args.channels.split(",") if c)
     spec = SaliencySpec(
@@ -471,10 +473,8 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"surrokit: usage error: {exc}", file=sys.stderr)
         return 1
-    except InvalidInputError as exc:
-        print(f"surrokit: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (InvalidInputError, OSError, UnicodeDecodeError) as exc:
+        # a spec or groups file that is not UTF-8 is malformed input too
         print(f"surrokit: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

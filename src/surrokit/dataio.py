@@ -45,7 +45,6 @@ import numpy as np
 from .balance import Dataset
 from .errors import InvalidInputError
 from .network import ARCHITECTURES, ArchitectureDescriptor, validate_weights
-from .signals import epoch_from_array
 
 DATASET_FORMAT = "surrokit-epochs"
 WEIGHTS_FORMAT = "surrokit-weights"
@@ -75,26 +74,19 @@ def atomic_write_text(path, text: str) -> None:
 def save_dataset(path, dataset: Dataset) -> None:
     if len(dataset) == 0:
         raise InvalidInputError("refusing to write an empty dataset")
-    first = dataset.epochs[0]
-    n_samples = first.n_samples
-    roles = first.channel_roles
-    rate = first.sample_rate_hz
-    for ep in dataset.epochs:
-        if ep.n_samples != n_samples or ep.channel_roles != roles or ep.sample_rate_hz != rate:
-            raise InvalidInputError("dataset file format requires homogeneous epochs")
     header = {
         "format": DATASET_FORMAT,
         "version": 1,
         "n_epochs": len(dataset),
-        "n_channels": len(roles),
-        "channel_roles": list(roles),
-        "sample_rate_hz": rate,
-        "epoch_len_samples": n_samples,
+        "n_channels": len(dataset.channel_roles),
+        "channel_roles": list(dataset.channel_roles),
+        "sample_rate_hz": dataset.sample_rate_hz,
+        "epoch_len_samples": dataset.n_samples,
         "label_vocabulary": list(dataset.label_vocabulary),
         "record_ids": list(dataset.record_ids),
     }
     with np.errstate(over="ignore"):
-        samples = np.stack([ep.to_array() for ep in dataset.epochs]).astype("<f4")
+        samples = dataset.x.astype("<f4")
     if not np.all(np.isfinite(samples)):
         # a cast to inf would write a file that load_dataset rejects
         raise InvalidInputError(
@@ -102,7 +94,7 @@ def save_dataset(path, dataset: Dataset) -> None:
             f"({np.finfo(np.float32).max:.7g}) that a dataset file cannot store"
         )
     payload = samples.tobytes()
-    labels = dataset.label_indices().astype("<i4").tobytes()
+    labels = dataset.labels.astype("<i4").tobytes()
     blob = json.dumps(header, sort_keys=True).encode("utf-8") + b"\n" + payload + labels
     atomic_write_bytes(path, blob)
 
@@ -157,16 +149,13 @@ def load_dataset(path) -> Dataset:
         n_epochs, n_channels, n_samples
     )
     labels = np.frombuffer(rest[payload_bytes:], dtype="<i4")
-    vocabulary = tuple(header["label_vocabulary"])
-    if labels.size and (labels.min() < 0 or labels.max() >= len(vocabulary)):
-        raise InvalidInputError(f"{path}: label index outside the vocabulary")
-    roles = tuple(header["channel_roles"])
-    rate = float(header["sample_rate_hz"])
-    epochs = tuple(
-        epoch_from_array(samples[i].astype(np.float64), rate, vocabulary[labels[i]], roles)
-        for i in range(n_epochs)
-    )
-    return Dataset(epochs, tuple(header["record_ids"]), vocabulary)
+    try:
+        return Dataset(
+            samples, labels, header["record_ids"], header["sample_rate_hz"],
+            header["label_vocabulary"], header["channel_roles"],
+        )
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,8 @@ import numpy as np
 from .balance import BalanceConfig, Dataset, augment, record_holdout_split, upsample
 from .classifiers import NetworkClassifier
 from .errors import InvalidInputError
-from .seeding import NS_CONDCONF, NS_SWEEP, derive_seed
-from .surrogates import SURROGATE_KINDS, SurrogateConfig, epoch_surrogate
+from .seeding import NS_CONDCONF, NS_SWEEP, derive_seed, spawn_rng
+from .surrogates import SURROGATE_KINDS, SurrogateConfig, _surrogate_rows
 
 IDENTITY_KIND = "identity"
 CONDITIONAL_KINDS = SURROGATE_KINDS + (IDENTITY_KIND,)
@@ -89,39 +89,34 @@ class EvaluationResult:
     probabilities: np.ndarray  # (n_epochs, n_classes), the rows argmax-evaluated
 
 
-def _predict_all(classifier, epochs) -> np.ndarray:
+def _predict_all(classifier, dataset: Dataset) -> np.ndarray:
     if hasattr(classifier, "predict_batch"):
-        return np.asarray(classifier.predict_batch(list(epochs)))
-    return np.stack([classifier.predict(ep) for ep in epochs])
+        return np.asarray(classifier.predict_batch(dataset))
+    return np.stack([classifier.predict(ep) for ep in dataset.epochs])
 
 
 def evaluate(classifier, dataset: Dataset) -> EvaluationResult:
     """Argmax-evaluate a classifier over a dataset."""
     if len(dataset) == 0:
         raise InvalidInputError("cannot evaluate on an empty dataset")
-    probs = _predict_all(classifier, dataset.epochs)
+    probs = _predict_all(classifier, dataset)
     pred_idx = probs.argmax(axis=1)
-    true_idx = dataset.label_indices()
-    confusion = confusion_from_predictions(true_idx, pred_idx, dataset.label_vocabulary)
+    confusion = confusion_from_predictions(dataset.labels, pred_idx, dataset.label_vocabulary)
     recall = np.diag(confusion.row_normalized())
     f1, macro, weighted = f1_scores(confusion)
     return EvaluationResult(confusion, recall, f1, macro, weighted, probs)
 
 
-def conditional_confusion(
-    classifier,
-    dataset: Dataset,
-    surrogate_kind: str,
-    seed: int,
-    surrogate_config: SurrogateConfig = None,
-):
+def conditional_confusion(classifier, dataset: Dataset, surrogate_kind: str, seed: int):
     """Confusion of surrogate predictions conditioned on correct originals.
 
     Epochs the classifier predicts correctly are replaced (all channels)
     by surrogates of the requested kind and re-classified; rows index the
-    original (correct) class, columns the surrogate prediction. The kind
-    ``"identity"`` skips replacement, which by construction yields a
-    diagonal matrix.
+    original (correct) class, columns the surrogate prediction. Epoch i's
+    channel c draws from the stream keyed (derive_seed(seed, condconf, i),
+    c), and the whole conditional set is surrogated as one block of rows.
+    The kind ``"identity"`` skips replacement, which by construction
+    yields a diagonal matrix.
 
     Returns:
         ConfusionMatrix, or None when no epoch was predicted correctly.
@@ -130,26 +125,20 @@ def conditional_confusion(
         raise InvalidInputError(f"unknown surrogate kind {surrogate_kind!r}")
     if len(dataset) == 0:
         raise InvalidInputError("cannot evaluate on an empty dataset")
-    probs = _predict_all(classifier, dataset.epochs)
-    pred_idx = probs.argmax(axis=1)
-    true_idx = dataset.label_indices()
-    correct = np.flatnonzero(pred_idx == true_idx)
+    probs = _predict_all(classifier, dataset)
+    correct = np.flatnonzero(probs.argmax(axis=1) == dataset.labels)
     if correct.size == 0:
         return None
 
-    if surrogate_kind == IDENTITY_KIND:
-        transformed = [dataset.epochs[i] for i in correct]
-    else:
-        config = surrogate_config or SurrogateConfig(kind=surrogate_kind)
-        if config.kind != surrogate_kind:
-            config = replace(config, kind=surrogate_kind)
-        transformed = [
-            epoch_surrogate(dataset.epochs[i], config, seed=derive_seed(seed, NS_CONDCONF, int(i)))
-            for i in correct
-        ]
-    new_probs = _predict_all(classifier, transformed)
-    new_pred = new_probs.argmax(axis=1)
-    return confusion_from_predictions(true_idx[correct], new_pred, dataset.label_vocabulary)
+    subset = dataset.take(correct)
+    if surrogate_kind != IDENTITY_KIND:
+        seeds = [derive_seed(seed, NS_CONDCONF, int(i)) for i in correct]
+        rngs = [spawn_rng(s, c) for s in seeds for c in range(len(dataset.channel_roles))]
+        config = SurrogateConfig(kind=surrogate_kind)
+        rows, _ = _surrogate_rows(subset.x.reshape(-1, dataset.n_samples), rngs, config)
+        subset = replace(subset, x=rows.reshape(subset.x.shape))
+    new_pred = _predict_all(classifier, subset).argmax(axis=1)
+    return confusion_from_predictions(subset.labels, new_pred, dataset.label_vocabulary)
 
 
 @dataclass(frozen=True)
@@ -188,7 +177,7 @@ def alpha_sweep(
                 beta=beta,
                 alpha=alpha,
                 seed=derive_seed(seed, NS_SWEEP, ai, fold, 0),
-                surrogate_kind=surrogate_kind,
+                surrogate=SurrogateConfig(kind=surrogate_kind),
             )
             upsampled, flags = upsample(train_ds, balance_cfg)
             augmented = augment(upsampled, flags, balance_cfg)

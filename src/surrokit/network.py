@@ -27,9 +27,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidInputError, ShapeError
-from .signals import Epoch
+from .signals import DEFAULT_ROLES, Epoch
 
-DEFAULT_ROLES = ("EEG1", "EEG2", "EOG", "EMG")
 DEFAULT_SHARING = {"EEG1": "eeg", "EEG2": "eeg", "EOG": "eog", "EMG": "emg"}
 JOINED_GROUP = "joined"
 # epochs per im2col chunk of a single-channel 1-D convolution
@@ -568,13 +567,17 @@ def _checked_input(descriptor, x):
     return x
 
 
+def _check_roles(descriptor, roles):
+    if tuple(roles) != tuple(descriptor.channel_roles):
+        raise InvalidInputError(
+            f"channel roles {tuple(roles)} do not match the network's roles "
+            f"{tuple(descriptor.channel_roles)}"
+        )
+
+
 def _epoch_batch(descriptor, epoch: Epoch) -> np.ndarray:
     """One epoch as a (1, n_channels, n_samples) batch, its roles checked."""
-    if tuple(epoch.channel_roles) != tuple(descriptor.channel_roles):
-        raise InvalidInputError(
-            f"epoch roles {epoch.channel_roles} do not match descriptor roles "
-            f"{descriptor.channel_roles}"
-        )
+    _check_roles(descriptor, epoch.channel_roles)
     return epoch.to_array()[None]
 
 

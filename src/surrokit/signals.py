@@ -23,6 +23,18 @@ import numpy as np
 
 from .errors import InvalidInputError
 
+DEFAULT_ROLES = ("EEG1", "EEG2", "EOG", "EMG")
+
+
+def _check_samples(samples: np.ndarray, sample_rate_hz) -> None:
+    """The checks every stored channel passes; the last axis is time."""
+    if samples.ndim == 0 or samples.shape[-1] < 2:
+        raise InvalidInputError(f"signal must have at least 2 samples, got shape {samples.shape}")
+    if not np.all(np.isfinite(samples)):
+        raise InvalidInputError("signal contains non-finite samples")
+    if not sample_rate_hz > 0:
+        raise InvalidInputError(f"sample rate must be positive, got {sample_rate_hz}")
+
 
 def _readonly(array, dtype=np.float64) -> np.ndarray:
     out = np.array(array, dtype=dtype, copy=True)
@@ -44,14 +56,9 @@ class Signal:
 
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=np.float64)
-        if samples.ndim != 1 or samples.size < 2:
-            raise InvalidInputError(
-                f"signal must be a 1-D sequence of at least 2 samples, got shape {samples.shape}"
-            )
-        if not np.all(np.isfinite(samples)):
-            raise InvalidInputError("signal contains non-finite samples")
-        if not self.sample_rate_hz > 0:
-            raise InvalidInputError(f"sample rate must be positive, got {self.sample_rate_hz}")
+        if samples.ndim != 1:
+            raise InvalidInputError(f"signal must be 1-D, got shape {samples.shape}")
+        _check_samples(samples, self.sample_rate_hz)
         object.__setattr__(self, "samples", _readonly(samples))
         object.__setattr__(self, "sample_rate_hz", float(self.sample_rate_hz))
 
@@ -122,7 +129,7 @@ class Epoch:
 
     channels: tuple
     label: str
-    channel_roles: tuple = ("EEG1", "EEG2", "EOG", "EMG")
+    channel_roles: tuple = DEFAULT_ROLES
 
     def __post_init__(self):
         channels = tuple(self.channels)
@@ -162,7 +169,7 @@ def epoch_from_array(
     data: np.ndarray,
     sample_rate_hz: float,
     label: str,
-    channel_roles=("EEG1", "EEG2", "EOG", "EMG"),
+    channel_roles=DEFAULT_ROLES,
 ) -> Epoch:
     """Build an Epoch from a (n_channels, n_samples) array."""
     data = np.asarray(data, dtype=np.float64)

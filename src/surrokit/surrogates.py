@@ -35,6 +35,8 @@ KIND_FT = "ft"
 KIND_IAAFT = "iaaft"
 SURROGATE_KINDS = (KIND_FT, KIND_IAAFT)
 IAAFT_STOP_REASONS = ("exact", "tolerance", "stalled", "max_iters")
+# rows surrogated as one block; bounds the FFT and sort temporaries
+SURROGATE_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -43,16 +45,12 @@ class SurrogateConfig:
 
     ``iaaft_tolerance`` is the relative change of the spectral
     discrepancy between consecutive iterations below which the IAAFT
-    loop is considered converged. ``share_channel_phases`` makes every
-    channel of an epoch reuse one phase draw instead of drawing
-    independently per channel.
+    loop is considered converged.
     """
 
     kind: str = KIND_FT
     iaaft_max_iters: int = 100
     iaaft_tolerance: float = 1e-8
-    seed: int = 0
-    share_channel_phases: bool = False
 
     def __post_init__(self):
         if self.kind not in SURROGATE_KINDS:
@@ -199,14 +197,26 @@ def _iaaft_core(block, rngs, max_iters, tolerance):
 def _surrogate_rows(block, rngs, config: SurrogateConfig):
     """Surrogates of the rows of a (k, n) block; row r draws from ``rngs[r]``.
 
-    Returns the (k, n) surrogates and one report per row, None for FT.
+    The rows run in chunks of ``SURROGATE_CHUNK``, which gives the same
+    samples as one row at a time. Returns the (k, n) surrogates and one
+    report per row, None for FT.
     """
-    if config.kind == KIND_FT:
-        return _phase_randomize(block, rngs), (None,) * len(block)
-    return _iaaft_core(block, rngs, config.iaaft_max_iters, config.iaaft_tolerance)
+    out = np.empty_like(block)
+    reports = []
+    for start in range(0, len(block), SURROGATE_CHUNK):
+        chunk = slice(start, start + SURROGATE_CHUNK)
+        if config.kind == KIND_FT:
+            out[chunk] = _phase_randomize(block[chunk], rngs[chunk])
+            reports.extend([None] * len(rngs[chunk]))
+        else:
+            out[chunk], chunk_reports = _iaaft_core(
+                block[chunk], rngs[chunk], config.iaaft_max_iters, config.iaaft_tolerance
+            )
+            reports.extend(chunk_reports)
+    return out, tuple(reports)
 
 
-def iaaft_surrogate(signal: Signal, config: SurrogateConfig):
+def iaaft_surrogate(signal: Signal, config: SurrogateConfig, seed: int):
     """IAAFT surrogate plus its iteration report.
 
     The returned surrogate's sorted sample values equal the sorted input
@@ -218,7 +228,7 @@ def iaaft_surrogate(signal: Signal, config: SurrogateConfig):
     """
     if config.kind != KIND_IAAFT:
         raise InvalidInputError(f"config.kind must be {KIND_IAAFT!r}, got {config.kind!r}")
-    samples, (report,) = _surrogate_rows(signal.samples[None], [spawn_rng(config.seed)], config)
+    samples, (report,) = _surrogate_rows(signal.samples[None], [spawn_rng(seed)], config)
     return Signal(samples[0], signal.sample_rate_hz), report
 
 
@@ -292,17 +302,15 @@ def partial_ft_surrogate(signal: Signal, spec: PartialSurrogateSpec, seed: int) 
     return Signal(out, rate)
 
 
-def epoch_surrogate_with_reports(epoch: Epoch, config: SurrogateConfig, seed=None):
+def epoch_surrogate_with_reports(epoch, config: SurrogateConfig, seed, share_channel_phases=False):
     """Per-channel surrogate of an epoch, returning IAAFT reports.
 
     Channel i draws from a stream derived from (seed, i), or from the
-    bare seed for every channel when ``config.share_channel_phases`` is
-    set. The channels run as one block. Reports are None for FT
-    surrogates.
+    bare seed for every channel when ``share_channel_phases`` is set.
+    The channels run as one block. Reports are None for FT surrogates.
     """
-    base = config.seed if seed is None else seed
     rngs = [
-        spawn_rng(base, *(() if config.share_channel_phases else (i,)))
+        spawn_rng(seed, *(() if share_channel_phases else (i,)))
         for i in range(len(epoch.channels))
     ]
     samples, reports = _surrogate_rows(epoch.to_array(), rngs, config)
@@ -311,7 +319,7 @@ def epoch_surrogate_with_reports(epoch: Epoch, config: SurrogateConfig, seed=Non
     return Epoch(channels, epoch.label, epoch.channel_roles), reports
 
 
-def epoch_surrogate(epoch: Epoch, config: SurrogateConfig, seed=None) -> Epoch:
+def epoch_surrogate(epoch, config: SurrogateConfig, seed, share_channel_phases=False) -> Epoch:
     """Per-channel surrogate of an epoch; the label is preserved."""
-    surrogate, _ = epoch_surrogate_with_reports(epoch, config, seed)
+    surrogate, _ = epoch_surrogate_with_reports(epoch, config, seed, share_channel_phases)
     return surrogate

@@ -31,6 +31,7 @@ polynomial 1 - a_1 z - ... - a_p z^p outside the unit circle).
 """
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +39,7 @@ import numpy as np
 from .balance import DEFAULT_VOCABULARY, Dataset
 from .errors import InvalidInputError
 from .seeding import NS_SYNTH, spawn_rng
-from .signals import Epoch, Signal, epoch_from_array
+from .signals import Epoch, Signal
 
 
 @dataclass(frozen=True)
@@ -52,8 +53,9 @@ class TransientSpec:
     channels: tuple = ("EEG1", "EEG2")
 
     def __post_init__(self):
-        if self.width_s <= 0 or self.count < 0:
-            raise InvalidInputError("transient width must be positive and count >= 0")
+        finite = all(map(math.isfinite, (self.amplitude, self.width_s, self.freq_hz)))
+        if not finite or self.width_s <= 0 or not isinstance(self.count, int) or self.count < 0:
+            raise InvalidInputError("transient needs finite values, width > 0 and count >= 0")
         object.__setattr__(self, "channels", tuple(self.channels))
 
 
@@ -75,8 +77,10 @@ class ClassSpec:
     scale_jitter: float = 0.0
 
     def __post_init__(self):
-        if self.prevalence <= 0:
-            raise InvalidInputError(f"class {self.name!r} needs positive prevalence")
+        if not isinstance(self.name, str):
+            raise InvalidInputError(f"class name must be a string, got {self.name!r}")
+        if not 0 < self.prevalence < math.inf:
+            raise InvalidInputError(f"class {self.name!r} needs finite positive prevalence")
         if self.noise_scale <= 0:
             raise InvalidInputError(f"class {self.name!r} needs positive noise scale")
         if not 0.0 <= self.scale_jitter < 1.0:
@@ -104,12 +108,21 @@ class SyntheticSpec:
     n_records: int = 6
 
     def __post_init__(self):
-        if not self.classes:
-            raise InvalidInputError("spec needs at least one class")
-        if self.n_records < 1:
-            raise InvalidInputError("n_records must be >= 1")
         object.__setattr__(self, "classes", tuple(self.classes))
         object.__setattr__(self, "channel_roles", tuple(self.channel_roles))
+        if not self.classes:
+            raise InvalidInputError("spec needs at least one class")
+        if not isinstance(self.n_records, int) or self.n_records < 1:
+            raise InvalidInputError("n_records must be an integer >= 1")
+        if not 0 < self.sample_rate_hz < math.inf or self.epoch_len_samples < 2:
+            raise InvalidInputError("spec needs a finite positive rate and 2 or more samples")
+        if not math.isfinite(sum(c.prevalence for c in self.classes)):
+            raise InvalidInputError("class prevalences do not sum to a finite number")
+        n = self.epoch_len_samples
+        for cls in self.classes:
+            # checked here, before transient_waveform allocates the burst
+            if cls.transient and 2 * _half_width(cls.transient, self.sample_rate_hz) >= n:
+                raise InvalidInputError(f"transient of class {cls.name!r} longer than the epoch")
 
     @property
     def epoch_len_samples(self) -> int:
@@ -130,10 +143,15 @@ def ar_resonance_coeffs(peak_hz: float, pole_radius: float, sample_rate_hz: floa
     return (2.0 * pole_radius * np.cos(theta), -pole_radius**2)
 
 
+def _half_width(spec: TransientSpec, sample_rate_hz: float) -> int:
+    """Samples on each side of the burst's center: 3 sigma, rounded."""
+    return int(round(3.0 * (spec.width_s / 2.0) * sample_rate_hz))
+
+
 def transient_waveform(spec: TransientSpec, sample_rate_hz: float) -> np.ndarray:
     """Gaussian-windowed cosine burst spanning +-3 sigma."""
     sigma = spec.width_s / 2.0
-    half = int(round(3.0 * sigma * sample_rate_hz))
+    half = _half_width(spec, sample_rate_hz)
     t = np.arange(-half, half + 1) / sample_rate_hz
     return spec.amplitude * np.exp(-0.5 * (t / sigma) ** 2) * np.cos(2.0 * np.pi * spec.freq_hz * t)
 
@@ -179,35 +197,31 @@ def generate_synthetic(spec: SyntheticSpec, n_epochs: int, seed: int) -> Dataset
     prevalence = prevalence / prevalence.sum()
 
     class_idx = rng.choice(len(spec.classes), size=n_epochs, p=prevalence)
-    epochs = []
-    record_ids = []
+    x = np.empty((n_epochs, len(roles), n))
     for e in range(n_epochs):
         cls = spec.classes[class_idx[e]]
         factor = 1.0
         if cls.scale_jitter > 0.0:
             factor = rng.uniform(1.0 - cls.scale_jitter, 1.0 + cls.scale_jitter)
-        block = np.empty((len(roles), n))
         for c in range(len(roles)):
-            block[c] = _ar_path(cls.ar_coeffs, factor * cls.noise_scale, n, rng)
+            x[e, c] = _ar_path(cls.ar_coeffs, factor * cls.noise_scale, n, rng)
         if cls.transient is not None and cls.transient.count > 0:
             waveform = factor * transient_waveform(cls.transient, spec.sample_rate_hz)
             half = (waveform.size - 1) // 2
-            if 2 * half + 1 > n:
-                raise InvalidInputError("transient waveform longer than the epoch")
             centers = rng.integers(half, n - half, size=cls.transient.count)
-            _inject(block, roles, cls.transient, waveform, centers)
-        epochs.append(epoch_from_array(block, spec.sample_rate_hz, cls.name, roles))
-        record_ids.append(f"rec{(e * spec.n_records) // n_epochs:03d}")
-    return Dataset(tuple(epochs), tuple(record_ids), vocab)
+            _inject(x[e], roles, cls.transient, waveform, centers)
+    labels = np.array([vocab.index(c.name) for c in spec.classes])[class_idx]
+    record_ids = tuple(f"rec{(e * spec.n_records) // n_epochs:03d}" for e in range(n_epochs))
+    return Dataset(x, labels, record_ids, spec.sample_rate_hz, vocab, roles)
 
 
 def add_transient(epoch: Epoch, transient: TransientSpec, center_s: float) -> Epoch:
     """Return a copy of ``epoch`` with one burst injected at ``center_s``."""
-    waveform = transient_waveform(transient, epoch.sample_rate_hz)
-    half = (waveform.size - 1) // 2
+    half = _half_width(transient, epoch.sample_rate_hz)
     center = int(round(center_s * epoch.sample_rate_hz))
     if center - half < 0 or center + half + 1 > epoch.n_samples:
         raise InvalidInputError(f"burst at {center_s} s does not fit the epoch")
+    waveform = transient_waveform(transient, epoch.sample_rate_hz)
     channels = []
     for role, ch in zip(epoch.channel_roles, epoch.channels):
         if role in transient.channels:
@@ -295,9 +309,6 @@ def spec_to_json(spec: SyntheticSpec) -> str:
 def spec_from_json(text: str) -> SyntheticSpec:
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InvalidInputError(f"malformed generator spec: {exc}") from exc
-    try:
         classes = []
         for entry in payload["classes"]:
             transient = None
@@ -329,3 +340,6 @@ def spec_from_json(text: str) -> SyntheticSpec:
         )
     except KeyError as exc:
         raise InvalidInputError(f"generator spec is missing field {exc}") from exc
+    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
+        # ValueError covers JSON syntax and the spec classes' own checks
+        raise InvalidInputError(f"malformed generator spec: {exc}") from exc

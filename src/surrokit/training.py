@@ -19,6 +19,7 @@ from .balance import Dataset
 from .errors import InvalidInputError, NumericalError
 from .network import (
     ArchitectureDescriptor,
+    _check_roles,
     init_weights,
     loss_and_gradients,
     reference_architecture,
@@ -96,11 +97,6 @@ class TrainResult:
     losses: list
 
 
-def _dataset_arrays(dataset: Dataset):
-    x = np.stack([ep.to_array() for ep in dataset.epochs])
-    return x, dataset.label_indices()
-
-
 def train_network(
     descriptor: ArchitectureDescriptor,
     dataset: Dataset,
@@ -115,7 +111,8 @@ def train_network(
     """
     if len(dataset) == 0:
         raise InvalidInputError("training dataset is empty")
-    x, y = _dataset_arrays(dataset)
+    _check_roles(descriptor, dataset.channel_roles)
+    x, y = dataset.x, dataset.labels
     weights = init_weights(descriptor, spawn_rng(config.seed, NS_INIT))
     validate_weights(descriptor, weights)
     state = init_rmsprop_state(weights)
@@ -139,16 +136,13 @@ def train_network(
 
 def train_reference_classifier(dataset: Dataset, config: TrainConfig) -> TrainResult:
     """Train the width-reduced reference classifier on a dataset."""
-    if len(dataset) == 0:
-        raise InvalidInputError("training dataset is empty")
-    first = dataset.epochs[0]
     descriptor = reference_architecture(
         n_classes=len(dataset.label_vocabulary),
-        input_len=first.n_samples,
+        input_len=dataset.n_samples,
         dropout_conv=config.dropout_conv,
         dropout_dense=config.dropout_dense,
     )
-    roles = tuple(first.channel_roles)
+    roles = dataset.channel_roles
     if roles != descriptor.channel_roles:
         # non-standard channel layout: one parameter group per role
         descriptor = replace(

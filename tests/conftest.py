@@ -3,8 +3,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+# one profile for every run: the same cases each time, and no example
+# database to replay a failure from an earlier run
+settings.register_profile("surrokit", derandomize=True, database=None)
+settings.load_profile("surrokit")
 
 from surrokit.signals import Signal, epoch_from_array
 

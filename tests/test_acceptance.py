@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,7 @@ from surrokit.network import (
 )
 from surrokit.saliency import SaliencySpec, surrogate_saliency
 from surrokit.seeding import spawn_rng
-from surrokit.signals import Epoch, Signal, epoch_from_array
+from surrokit.signals import Epoch, Signal
 from surrokit.surrogates import (
     PartialSurrogateSpec,
     SurrogateConfig,
@@ -130,8 +131,8 @@ def test_criterion_04_iaaft_exactness():
         for i in range(100):
             n = int(rng.integers(16, 400))
             x = rng.standard_normal(n) * rng.uniform(0.5, 20.0)
-            config = SurrogateConfig(kind="iaaft", seed=5000 + i)
-            surrogate, report = iaaft_surrogate(Signal(x, 32.0), config)
+            config = SurrogateConfig(kind="iaaft")
+            surrogate, report = iaaft_surrogate(Signal(x, 32.0), config, seed=5000 + i)
             assert np.array_equal(np.sort(surrogate.samples), np.sort(x)), i
             diffs = np.diff(report.discrepancies)
             assert np.all(diffs <= 0), i
@@ -181,14 +182,9 @@ def test_criterion_06_balancing_arithmetic():
             expected_reps = {c: round(beta * (top - v)) for c, v in counts.items()}
             assert repetition_counts(counts, beta) == expected_reps, i
 
-            epochs, records = [], []
-            for label, count in counts.items():
-                for _ in range(count):
-                    epochs.append(
-                        epoch_from_array(data_rng.standard_normal((4, 8)), 32.0, label)
-                    )
-                    records.append("r0")
-            dataset = Dataset(tuple(epochs), tuple(records), tuple(counts))
+            labels = np.repeat(np.arange(k), list(counts.values()))
+            x = data_rng.standard_normal((labels.size, 4, 8))
+            dataset = Dataset(x, labels, ("r0",) * labels.size, 32.0, tuple(counts))
             upsampled, _ = upsample(dataset, BalanceConfig(beta=beta, seed=i))
             realized = upsampled.class_counts()
             assert realized == {c: v + expected_reps[c] for c, v in counts.items()}, i
@@ -260,11 +256,12 @@ def test_criterion_08_alpha_sweep_direction():
         assert votes >= 3, f"alpha=1 beat alpha=0 in {5 - votes} of 5 repetitions"
 
         # conditional confusion of a transient-keyed toy classifier
-        keep = [i for i, ep in enumerate(dataset.epochs) if ep.label in ("Wake", "S1")]
-        subset = Dataset(
-            tuple(dataset.epochs[i] for i in keep),
-            tuple(dataset.record_ids[i] for i in keep),
-            ("Wake", "S1"),
+        wake = dataset.label_vocabulary.index("Wake")
+        keep = np.flatnonzero(np.isin(dataset.labels, (wake, s1)))
+        subset = replace(
+            dataset.take(keep),
+            labels=np.where(dataset.labels[keep] == s1, 1, 0),
+            label_vocabulary=("Wake", "S1"),
         )
         toy = TransientGate(transient_waveform(spec.classes[1].transient, 32.0))
         identity_cm = conditional_confusion(toy, subset, "identity", seed=8)
@@ -303,7 +300,8 @@ def test_criterion_09_saliency_localization():
     ):
         spec = bundled_spec()
         dataset = generate_synthetic(spec, 120, seed=42)
-        wake = next(ep for ep in dataset.epochs if ep.label == "Wake")
+        is_wake = dataset.labels == dataset.label_vocabulary.index("Wake")
+        wake = dataset.epoch(int(np.argmax(is_wake)))
         burst = TransientSpec(
             amplitude=120.0, width_s=0.6, freq_hz=10.0, count=1, channels=("EEG1", "EEG2")
         )
@@ -326,11 +324,7 @@ def test_criterion_09_saliency_localization():
         # provably preserves the decision statistic, so every deviation must
         # sit within Monte-Carlo error (float rounding grain allowed)
         bands = ((0.5, 1.8), (1.8, 4.0), (4.0, 8.0), (8.0, 11.5), (11.5, 16.0))
-        sub_epochs = tuple(
-            Epoch((ep.channels[2], ep.channels[3]), ep.label, ("EOG", "EMG"))
-            for ep in dataset.epochs
-        )
-        sub_dataset = Dataset(sub_epochs, dataset.record_ids, dataset.label_vocabulary)
+        sub_dataset = replace(dataset, x=dataset.x[:, 2:], channel_roles=("EOG", "EMG"))
         base = BandPowerClassifier.fit(sub_dataset, bands, temperature=8.0)
         control = NonTargetBandPower(base, ("EOG", "EMG"))
         control_spec = SaliencySpec(

@@ -3,7 +3,6 @@ import pytest
 
 from oracles import iaaft_per_channel, one_sided_amplitudes, phase_randomize_per_channel
 from surrokit.balance import (
-    IAAFT_CHUNK,
     BalanceConfig,
     Dataset,
     augment,
@@ -13,22 +12,16 @@ from surrokit.balance import (
 )
 from surrokit.errors import InvalidInputError
 from surrokit.seeding import NS_AUGMENT, spawn_rng
-from surrokit.signals import epoch_from_array
+from surrokit.surrogates import SURROGATE_CHUNK, SurrogateConfig
 
 
 def make_dataset(counts, n_samples=16, n_records=4, vocabulary=None, seed=0):
     rng = np.random.default_rng(seed)
     vocabulary = vocabulary or tuple(counts)
-    epochs, record_ids = [], []
-    i = 0
-    for label, count in counts.items():
-        for _ in range(count):
-            epochs.append(
-                epoch_from_array(rng.standard_normal((4, n_samples)), 32.0, label)
-            )
-            record_ids.append(f"r{i % n_records}")
-            i += 1
-    return Dataset(tuple(epochs), tuple(record_ids), vocabulary)
+    labels = [vocabulary.index(label) for label, count in counts.items() for _ in range(count)]
+    x = rng.standard_normal((len(labels), 4, n_samples))
+    record_ids = tuple(f"r{i % n_records}" for i in range(len(labels)))
+    return Dataset(x, labels, record_ids, 32.0, vocabulary)
 
 
 class TestRepetitionCounts:
@@ -62,9 +55,7 @@ class TestUpsample:
         assert len(out) == len(ds)
         assert not flags.any()
         assert out.class_counts() == ds.class_counts()
-        original = {ep.to_array().tobytes() for ep in ds.epochs}
-        shuffled = {ep.to_array().tobytes() for ep in out.epochs}
-        assert original == shuffled
+        assert {row.tobytes() for row in ds.x} == {row.tobytes() for row in out.x}
 
     def test_beta_one_matches_majority(self):
         ds = make_dataset({"A": 100, "B": 10})
@@ -95,17 +86,14 @@ class TestUpsample:
     def test_flags_mark_exactly_the_added_epochs(self):
         ds = make_dataset({"A": 20, "B": 4})
         out, flags = upsample(ds, BalanceConfig(beta=1.0, seed=9))
-        original = sorted(ep.to_array().tobytes() for ep in ds.epochs)
-        kept = sorted(
-            ep.to_array().tobytes() for ep, f in zip(out.epochs, flags) if not f
-        )
-        assert kept == original
+        original = sorted(row.tobytes() for row in ds.x)
+        assert sorted(row.tobytes() for row in out.x[~flags]) == original
 
     def test_deterministic(self):
         ds = make_dataset({"A": 9, "B": 2})
         a, fa = upsample(ds, BalanceConfig(beta=1.0, seed=4))
         b, fb = upsample(ds, BalanceConfig(beta=1.0, seed=4))
-        assert [id(x) for x in a.epochs] == [id(x) for x in b.epochs]
+        assert a.x.tobytes() == b.x.tobytes() and a.record_ids == b.record_ids
         np.testing.assert_array_equal(fa, fb)
 
 
@@ -114,7 +102,7 @@ class TestAugment:
         ds = make_dataset({"A": 6, "B": 3})
         up, flags = upsample(ds, BalanceConfig(beta=1.0, seed=1))
         out = augment(up, flags, BalanceConfig(beta=1.0, alpha=0.0, seed=1))
-        assert all(a is b for a, b in zip(out.epochs, up.epochs))
+        assert out.x.tobytes() == up.x.tobytes()
 
     def test_alpha_one_replaces_every_flagged_channel(self):
         ds = make_dataset({"A": 10, "B": 2})
@@ -123,7 +111,7 @@ class TestAugment:
         out = augment(up, flags, cfg)
         for before, after, flagged in zip(up.epochs, out.epochs, flags):
             if not flagged:
-                assert after is before
+                assert after.to_array().tobytes() == before.to_array().tobytes()
                 continue
             for ch_b, ch_a in zip(before.channels, after.channels):
                 assert not np.array_equal(ch_a.samples, ch_b.samples)
@@ -171,13 +159,14 @@ def assert_augment_matches_per_channel_reference(ds, flags, cfg):
         for j, (ch_b, ch_a) in enumerate(zip(before.channels, after.channels)):
             rng = spawn_rng(cfg.seed, NS_AUGMENT, i, j)
             if not (flags[i] and rng.uniform() < cfg.alpha):
-                assert ch_a is ch_b
+                assert ch_a.samples.tobytes() == ch_b.samples.tobytes()
                 continue
-            if cfg.surrogate_kind == "ft":
+            if cfg.surrogate.kind == "ft":
                 expected, report = phase_randomize_per_channel(ch_b.samples, rng), None
             else:
                 expected, report = iaaft_per_channel(
-                    ch_b.samples, rng, cfg.iaaft_max_iters, cfg.iaaft_tolerance
+                    ch_b.samples, rng, cfg.surrogate.iaaft_max_iters,
+                    cfg.surrogate.iaaft_tolerance,
                 )
             assert ch_a.samples.tobytes() == expected.tobytes()
             expected_reports.append(report)
@@ -188,30 +177,26 @@ def assert_augment_matches_per_channel_reference(ds, flags, cfg):
 class TestAugmentBlocks:
     @pytest.mark.parametrize("kind", ["iaaft", "ft"])
     def test_bit_identical_across_a_block_boundary(self, kind):
-        # 7/8 of 2 * IAAFT_CHUNK epochs flagged, 4 channels each: at alpha 0.5
-        # about 3.5 * IAAFT_CHUNK channels are chosen, in several blocks
-        ds = make_dataset({"A": 2 * IAAFT_CHUNK}, n_samples=48)
+        # 7/8 of 2 * SURROGATE_CHUNK epochs flagged, 4 channels each: at alpha
+        # 0.5 about 3.5 * SURROGATE_CHUNK channels are chosen, in several blocks
+        ds = make_dataset({"A": 2 * SURROGATE_CHUNK}, n_samples=48)
         flags = np.arange(len(ds)) % 8 != 3
-        cfg = BalanceConfig(alpha=0.5, seed=21, surrogate_kind=kind)
+        cfg = BalanceConfig(alpha=0.5, seed=21, surrogate=SurrogateConfig(kind=kind))
         reports = assert_augment_matches_per_channel_reference(ds, flags, cfg)
-        assert len(reports) > IAAFT_CHUNK + 3
+        assert len(reports) > SURROGATE_CHUNK + 3
 
     def test_epochs_of_different_lengths(self):
-        short = make_dataset({"A": 5}, n_samples=33, seed=1)
-        long = make_dataset({"A": 5}, n_samples=40, seed=2)
-        ds = Dataset(
-            tuple(e for pair in zip(short.epochs, long.epochs) for e in pair),
-            tuple(f"r{i}" for i in range(10)),
-            ("A",),
-        )
-        cfg = BalanceConfig(alpha=0.5, seed=4, surrogate_kind="iaaft")
-        assert_augment_matches_per_channel_reference(ds, np.ones(10, dtype=bool), cfg)
+        # one array holds the set, so epochs of mixed length cannot form one
+        short = make_dataset({"A": 1}, n_samples=33, seed=1)
+        long = make_dataset({"A": 1}, n_samples=40, seed=2)
+        with pytest.raises(ValueError):
+            Dataset([short.x[0], long.x[0]], [0, 0], ("r0", "r1"), 32.0, ("A",))
 
     def test_iaaft_fields_validated(self):
         with pytest.raises(InvalidInputError):
-            BalanceConfig(surrogate_kind="iaaft", iaaft_max_iters=0)
+            BalanceConfig(surrogate=SurrogateConfig(kind="iaaft", iaaft_max_iters=0))
         with pytest.raises(InvalidInputError):
-            BalanceConfig(surrogate_kind="iaaft", iaaft_tolerance=-1.0)
+            BalanceConfig(surrogate=SurrogateConfig(kind="iaaft", iaaft_tolerance=-1.0))
 
 
 class TestPipelineIdentity:
@@ -220,20 +205,16 @@ class TestPipelineIdentity:
         cfg = BalanceConfig(beta=0.0, alpha=0.0, seed=6)
         up, flags = upsample(ds, cfg)
         out = augment(up, flags, cfg)
-        assert sorted(id(ep) for ep in out.epochs) == sorted(id(ep) for ep in ds.epochs)
+        assert sorted(row.tobytes() for row in out.x) == sorted(row.tobytes() for row in ds.x)
 
 
 class TestRecordHoldoutSplit:
     @staticmethod
     def grouped_dataset():
-        rng = np.random.default_rng(0)
-        epochs, record_ids = [], []
-        for r in range(10):
-            for _ in range(3):
-                epochs.append(epoch_from_array(rng.standard_normal((4, 8)), 32.0, "A"))
-                record_ids.append(f"rec{r}")
+        x = np.random.default_rng(0).standard_normal((30, 4, 8))
+        record_ids = tuple(f"rec{i // 3}" for i in range(30))
         groups = {f"rec{r}": ("g0" if r < 5 else "g1") for r in range(10)}
-        return Dataset(tuple(epochs), tuple(record_ids), ("A",)), groups
+        return Dataset(x, np.zeros(30, dtype=int), record_ids, 32.0, ("A",)), groups
 
     def test_partition_property(self):
         ds, groups = self.grouped_dataset()
@@ -270,3 +251,57 @@ class TestRecordHoldoutSplit:
         del groups["rec0"]
         with pytest.raises(InvalidInputError):
             record_holdout_split(ds, 0, 5, groups)
+
+
+class TestDataset:
+    FIELDS = dict(
+        x=np.zeros((2, 4, 8)), labels=[0, 1], record_ids=("a", "b"), sample_rate_hz=32.0,
+        label_vocabulary=("A", "B"),
+    )
+
+    def test_takes_ownership_of_a_float64_array(self):
+        x = np.zeros((2, 4, 8))
+        ds = Dataset(**{**self.FIELDS, "x": x})
+        assert ds.x is x and not x.flags.writeable
+        with pytest.raises(ValueError):
+            x[0, 0, 0] = 1.0
+
+    def test_other_dtypes_are_converted(self):
+        x = np.ones((2, 4, 8), dtype=np.float32)
+        ds = Dataset(**{**self.FIELDS, "x": x})
+        assert ds.x.dtype == np.float64 and ds.labels.dtype == np.int64
+        assert x.flags.writeable
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("x", np.zeros((2, 8)), "n_epochs, n_channels, n_samples"),
+            ("x", np.zeros((2, 4, 1)), "at least 2 samples"),
+            ("x", np.full((2, 4, 8), np.nan), "non-finite"),
+            ("sample_rate_hz", 0.0, "sample rate must be positive"),
+            ("channel_roles", ("EEG1",), "1 channel roles for 4 channels"),
+            ("labels", [0, 2], "outside the vocabulary"),
+            ("labels", [-1, 0], "outside the vocabulary"),
+            ("labels", [0], "1 labels and 2 record ids for 2 epochs"),
+            ("record_ids", ("a",), "2 labels and 1 record ids"),
+            ("label_vocabulary", ("A", "A"), "duplicates"),
+        ],
+    )
+    def test_invalid_fields_rejected(self, field, value, message):
+        with pytest.raises(InvalidInputError, match=message):
+            Dataset(**{**self.FIELDS, field: value})
+
+    def test_epoch_view(self):
+        ds = make_dataset({"A": 2, "B": 3})
+        epoch = ds.epoch(3)
+        assert (epoch.label, epoch.channel_roles) == ("B", ds.channel_roles)
+        assert epoch.sample_rate_hz == 32.0
+        assert epoch.to_array().tobytes() == ds.x[3].tobytes()
+        assert [ep.label for ep in ds.epochs] == ["A", "A", "B", "B", "B"]
+
+    def test_take(self):
+        ds = make_dataset({"A": 2, "B": 3})
+        out = ds.take([4, 0, 4])
+        assert out.x.tobytes() == ds.x[[4, 0, 4]].tobytes()
+        assert list(out.labels) == [1, 0, 1]
+        assert out.record_ids == (ds.record_ids[4], ds.record_ids[0], ds.record_ids[4])

@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 
 import surrokit
-from surrokit import cli
+from surrokit import cli, synthetic
 from surrokit.classifiers import NetworkClassifier
 from surrokit.cli import main
-from surrokit.dataio import load_dataset
+from surrokit.dataio import load_dataset, save_dataset
 from surrokit.synthetic import (
     ClassSpec,
     SyntheticSpec,
@@ -325,6 +325,82 @@ class TestMalformedHeaders:
         assert main(["evaluate", dataset_file, bad]) == 2
         err = capsys.readouterr().err
         assert err.startswith("surrokit: ") and err.count("\n") == 1
+
+
+def _exits_2_with_one_line(argv, capsys, *outputs):
+    capsys.readouterr()
+    assert main([str(a) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("surrokit: ") and err.count("\n") == 1, err
+    assert not any(Path(path).exists() for path in outputs)
+    return err
+
+
+class TestRoleMismatch:
+    @pytest.mark.parametrize("command", ["train", "evaluate", "condconf", "saliency"])
+    def test_swapped_roles_exit_2(self, tmp_path, dataset_file, weights_file, command, capsys):
+        # EOG and EMG swapped: EMG would run through the eog weights
+        swapped = tmp_path / "swapped.sdat"
+        roles = ("EEG1", "EEG2", "EMG", "EOG")
+        save_dataset(swapped, replace(load_dataset(dataset_file), channel_roles=roles))
+        out = tmp_path / "out"
+        argv = {
+            "train": ["train", swapped, out, "--steps", "1", "--batch", "2"],
+            "evaluate": ["evaluate", swapped, weights_file, "--out", out],
+            "condconf": ["condconf", swapped, weights_file, "--out", out],
+            "saliency": ["saliency", swapped, weights_file, "--reps", "1", "--out", out],
+        }[command]
+        assert "do not match" in _exits_2_with_one_line(argv, capsys, out)
+
+
+# generator specs that each ended in a traceback; every edit acts on TINY_SPEC
+SPEC_PROBES = {
+    "int-classes": lambda spec: {"classes": 5},
+    "list-spec": lambda spec: [],
+    "str-prevalence": lambda spec: spec["classes"][0].update(prevalence="x"),
+    "str-ar-coeff": lambda spec: spec["classes"][0].update(ar_coeffs=["a"]),
+    "str-n_records": lambda spec: spec.update(n_records="3"),
+    "negative-epoch-length": lambda spec: spec.update(epoch_len_s=-1),
+    "infinite-prevalence-sum": lambda spec: [c.update(prevalence=1e308) for c in spec["classes"]],
+    "burst-wider-than-epoch": lambda spec: spec["classes"][1]["transient"].update(width_s=1e9),
+}
+
+
+class TestMalformedInputFiles:
+    @pytest.mark.parametrize("probe", SPEC_PROBES.values(), ids=SPEC_PROBES.keys())
+    def test_spec_exit_2(self, tmp_path, probe, capsys, monkeypatch):
+        def no_burst(*args):
+            raise AssertionError("the burst was built before its width was checked")
+
+        # a 1e9 s burst would ask numpy for about 715 GiB
+        monkeypatch.setattr(synthetic, "transient_waveform", no_burst)
+        spec = json.loads(spec_to_json(TINY_SPEC))
+        edited = probe(spec)
+        path, out = tmp_path / "spec.json", tmp_path / "out.sdat"
+        path.write_text(json.dumps(edited if isinstance(edited, (dict, list)) else spec))
+        _exits_2_with_one_line(["synth", path, out, "--n", "4"], capsys, out)
+
+    def test_spec_not_utf8_exit_2(self, tmp_path, capsys):
+        path, out = tmp_path / "spec.json", tmp_path / "out.sdat"
+        path.write_bytes(b"\xff" + spec_to_json(TINY_SPEC).encode())
+        err = _exits_2_with_one_line(["synth", path, out, "--n", "4"], capsys, out)
+        assert "utf-8" in err
+
+    def test_groups_not_utf8_exit_2(self, tmp_path, dataset_file, capsys):
+        groups = tmp_path / "groups.txt"
+        groups.write_bytes(b"rec000 g\xff0\n")
+        train, val = tmp_path / "train.sdat", tmp_path / "val.sdat"
+        argv = ["split", dataset_file, "--groups-file", groups, "--out-train", train,
+                "--out-val", val]
+        assert "utf-8" in _exits_2_with_one_line(argv, capsys, train, val)
+
+    def test_train_on_zero_epochs_exit_2(self, tmp_path, dataset_file, capsys):
+        header = json.loads(Path(dataset_file).read_bytes().split(b"\n", 1)[0])
+        header.update(n_epochs=0, record_ids=[])
+        empty, out = tmp_path / "empty.sdat", tmp_path / "w.swt"
+        empty.write_bytes(json.dumps(header).encode() + b"\n")
+        err = _exits_2_with_one_line(["train", empty, out, "--steps", "1"], capsys, out)
+        assert "empty" in err
 
 
 class TestErrorHandling:

@@ -18,17 +18,11 @@ from surrokit.dataio import (
 from surrokit.errors import InvalidInputError
 from surrokit.evaluation import ConfusionMatrix
 from surrokit.network import full_architecture, init_weights, reference_architecture
-from surrokit.signals import epoch_from_array
 
 
 def small_dataset(n=6, n_samples=32, seed=0):
-    rng = np.random.default_rng(seed)
-    labels = ("Wake", "S1", "S2", "S3", "S4", "REM")
-    epochs = tuple(
-        epoch_from_array(rng.standard_normal((4, n_samples)) * 10, 32.0, labels[i % 6])
-        for i in range(n)
-    )
-    return Dataset(epochs, tuple(f"rec{i % 2}" for i in range(n)))
+    x = np.random.default_rng(seed).standard_normal((n, 4, n_samples)) * 10
+    return Dataset(x, np.arange(n) % 6, tuple(f"rec{i % 2}" for i in range(n)), 32.0)
 
 
 class TestDatasetFile:
@@ -39,11 +33,10 @@ class TestDatasetFile:
         loaded = load_dataset(path)
         assert loaded.record_ids == ds.record_ids
         assert loaded.label_vocabulary == ds.label_vocabulary
-        assert [ep.label for ep in loaded.epochs] == [ep.label for ep in ds.epochs]
-        for a, b in zip(loaded.epochs, ds.epochs):
-            np.testing.assert_array_equal(
-                a.to_array(), b.to_array().astype(np.float32).astype(np.float64)
-            )
+        assert loaded.channel_roles == ds.channel_roles
+        assert loaded.sample_rate_hz == ds.sample_rate_hz
+        np.testing.assert_array_equal(loaded.labels, ds.labels)
+        np.testing.assert_array_equal(loaded.x, ds.x.astype(np.float32).astype(np.float64))
         # writing the loaded dataset again reproduces the file bytes exactly
         path2 = tmp_path / "data2.sdat"
         save_dataset(path2, loaded)
@@ -72,20 +65,18 @@ class TestDatasetFile:
         with pytest.raises(InvalidInputError):
             load_dataset(path)
 
-    def test_heterogeneous_dataset_rejected(self, tmp_path):
+    def test_heterogeneous_dataset_rejected(self):
+        # the file holds one array; so does a Dataset, which cannot be built
+        # from epochs of mixed length
         rng = np.random.default_rng(0)
-        epochs = (
-            epoch_from_array(rng.standard_normal((4, 16)), 32.0, "Wake"),
-            epoch_from_array(rng.standard_normal((4, 24)), 32.0, "S1"),
-        )
-        ds = Dataset(epochs, ("a", "b"))
-        with pytest.raises(InvalidInputError):
-            save_dataset(tmp_path / "x.sdat", ds)
+        epochs = [rng.standard_normal((4, 16)), rng.standard_normal((4, 24))]
+        with pytest.raises(ValueError):
+            Dataset(epochs, [0, 1], ("a", "b"), 32.0)
 
     def test_float32_overflow_rejected_before_writing(self, tmp_path):
-        data = np.random.default_rng(0).standard_normal((4, 16))
-        data[2, 5] = -1e39  # finite in float64, inf in float32
-        ds = Dataset((epoch_from_array(data, 32.0, "Wake"),), ("a",))
+        data = np.random.default_rng(0).standard_normal((1, 4, 16))
+        data[0, 2, 5] = -1e39  # finite in float64, inf in float32
+        ds = Dataset(data, [0], ("a",), 32.0)
         with pytest.raises(InvalidInputError, match="float32"):
             save_dataset(tmp_path / "x.sdat", ds)
         assert list(tmp_path.iterdir()) == []

@@ -13,7 +13,8 @@ from surrokit.evaluation import (
     evaluate,
     f1_scores,
 )
-from surrokit.signals import epoch_from_array
+from surrokit.seeding import NS_CONDCONF, derive_seed
+from surrokit.surrogates import SurrogateConfig, epoch_surrogate
 from surrokit.synthetic import (
     ClassSpec,
     SyntheticSpec,
@@ -50,13 +51,10 @@ class ConstantClassifier:
 
 
 def balanced_dataset(per_class=4, n_samples=64, vocabulary=VOCAB6, seed=0):
-    rng = np.random.default_rng(seed)
-    epochs, records = [], []
-    for label in vocabulary:
-        for i in range(per_class):
-            epochs.append(epoch_from_array(rng.standard_normal((4, n_samples)), 32.0, label))
-            records.append(f"r{i}")
-    return Dataset(tuple(epochs), tuple(records), vocabulary)
+    x = np.random.default_rng(seed).standard_normal((len(vocabulary) * per_class, 4, n_samples))
+    labels = np.repeat(np.arange(len(vocabulary)), per_class)
+    records = tuple(f"r{i % per_class}" for i in range(len(x)))
+    return Dataset(x, labels, records, 32.0, vocabulary)
 
 
 class TestEvaluate:
@@ -101,7 +99,7 @@ class TestEvaluate:
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(InvalidInputError):
-            evaluate(ConstantClassifier(VOCAB6, 0), Dataset((), (), VOCAB6))
+            evaluate(ConstantClassifier(VOCAB6, 0), Dataset(np.zeros((0, 4, 64)), [], (), 32.0))
 
     def test_argmax_tie_breaks_to_lowest_index(self):
         class TieClassifier:
@@ -121,18 +119,16 @@ def burst_position_dataset(n=40, seed=3):
     rate, n_samples = 32.0, 320
     t = np.arange(-16, 17) / rate
     waveform = 60.0 * np.exp(-0.5 * (t / 0.25) ** 2) * np.cos(2 * np.pi * 4.0 * t)
-    epochs, records = [], []
+    x = np.empty((n, 4, n_samples))
     for i in range(n):
         early = i % 2 == 0
-        data = rng.standard_normal((4, n_samples)) * 3.0
+        x[i] = rng.standard_normal((4, n_samples)) * 3.0
         center = rng.integers(30, n_samples // 2 - 30) if early else rng.integers(
             n_samples // 2 + 30, n_samples - 30
         )
-        data[0, center - 16 : center + 17] += waveform
-        data[1, center - 16 : center + 17] += waveform
-        epochs.append(epoch_from_array(data, rate, "early" if early else "late"))
-        records.append(f"r{i % 4}")
-    return Dataset(tuple(epochs), tuple(records), ("early", "late")), waveform
+        x[i, :2, center - 16 : center + 17] += waveform
+    records = tuple(f"r{i % 4}" for i in range(n))
+    return Dataset(x, np.arange(n) % 2, records, rate, ("early", "late")), waveform
 
 
 class BurstPositionClassifier:
@@ -202,6 +198,25 @@ class TestConditionalConfusion:
         ds = balanced_dataset(per_class=1)
         with pytest.raises(InvalidInputError):
             conditional_confusion(OracleClassifier(VOCAB6), ds, "wavelet", seed=0)
+
+    @pytest.mark.parametrize("kind", ["ft", "iaaft"])
+    def test_block_matches_one_epoch_at_a_time(self, kind):
+        # the conditional set is surrogated as one block; epoch i must still
+        # get exactly epoch_surrogate under the key (seed, condconf, i)
+        ds, waveform = burst_position_dataset(n=12)
+        seen = []
+
+        class Recorder(BurstPositionClassifier):
+            def predict(self, epoch):
+                seen.append(epoch.to_array().tobytes())
+                return super().predict(epoch)
+
+        conditional_confusion(Recorder(waveform), ds, kind, seed=5)
+        expected = [
+            epoch_surrogate(ds.epoch(i), SurrogateConfig(kind=kind), derive_seed(5, NS_CONDCONF, i))
+            for i in range(len(ds))  # every epoch is predicted correctly
+        ]
+        assert seen[len(ds):] == [ep.to_array().tobytes() for ep in expected]
 
     def test_deterministic(self):
         ds, waveform = burst_position_dataset()

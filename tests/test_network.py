@@ -210,13 +210,8 @@ class TestInit:
         # training run with dropout on; frozen before the channel-group
         # pipes ran on threads, so a change in the order the keep-masks are
         # drawn from the dropout stream moves it
-        labels = ("Wake", "S1", "S2", "S3", "S4", "REM")
-        rng = np.random.default_rng(5)
-        epochs = [
-            epoch_from_array(rng.standard_normal((4, 960)) * 20, 32.0, labels[i % 6])
-            for i in range(12)
-        ]
-        data = Dataset(epochs, [f"r{i % 3}" for i in range(12)])
+        x = np.random.default_rng(5).standard_normal((12, 4, 960)) * 20
+        data = Dataset(x, np.arange(12) % 6, [f"r{i % 3}" for i in range(12)], 32.0)
         result = train_network(
             reference_architecture(), data, TrainConfig(batch_size=4, steps=3, seed=11)
         )

@@ -138,8 +138,9 @@ class TestTrainNetwork:
     def test_empty_dataset_rejected(self):
         from surrokit.balance import Dataset
 
+        empty = Dataset(np.zeros((0, 4, 960)), [], (), 32.0)
         with pytest.raises(InvalidInputError):
-            train_reference_classifier(Dataset((), ()), TrainConfig(steps=1))
+            train_reference_classifier(empty, TrainConfig(steps=1))
 
     def test_separable_two_class_toy_reaches_99_percent(self):
         # linearly separable band-power classes: near-perfect training
