@@ -19,14 +19,13 @@ Weights are a flat dict keyed "group/layer/param" of float64 arrays.
 """
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidInputError, ShapeError
+from .parallel import _map_partitioned
 from .signals import DEFAULT_ROLES, Epoch
 
 DEFAULT_SHARING = {"EEG1": "eeg", "EEG2": "eeg", "EOG": "eog", "EMG": "emg"}
@@ -502,45 +501,6 @@ def _acc(grads, key, value):
         grads[key] = grads[key] + value
     else:
         grads[key] = value
-
-
-def _partitions(sizes, n_parts):
-    """Item indices split into at most ``n_parts`` partitions, each in
-    index order. Largest size first (lowest index on ties), each item goes
-    to the partition with the least total size so far (lowest on ties), so
-    partition 0 holds the largest item."""
-    loads = [0] * n_parts
-    parts = [[] for _ in range(n_parts)]
-    for i in sorted(range(len(sizes)), key=lambda i: -sizes[i]):
-        p = loads.index(min(loads))
-        parts[p].append(i)
-        loads[p] += sizes[i]
-    return [sorted(part) for part in parts if part]
-
-
-def _map_partitioned(fn, sizes):
-    """``[fn(i) for i in range(len(sizes))]`` spread over the cores.
-
-    The items are split by ``_partitions`` into at most ``os.cpu_count()``
-    partitions; the calling thread runs the first and one worker thread
-    each of the others. numpy releases the interpreter lock inside BLAS
-    and ufunc loops, so the partitions overlap there. Each ``fn(i)`` must
-    touch no state another item writes. A worker's exception is raised
-    here when its result is read.
-    """
-    parts = _partitions(sizes, os.cpu_count() or 1)
-    if len(parts) == 1:
-        return [fn(i) for i in parts[0]]
-
-    def run(part):
-        return [(i, fn(i)) for i in part]
-
-    with ThreadPoolExecutor(max_workers=len(parts) - 1) as pool:
-        futures = [pool.submit(run, part) for part in parts[1:]]
-        done = run(parts[0])
-        for future in futures:
-            done += future.result()
-    return [result for _, result in sorted(done, key=lambda item: item[0])]
 
 
 def _group_channels(descriptor):

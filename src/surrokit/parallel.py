@@ -1,0 +1,56 @@
+"""Independent items of one call spread over the usable cores, on threads.
+
+numpy releases the interpreter lock inside BLAS, FFT, sort and ufunc
+loops, so threads overlap there. The network runs its channel-group
+pipes this way and the surrogates their chunks of rows. No thread starts
+at import, and a call with one partition runs inline.
+"""
+
+import os
+from concurrent.futures import ThreadPoolExecutor
+
+
+def _usable_cores():
+    """Cores this process may run on: its affinity mask where the platform
+    has one (``taskset`` narrows it), else every core."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _partitions(sizes, n_parts):
+    """Item indices split into at most ``n_parts`` partitions, each in
+    index order. Largest size first (lowest index on ties), each item goes
+    to the partition with the least total size so far (lowest on ties), so
+    partition 0 holds the largest item."""
+    loads = [0] * n_parts
+    parts = [[] for _ in range(n_parts)]
+    for i in sorted(range(len(sizes)), key=lambda i: -sizes[i]):
+        p = loads.index(min(loads))
+        parts[p].append(i)
+        loads[p] += sizes[i]
+    return [sorted(part) for part in parts if part]
+
+
+def _map_partitioned(fn, sizes):
+    """``[fn(i) for i in range(len(sizes))]`` spread over the cores.
+
+    The items are split by ``_partitions`` into at most
+    ``_usable_cores()`` partitions; the calling thread runs the first and
+    one worker thread each of the others. Each ``fn(i)`` must touch no
+    state another item writes. A worker's exception is raised here when
+    its result is read.
+    """
+    parts = _partitions(sizes, _usable_cores())
+    if len(parts) < 2:
+        return [fn(i) for i in range(len(sizes))]
+
+    def run(part):
+        return [(i, fn(i)) for i in part]
+
+    with ThreadPoolExecutor(max_workers=len(parts) - 1) as pool:
+        futures = [pool.submit(run, part) for part in parts[1:]]
+        done = run(parts[0])
+        for future in futures:
+            done += future.result()
+    return [result for _, result in sorted(done, key=lambda item: item[0])]

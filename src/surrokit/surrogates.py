@@ -14,8 +14,12 @@ the residual error lives in the amplitude spectrum. The loop stops when
 the spectral discrepancy stops improving or its relative change drops
 below the configured tolerance; the best iterate seen is returned, so
 the reported discrepancy sequence is strictly decreasing. Channels run
-in blocks that share each iteration's argsort and FFTs; every channel
-still gets exactly the result it would get alone.
+in chunks of ``SURROGATE_CHUNK`` rows that share each iteration's
+argsort and FFTs, and the chunks of a block run on threads over the
+usable cores (``parallel``). Every row has its own generator, created
+before the threads start, and every chunk writes only its own rows, so
+each channel still gets exactly the result it would get alone, on any
+number of cores.
 
 Partial surrogates replace one window of a signal with surrogate content
 generated from the remainder (the two flanking segments concatenated
@@ -28,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
+from .parallel import _map_partitioned
 from .seeding import spawn_rng
 from .signals import Epoch, Signal
 
@@ -198,22 +203,27 @@ def _surrogate_rows(block, rngs, config: SurrogateConfig):
     """Surrogates of the rows of a (k, n) block; row r draws from ``rngs[r]``.
 
     The rows run in chunks of ``SURROGATE_CHUNK``, which gives the same
-    samples as one row at a time. Returns the (k, n) surrogates and one
-    report per row, None for FT.
+    samples as one row at a time. The chunks share no generator and
+    write disjoint rows, so they run on threads (``_map_partitioned``);
+    one chunk runs on the calling thread. Returns the (k, n) surrogates
+    and one report per row, None for FT.
     """
     out = np.empty_like(block)
-    reports = []
-    for start in range(0, len(block), SURROGATE_CHUNK):
-        chunk = slice(start, start + SURROGATE_CHUNK)
+    starts = range(0, len(block), SURROGATE_CHUNK)
+    chunks = [slice(start, start + SURROGATE_CHUNK) for start in starts]
+
+    def run_chunk(c):
+        chunk = chunks[c]
         if config.kind == KIND_FT:
             out[chunk] = _phase_randomize(block[chunk], rngs[chunk])
-            reports.extend([None] * len(rngs[chunk]))
-        else:
-            out[chunk], chunk_reports = _iaaft_core(
-                block[chunk], rngs[chunk], config.iaaft_max_iters, config.iaaft_tolerance
-            )
-            reports.extend(chunk_reports)
-    return out, tuple(reports)
+            return [None] * len(rngs[chunk])
+        out[chunk], reports = _iaaft_core(
+            block[chunk], rngs[chunk], config.iaaft_max_iters, config.iaaft_tolerance
+        )
+        return reports
+
+    per_chunk = _map_partitioned(run_chunk, [len(rngs[chunk]) for chunk in chunks])
+    return out, tuple(report for reports in per_chunk for report in reports)
 
 
 def iaaft_surrogate(signal: Signal, config: SurrogateConfig, seed: int):

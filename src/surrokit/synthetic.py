@@ -32,6 +32,7 @@ polynomial 1 - a_1 z - ... - a_p z^p outside the unit circle).
 
 import json
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -189,9 +190,19 @@ def generate_synthetic(spec: SyntheticSpec, n_epochs: int, seed: int) -> Dataset
     """
     if n_epochs < 1:
         raise InvalidInputError("n_epochs must be >= 1")
-    rng = spawn_rng(seed, NS_SYNTH)
     n = spec.epoch_len_samples
     roles = spec.channel_roles
+    # refused here, before anything of that size is allocated
+    need = n_epochs * len(roles) * n * np.dtype(np.float64).itemsize
+    memory = math.inf
+    if hasattr(os, "sysconf"):
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > memory:
+        raise InvalidInputError(
+            f"{n_epochs} epochs of {len(roles)} x {n} samples need {need / 2**30:.3g} GiB, "
+            f"more than the {memory / 2**30:.3g} GiB of physical memory"
+        )
+    rng = spawn_rng(seed, NS_SYNTH)
     vocab = spec.label_vocabulary()
     prevalence = np.array([c.prevalence for c in spec.classes], dtype=np.float64)
     prevalence = prevalence / prevalence.sum()

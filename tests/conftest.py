@@ -12,7 +12,19 @@ sys.path.insert(0, str(Path(__file__).parent))
 settings.register_profile("surrokit", derandomize=True, database=None)
 settings.load_profile("surrokit")
 
+from surrokit import parallel
 from surrokit.signals import Signal, epoch_from_array
+
+
+@pytest.fixture
+def set_usable_cores(monkeypatch):
+    """``set_usable_cores(n)`` makes the thread maps of ``surrokit.parallel``
+    see n usable cores until the test ends."""
+
+    def set_count(n):
+        monkeypatch.setattr(parallel, "_usable_cores", lambda: n)
+
+    return set_count
 
 
 @pytest.fixture

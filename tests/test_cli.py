@@ -363,6 +363,7 @@ SPEC_PROBES = {
     "negative-epoch-length": lambda spec: spec.update(epoch_len_s=-1),
     "infinite-prevalence-sum": lambda spec: [c.update(prevalence=1e308) for c in spec["classes"]],
     "burst-wider-than-epoch": lambda spec: spec["classes"][1]["transient"].update(width_s=1e9),
+    "larger-than-memory": lambda spec: spec.update(epoch_len_s=1e12),
 }
 
 

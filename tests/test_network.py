@@ -1,6 +1,5 @@
 import dataclasses
 import hashlib
-import os
 import sys
 import threading
 import time
@@ -18,7 +17,7 @@ from oracles import (
     maxpool_backward_oracle,
     maxpool_same_oracle,
 )
-from surrokit import network
+from surrokit import network, parallel
 from surrokit.balance import Dataset
 from surrokit.classifiers import NetworkClassifier
 from surrokit.dataio import descriptor_fingerprint
@@ -558,7 +557,7 @@ class TestThreadedPipes:
         assert probs.tobytes() == probs_ref.tobytes()
         assert logits.tobytes() == logits_ref.tobytes()
 
-    def test_more_partitions_than_cores_give_the_same_bits(self, rng, monkeypatch):
+    def test_more_partitions_than_cores_give_the_same_bits(self, rng, set_usable_cores):
         # four groups on four partitions: three worker threads, and the
         # switch interval shortened so the threads interleave finely
         desc = per_role_descriptor()
@@ -568,7 +567,7 @@ class TestThreadedPipes:
         expected = oracles.serial_loss_and_gradients(
             desc, weights, x, labels, rng=np.random.default_rng(8)
         )
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        set_usable_cores(4)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -609,16 +608,28 @@ class TestThreadedPipes:
         before = threading.active_count()
         loss_and_gradients(desc, weights, rng.standard_normal((2, 4, 960)), np.array([0, 1]),
                            rng=np.random.default_rng(0))
-        assert max(counts) - before + 1 <= (os.cpu_count() or 1)
+        assert max(counts) - before + 1 <= parallel._usable_cores()
         assert threading.active_count() == before
 
     def test_partitions_balance_channel_counts(self):
         # default sharing: EEG (2 channels) on the caller, EOG and EMG on one worker
-        assert network._partitions([2, 1, 1], 2) == [[0], [1, 2]]
-        assert network._partitions([1, 1, 1, 1], 2) == [[0, 2], [1, 3]]
-        assert network._partitions([1, 3, 1], 2) == [[1], [0, 2]]
-        assert network._partitions([4], 2) == [[0]]
-        assert network._partitions([2, 1, 1], 1) == [[0, 1, 2]]
+        assert parallel._partitions([2, 1, 1], 2) == [[0], [1, 2]]
+        assert parallel._partitions([1, 1, 1, 1], 2) == [[0, 2], [1, 3]]
+        assert parallel._partitions([1, 3, 1], 2) == [[1], [0, 2]]
+        assert parallel._partitions([4], 2) == [[0]]
+        assert parallel._partitions([2, 1, 1], 1) == [[0, 1, 2]]
+        assert parallel._map_partitioned(lambda i: i, []) == []
+
+    def test_usable_cores_follow_the_affinity_mask(self, monkeypatch):
+        # a process pinned to one core (taskset) starts no worker thread
+        monkeypatch.setattr(parallel.os, "sched_getaffinity", lambda pid: {1}, raising=False)
+        monkeypatch.setattr(parallel.os, "cpu_count", lambda: 8)
+        assert parallel._usable_cores() == 1
+        threads = set()
+        parallel._map_partitioned(lambda i: threads.add(threading.get_ident()), [1, 1, 1])
+        assert threads == {threading.get_ident()}
+        monkeypatch.delattr(parallel.os, "sched_getaffinity", raising=False)
+        assert parallel._usable_cores() == 8
 
     def test_worker_exception_reaches_the_caller(self, rng):
         desc = reference_architecture()

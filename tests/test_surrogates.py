@@ -1,3 +1,7 @@
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,14 +13,18 @@ from oracles import (
     one_sided_amplitudes,
     phase_randomize_per_channel,
 )
+from surrokit import parallel, surrogates
 from surrokit.errors import InvalidInputError
 from surrokit.seeding import spawn_rng
 from surrokit.signals import Signal, epoch_from_array
 from surrokit.surrogates import (
+    IAAFT_STOP_REASONS,
+    SURROGATE_CHUNK,
     IaaftReport,
     PartialSurrogateSpec,
     SurrogateConfig,
     _iaaft_core,
+    _surrogate_rows,
     crossfade_weights,
     epoch_surrogate,
     epoch_surrogate_with_reports,
@@ -242,6 +250,86 @@ class TestIaaftBlock:
         for report in reports:
             assert report.iterations == len(report.discrepancies) >= 1
             assert np.all(np.diff(report.discrepancies) < 0)
+
+
+class TestThreadedChunks:
+    """The chunks of a block run on threads; one row at a time through the
+    per-channel reference (``oracles``) is the byte-level reference."""
+
+    N_ROWS = 3 * SURROGATE_CHUNK + 5  # four chunks, the last one short
+
+    @pytest.fixture
+    def block(self):
+        block = np.random.default_rng(3).standard_normal((self.N_ROWS, 64))
+        block[[0, 70, 150, self.N_ROWS - 1]] = 2.0  # one "exact" row in every chunk
+        return block
+
+    def run_threaded(self, block, config, seconds, monkeypatch):
+        """``_surrogate_rows`` under a short switch interval, repeated for
+        ``seconds``: every result and the threads that ran chunks. No more
+        threads than usable cores may be alive inside, and none after."""
+        idents, counts = set(), []
+        for name in ("_iaaft_core", "_phase_randomize"):
+            kernel = getattr(surrogates, name)
+
+            def counting(*args, kernel=kernel):
+                idents.add(threading.get_ident())
+                counts.append(threading.active_count())
+                return kernel(*args)
+
+            monkeypatch.setattr(surrogates, name, counting)
+        before = threading.active_count()
+        results = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            deadline = time.monotonic() + seconds
+            while not results or time.monotonic() < deadline:
+                rngs = [spawn_rng(11, r) for r in range(len(block))]
+                results.append(_surrogate_rows(block, rngs, config))
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == before
+        assert max(counts) - before + 1 <= parallel._usable_cores()
+        return results, idents
+
+    # four chunks on four partitions; on three, the caller runs chunks 0
+    # and 3, so the results arrive out of chunk order
+    CORES = pytest.mark.parametrize("cores", [4, 3])
+
+    @CORES
+    def test_iaaft_equals_one_row_at_a_time(self, block, cores, set_usable_cores, monkeypatch):
+        config = SurrogateConfig(kind="iaaft", iaaft_max_iters=10, iaaft_tolerance=1e-3)
+        expected = [
+            iaaft_per_channel(row.copy(), spawn_rng(11, r), 10, 1e-3)
+            for r, row in enumerate(block)
+        ]
+        assert {report.reason for _, report in expected} == set(IAAFT_STOP_REASONS)
+        set_usable_cores(cores)
+        results, idents = self.run_threaded(block, config, 1.0, monkeypatch)
+        assert len(idents) > 1  # chunks ran on worker threads
+        rows = np.array([row for row, _ in expected])
+        for out, reports in results:
+            assert out.tobytes() == rows.tobytes()
+            assert reports == tuple(report for _, report in expected)
+
+    @CORES
+    def test_ft_equals_one_row_at_a_time(self, block, cores, set_usable_cores, monkeypatch):
+        expected = np.array(
+            [phase_randomize_per_channel(row, spawn_rng(11, r)) for r, row in enumerate(block)]
+        )
+        set_usable_cores(cores)
+        results, idents = self.run_threaded(block, SurrogateConfig(kind="ft"), 0.5, monkeypatch)
+        assert len(idents) > 1  # chunks ran on worker threads
+        for out, reports in results:
+            assert out.tobytes() == expected.tobytes()
+            assert reports == (None,) * self.N_ROWS
+
+    def test_one_chunk_runs_on_the_calling_thread(self, block, set_usable_cores, monkeypatch):
+        set_usable_cores(4)
+        config = SurrogateConfig(kind="iaaft", iaaft_max_iters=10)
+        _, idents = self.run_threaded(block[:SURROGATE_CHUNK], config, 0.0, monkeypatch)
+        assert idents == {threading.get_ident()}
 
 
 class TestPartialSurrogate:

@@ -1,3 +1,6 @@
+import os
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -58,6 +61,18 @@ class TestGenerate:
             assert ep.channel_roles == ("EEG1", "EEG2", "EOG", "EMG")
             assert ep.label in ds.label_vocabulary
         assert len(set(ds.record_ids)) == 6
+
+    def test_array_larger_than_physical_memory_refused(self, monkeypatch):
+        # 4 epochs of 1e12 s need about 4 PiB, more than the address space,
+        # so even an unchecked np.empty would fail without touching memory
+        huge = replace(bundled_spec(), epoch_len_s=1e12)
+        with pytest.raises(InvalidInputError, match="physical memory"):
+            generate_synthetic(huge, 4, seed=0)
+        # one 4 KiB page holds exactly one epoch of 4 x 128 float64 samples
+        monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 1}.get)
+        assert len(generate_synthetic(two_class_spec(), 1, seed=0)) == 1
+        with pytest.raises(InvalidInputError, match="2 epochs of 4 x 128 samples"):
+            generate_synthetic(two_class_spec(), 2, seed=0)
 
     def test_unstable_ar_rejected(self):
         with pytest.raises(InvalidInputError):
