@@ -52,7 +52,7 @@ class NetworkClassifier:
         self.label_vocabulary = tuple(label_vocabulary)
 
     def predict(self, epoch: Epoch) -> np.ndarray:
-        return forward(self.descriptor, self.weights, epoch, inference_mode=True)
+        return forward(self.descriptor, self.weights, epoch)
 
     def predict_batch(self, dataset) -> np.ndarray:
         """(n_epochs, K) probabilities of every epoch of a ``Dataset``."""

@@ -107,15 +107,14 @@ def _cmd_surrogate(args):
     config = SurrogateConfig(
         kind=args.kind, iaaft_max_iters=args.iters, iaaft_tolerance=args.tol
     )
-    x = dataset.x.copy()
-    for i in range(len(dataset)):
-        surrogate, reports = epoch_surrogate_with_reports(
-            dataset.epoch(i), config, derive_seed(seed, NS_EPOCH_FILE, i)
-        )
-        x[i] = surrogate.to_array()
-        if args.kind == "iaaft":
-            iters = ",".join(str(r.iterations) for r in reports)
-            discs = ",".join(f"{r.final_discrepancy:.3e}" for r in reports)
+    seeds = [derive_seed(seed, NS_EPOCH_FILE, i) for i in range(len(dataset))]
+    x, reports = epoch_surrogate_with_reports(dataset.x, seeds, config)
+    if args.kind == KIND_IAAFT:
+        n_channels = len(dataset.channel_roles)
+        for i in range(len(dataset)):
+            epoch_reports = reports[i * n_channels : (i + 1) * n_channels]
+            iters = ",".join(str(r.iterations) for r in epoch_reports)
+            discs = ",".join(f"{r.final_discrepancy:.3e}" for r in epoch_reports)
             print(f"epoch {i}: iterations [{iters}] discrepancy [{discs}]")
     out = replace(dataset, x=x)
     dataio.save_dataset(args.out, out)

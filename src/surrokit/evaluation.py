@@ -14,8 +14,8 @@ import numpy as np
 from .balance import BalanceConfig, Dataset, augment, record_holdout_split, upsample
 from .classifiers import NetworkClassifier
 from .errors import InvalidInputError
-from .seeding import NS_CONDCONF, NS_SWEEP, derive_seed, spawn_rng
-from .surrogates import SURROGATE_KINDS, SurrogateConfig, _surrogate_rows
+from .seeding import NS_CONDCONF, NS_SWEEP, derive_seed
+from .surrogates import SURROGATE_KINDS, SurrogateConfig, epoch_surrogate_with_reports
 
 IDENTITY_KIND = "identity"
 CONDITIONAL_KINDS = SURROGATE_KINDS + (IDENTITY_KIND,)
@@ -114,7 +114,8 @@ def conditional_confusion(classifier, dataset: Dataset, surrogate_kind: str, see
     by surrogates of the requested kind and re-classified; rows index the
     original (correct) class, columns the surrogate prediction. Epoch i's
     channel c draws from the stream keyed (derive_seed(seed, condconf, i),
-    c), and the whole conditional set is surrogated as one block of rows.
+    c), and the whole conditional set is surrogated as one block
+    (``epoch_surrogate_with_reports``).
     The kind ``"identity"`` skips replacement, which by construction
     yields a diagonal matrix.
 
@@ -133,10 +134,8 @@ def conditional_confusion(classifier, dataset: Dataset, surrogate_kind: str, see
     subset = dataset.take(correct)
     if surrogate_kind != IDENTITY_KIND:
         seeds = [derive_seed(seed, NS_CONDCONF, int(i)) for i in correct]
-        rngs = [spawn_rng(s, c) for s in seeds for c in range(len(dataset.channel_roles))]
         config = SurrogateConfig(kind=surrogate_kind)
-        rows, _ = _surrogate_rows(subset.x.reshape(-1, dataset.n_samples), rngs, config)
-        subset = replace(subset, x=rows.reshape(subset.x.shape))
+        subset = replace(subset, x=epoch_surrogate_with_reports(subset.x, seeds, config)[0])
     new_pred = _predict_all(classifier, subset).argmax(axis=1)
     return confusion_from_predictions(subset.labels, new_pred, dataset.label_vocabulary)
 
@@ -158,14 +157,13 @@ def alpha_sweep(
     folds: int,
     train_config,
     seed: int,
-    surrogate_kind: str = "ft",
 ) -> list:
     """Train/evaluate over an (alpha, fold) grid.
 
     For every alpha and fold: record-holdout split, beta up-sampling,
-    alpha augmentation, reference-classifier training, evaluation on the
-    held-out records. Each cell derives its own seed from (seed, alpha
-    index, fold).
+    alpha augmentation with FT surrogates, reference-classifier training,
+    evaluation on the held-out records. Each cell derives its own seed
+    from (seed, alpha index, fold).
     """
     from .training import train_reference_classifier
 
@@ -174,10 +172,7 @@ def alpha_sweep(
         for fold in range(folds):
             train_ds, val_ds = record_holdout_split(dataset, fold, folds, group_labels)
             balance_cfg = BalanceConfig(
-                beta=beta,
-                alpha=alpha,
-                seed=derive_seed(seed, NS_SWEEP, ai, fold, 0),
-                surrogate=SurrogateConfig(kind=surrogate_kind),
+                beta=beta, alpha=alpha, seed=derive_seed(seed, NS_SWEEP, ai, fold, 0)
             )
             upsampled, flags = upsample(train_ds, balance_cfg)
             augmented = augment(upsampled, flags, balance_cfg)

@@ -596,15 +596,10 @@ def forward_batch(descriptor, weights, x, training=False, rng=None, return_cache
     return probs, logits
 
 
-def forward(descriptor, weights, epoch: Epoch, inference_mode=True, rng=None) -> np.ndarray:
-    """Class probabilities for one epoch.
-
-    In inference mode (the default) dropout is disabled and the result is
-    deterministic.
-    """
-    probs, _ = forward_batch(
-        descriptor, weights, _epoch_batch(descriptor, epoch), training=not inference_mode, rng=rng
-    )
+def forward(descriptor, weights, epoch: Epoch) -> np.ndarray:
+    """Inference-mode class probabilities for one epoch: dropout is off and
+    the result is deterministic."""
+    probs, _ = forward_batch(descriptor, weights, _epoch_batch(descriptor, epoch))
     return probs[0]
 
 

@@ -13,14 +13,15 @@ Window positions cover [0, epoch_len - window_len] with the configured
 step, which must be at least one sample. Crossfades are truncated at the
 epoch boundaries so the first and last positions remain valid.
 
-Both methods run one loop: per position, the replacements go to the
-classifier in blocks of ``SALIENCY_CHUNK``. A ``NetworkClassifier`` maps
-a block by exact incremental inference (``network.spliced_forward``):
-the epoch's channel-pipe activations are computed once, and only the
-output ranges the changed samples reach are recomputed, so maps agree
-with one full forward per replacement to rounding. Any other classifier
-is called through ``predict`` once per replaced epoch. The default CLI
-map (51 positions x 500 replacements) takes about 18 s with the reference
+Both methods run one loop: per position, the replacements are made and
+classified in blocks of ``SALIENCY_CHUNK``, the surrogate patches of a
+block in one ``_splice_surrogate`` call. A ``NetworkClassifier`` maps a
+block by exact incremental inference (``network.spliced_forward``): the
+epoch's channel-pipe activations are computed once, and only the output
+ranges the changed samples reach are recomputed, so maps agree with one
+full forward per replacement to rounding. Any other classifier is called
+through ``predict`` once per replaced epoch. The default CLI map (51
+positions x 500 replacements) takes about 15 s with the reference
 architecture on a 2-core Intel Xeon with one OpenBLAS thread.
 """
 
@@ -142,9 +143,9 @@ def _predictor(classifier, epoch: Epoch):
 def _saliency(classifier, epoch: Epoch, spec: SaliencySpec, n_replacements, replace):
     """Positions, baseline, and per-position mean and std of the probabilities.
 
-    ``replace(p_idx, r, c_idx, geometry)`` returns replacement ``r`` of
-    channel ``c_idx`` at position ``p_idx``; the replacements of a
-    position go to the classifier in blocks of ``SALIENCY_CHUNK``.
+    ``replace(p_idx, block, c_idx, geometry)`` returns the replacements
+    in range ``block`` of channel ``c_idx`` at position ``p_idx`` as rows;
+    a position's replacements are made in blocks of ``SALIENCY_CHUNK``.
     """
     _validate(epoch, spec)
     baseline, predict_rows = _predictor(classifier, epoch)
@@ -159,7 +160,7 @@ def _saliency(classifier, epoch: Epoch, spec: SaliencySpec, n_replacements, repl
         probs = np.empty((n_replacements, baseline.size))
         for first in range(0, n_replacements, SALIENCY_CHUNK):
             block = range(first, min(first + SALIENCY_CHUNK, n_replacements))
-            rows = {c: np.stack([replace(p_idx, r, c, geometry) for r in block]) for c in targets}
+            rows = {c: replace(p_idx, block, c, geometry) for c in targets}
             probs[block.start : block.stop] = predict_rows(rows, lo, hi)
         means[p_idx] = probs.mean(axis=0)
         stds[p_idx] = probs.std(axis=0, ddof=1) if n_replacements > 1 else 0.0
@@ -174,9 +175,9 @@ def surrogate_saliency(classifier, epoch: Epoch, spec: SaliencySpec) -> Saliency
     given the spec.
     """
 
-    def replace(p_idx, r, c_idx, geometry):
-        rng = spawn_rng(spec.seed, NS_SALIENCY, p_idx, r, c_idx)
-        return _splice_surrogate(epoch.channels[c_idx].samples, *geometry, rng)
+    def replace(p_idx, block, c_idx, geometry):
+        rngs = [spawn_rng(spec.seed, NS_SALIENCY, p_idx, r, c_idx) for r in block]
+        return _splice_surrogate(epoch.channels[c_idx].samples, *geometry, rngs)
 
     positions, baseline, means, stds = _saliency(
         classifier, epoch, spec, spec.n_replacements, replace
@@ -191,13 +192,13 @@ def zero_out_saliency(classifier, epoch: Epoch, spec: SaliencySpec) -> SaliencyM
     ignored. Uses the same cosine crossfade as the surrogate method.
     """
 
-    def replace(p_idx, r, c_idx, geometry):
+    def replace(p_idx, block, c_idx, geometry):
         start, window_len, cf_left, cf_right = geometry
         weights = crossfade_weights(window_len, cf_left, cf_right)
         region = slice(start - cf_left, start - cf_left + weights.size)
-        samples = epoch.channels[c_idx].samples.copy()
-        samples[region] = (1.0 - weights) * samples[region]
-        return samples
+        rows = np.tile(epoch.channels[c_idx].samples, (len(block), 1))
+        rows[:, region] = (1.0 - weights) * rows[:, region]
+        return rows
 
     positions, baseline, means, _ = _saliency(classifier, epoch, spec, 1, replace)
     return SaliencyMap(positions, means, baseline, tuple(classifier.label_vocabulary))

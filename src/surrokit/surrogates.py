@@ -24,7 +24,8 @@ number of cores.
 Partial surrogates replace one window of a signal with surrogate content
 generated from the remainder (the two flanking segments concatenated
 end to end), blended in with cosine half-wave crossfades whose original
-and surrogate weights sum to one.
+and surrogate weights sum to one. Every surrogate, whole or partial, is
+made in a block of rows with one generator per row.
 """
 
 from dataclasses import dataclass
@@ -34,7 +35,7 @@ import numpy as np
 from .errors import InvalidInputError
 from .parallel import _map_partitioned
 from .seeding import spawn_rng
-from .signals import Epoch, Signal
+from .signals import Epoch, Signal, epoch_from_array
 
 KIND_FT = "ft"
 KIND_IAAFT = "iaaft"
@@ -62,7 +63,7 @@ class SurrogateConfig:
             raise InvalidInputError(f"unknown surrogate kind {self.kind!r}")
         if self.iaaft_max_iters < 1:
             raise InvalidInputError("iaaft_max_iters must be >= 1")
-        if self.iaaft_tolerance < 0:
+        if not self.iaaft_tolerance >= 0:  # NaN included
             raise InvalidInputError("iaaft_tolerance must be non-negative")
 
 
@@ -108,7 +109,8 @@ class PartialSurrogateSpec:
 def _phase_randomize(block: np.ndarray, rngs) -> np.ndarray:
     """Replace the interior Fourier phases of each row of a (k, n) block.
 
-    Row r draws its phases uniformly from [0, 2*pi) from ``rngs[r]``.
+    Row r draws its phases uniformly from [0, 2*pi) from ``rngs[r]``; a
+    (1, n) block gives one surrogate of its row per generator.
     """
     n = block.shape[1]
     bins = np.fft.rfft(block)
@@ -261,30 +263,30 @@ def crossfade_weights(window_len: int, crossfade_left: int, crossfade_right: int
     return weights
 
 
-def _splice_surrogate(samples, start, window_len, crossfade_left, crossfade_right, rng):
-    """Replace samples[start : start+window_len] with remainder-surrogate content.
+def _splice_surrogate(samples, start, window_len, crossfade_left, crossfade_right, rngs):
+    """(R, n) copies of ``samples``, row r with [start, start+window_len)
+    replaced by remainder-surrogate content drawn from ``rngs[r]``.
 
     The modified region extends ``crossfade_left``/``crossfade_right``
     samples beyond the window core; everything outside it is returned
-    bit-identical.
+    bit-identical. Each generator draws its phases, then its offset.
     """
-    n = samples.size
     need = crossfade_left + window_len + crossfade_right
+    out = np.tile(samples, (len(rngs), 1))
     if need == 0:
-        return samples.copy()
+        return out
     remainder = np.concatenate([samples[:start], samples[start + window_len :]])
     if remainder.size < max(need, 2):
         raise InvalidInputError(
             f"remainder of {remainder.size} samples cannot supply a {need}-sample patch"
         )
-    surrogate = _phase_randomize(remainder[None], [rng])[0]
-    offset = int(rng.integers(0, remainder.size - need + 1))
-    patch = surrogate[offset : offset + need]
+    surrogates = _phase_randomize(remainder[None], rngs)
+    offsets = np.array([rng.integers(0, remainder.size - need + 1) for rng in rngs])
+    patches = surrogates[np.arange(len(rngs))[:, None], offsets[:, None] + np.arange(need)]
 
     weights = crossfade_weights(window_len, crossfade_left, crossfade_right)
-    out = samples.copy()
     region = slice(start - crossfade_left, start - crossfade_left + need)
-    out[region] = (1.0 - weights) * samples[region] + weights * patch
+    out[:, region] = (1.0 - weights) * samples[region] + weights * patches
     return out
 
 
@@ -307,29 +309,28 @@ def partial_ft_surrogate(signal: Signal, spec: PartialSurrogateSpec, seed: int) 
             f"window [{spec.window_start_s}, {spec.window_start_s + spec.window_len_s}] s "
             f"with {spec.crossfade_s} s crossfades does not fit a {n / rate} s signal"
         )
-    rng = spawn_rng(seed)
-    out = _splice_surrogate(signal.samples, start, window_len, crossfade, crossfade, rng)
-    return Signal(out, rate)
+    rngs = [spawn_rng(seed)]
+    out = _splice_surrogate(signal.samples, start, window_len, crossfade, crossfade, rngs)
+    return Signal(out[0], rate)
 
 
-def epoch_surrogate_with_reports(epoch, config: SurrogateConfig, seed, share_channel_phases=False):
-    """Per-channel surrogate of an epoch, returning IAAFT reports.
+def epoch_surrogate_with_reports(x, seeds, config: SurrogateConfig):
+    """Per-channel surrogates of an (n, C, L) block of epochs.
 
-    Channel i draws from a stream derived from (seed, i), or from the
-    bare seed for every channel when ``share_channel_phases`` is set.
-    The channels run as one block. Reports are None for FT surrogates.
+    Channel c of epoch i draws from the stream keyed (seeds[i], c), and
+    all n * C rows run as one block (``_surrogate_rows``). Returns the
+    (n, C, L) surrogates and one report per row in row order (epoch i,
+    channel c at i * C + c), None for FT surrogates.
     """
-    rngs = [
-        spawn_rng(seed, *(() if share_channel_phases else (i,)))
-        for i in range(len(epoch.channels))
-    ]
-    samples, reports = _surrogate_rows(epoch.to_array(), rngs, config)
-    rate = epoch.sample_rate_hz
-    channels = tuple(Signal(row, rate) for row in samples)
-    return Epoch(channels, epoch.label, epoch.channel_roles), reports
+    n_epochs, n_channels, length = x.shape
+    if len(seeds) != n_epochs:
+        raise InvalidInputError(f"{len(seeds)} seeds for {n_epochs} epochs")
+    rngs = [spawn_rng(seed, c) for seed in seeds for c in range(n_channels)]
+    rows, reports = _surrogate_rows(x.reshape(-1, length), rngs, config)
+    return rows.reshape(x.shape), reports
 
 
-def epoch_surrogate(epoch, config: SurrogateConfig, seed, share_channel_phases=False) -> Epoch:
-    """Per-channel surrogate of an epoch; the label is preserved."""
-    surrogate, _ = epoch_surrogate_with_reports(epoch, config, seed, share_channel_phases)
-    return surrogate
+def epoch_surrogate(epoch, config: SurrogateConfig, seed) -> Epoch:
+    """Per-channel surrogate of an epoch, label kept; channel c draws from (seed, c)."""
+    x, _ = epoch_surrogate_with_reports(epoch.to_array()[None], [seed], config)
+    return epoch_from_array(x[0], epoch.sample_rate_hz, epoch.label, epoch.channel_roles)

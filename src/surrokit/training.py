@@ -42,8 +42,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise InvalidInputError("learning rate must be positive")
+        if not (self.learning_rate > 0 and np.isfinite(self.learning_rate)):
+            raise InvalidInputError("learning rate must be positive and finite")
         if not 0.0 <= self.rms_decay < 1.0:
             raise InvalidInputError("rms_decay must lie in [0, 1)")
         if not 0.0 <= self.momentum < 1.0:

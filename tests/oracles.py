@@ -7,7 +7,11 @@ time. The per-tap batch kernels are the straightforward
 one-product-per-tap form of the network's GEMM kernels. The
 per-channel IAAFT loop is the surrogate code as it was before channels
 were run in blocks; the block core must reproduce it bit for bit. The
-saliency loops run one full forward per replacement. The serial network
+per-row splice is the partial-surrogate patch as it was before the
+patches of a block were made in one call, on the per-channel phase
+randomization; the block splice must reproduce it bit for bit. The
+saliency loops run one full forward per replacement, with per-row
+splices. The serial network
 pass at the very end is the forward and backward as they were before
 the channel-group pipes ran on threads: one group after another, each
 dropout keep-mask drawn as its layer is reached; the threaded pass must
@@ -22,7 +26,7 @@ from surrokit.network import Conv1D, Conv2D, Dense, Dropout, MaxPool1D, Scale
 from surrokit.saliency import _validate, _window_geometry, window_positions
 from surrokit.seeding import NS_SALIENCY, spawn_rng
 from surrokit.signals import Epoch, Signal
-from surrokit.surrogates import IaaftReport, _splice_surrogate, crossfade_weights
+from surrokit.surrogates import IaaftReport, crossfade_weights
 
 
 def dft_oracle(x):
@@ -261,6 +265,33 @@ def iaaft_per_channel(samples, rng, max_iters, tolerance):
     return best, report
 
 
+def splice_surrogate_per_row(samples, start, window_len, crossfade_left, crossfade_right, rng):
+    """Replace samples[start : start+window_len] with remainder-surrogate content.
+
+    The modified region extends ``crossfade_left``/``crossfade_right``
+    samples beyond the window core; everything outside it is returned
+    bit-identical.
+    """
+    n = samples.size
+    need = crossfade_left + window_len + crossfade_right
+    if need == 0:
+        return samples.copy()
+    remainder = np.concatenate([samples[:start], samples[start + window_len :]])
+    if remainder.size < max(need, 2):
+        raise InvalidInputError(
+            f"remainder of {remainder.size} samples cannot supply a {need}-sample patch"
+        )
+    surrogate = phase_randomize_per_channel(remainder, rng)
+    offset = int(rng.integers(0, remainder.size - need + 1))
+    patch = surrogate[offset : offset + need]
+
+    weights = crossfade_weights(window_len, crossfade_left, crossfade_right)
+    out = samples.copy()
+    region = slice(start - crossfade_left, start - crossfade_left + need)
+    out[region] = (1.0 - weights) * samples[region] + weights * patch
+    return out
+
+
 # The saliency loops as they were before exact incremental inference: one
 # full single-epoch ``predict`` per replacement. Maps from the block path
 # must agree with these to rounding.
@@ -282,7 +313,7 @@ def surrogate_saliency_per_replacement(classifier, epoch, spec):
                     channels.append(ch)
                     continue
                 rng = spawn_rng(spec.seed, NS_SALIENCY, p_idx, r, c_idx)
-                samples = _splice_surrogate(
+                samples = splice_surrogate_per_row(
                     ch.samples, start, window_len, cf_left, cf_right, rng
                 )
                 channels.append(Signal(samples, ch.sample_rate_hz))

@@ -10,10 +10,12 @@ import numpy as np
 import pytest
 
 import surrokit
+from oracles import iaaft_per_channel, phase_randomize_per_channel
 from surrokit import cli, synthetic
 from surrokit.classifiers import NetworkClassifier
 from surrokit.cli import main
 from surrokit.dataio import load_dataset, save_dataset
+from surrokit.seeding import NS_EPOCH_FILE, derive_seed, spawn_rng
 from surrokit.synthetic import (
     ClassSpec,
     SyntheticSpec,
@@ -127,6 +129,42 @@ class TestSurrogate:
         ) == 0
         stdout = capsys.readouterr().out
         assert "iterations" in stdout and "discrepancy" in stdout
+
+    @pytest.mark.parametrize(
+        "kind, options", [("ft", []), ("iaaft", ["--iters", "10", "--tol", "1e-3"])]
+    )
+    def test_file_and_stdout_equal_one_epoch_at_a_time(
+        self, tmp_path, dataset_file, kind, options, capsys
+    ):
+        # the whole dataset runs as one block; channel c of epoch i must
+        # still get the per-channel surrogate under (derive_seed(seed,
+        # epoch file, i), c), and the reports print in epoch order
+        out = tmp_path / "surr.sdat"
+        capsys.readouterr()
+        argv = ["surrogate", dataset_file, str(out), "--kind", kind, "--seed", "3"] + options
+        assert main(argv) == 0
+        stdout = capsys.readouterr().out
+        original = load_dataset(dataset_file)
+        x = np.empty_like(original.x)
+        lines = []
+        for i in range(len(original)):
+            epoch_seed = derive_seed(3, NS_EPOCH_FILE, i)
+            reports = []
+            for c, row in enumerate(original.x[i]):
+                if kind == "ft":
+                    x[i, c] = phase_randomize_per_channel(row, spawn_rng(epoch_seed, c))
+                    continue
+                x[i, c], report = iaaft_per_channel(row, spawn_rng(epoch_seed, c), 10, 1e-3)
+                reports.append(report)
+            if reports:
+                iters = ",".join(str(r.iterations) for r in reports)
+                discs = ",".join(f"{r.final_discrepancy:.3e}" for r in reports)
+                lines.append(f"epoch {i}: iterations [{iters}] discrepancy [{discs}]")
+        lines.append(f"wrote {len(original)} {kind} surrogate epochs to {out}")
+        expected = tmp_path / "expected.sdat"
+        save_dataset(str(expected), replace(original, x=x))
+        assert out.read_bytes() == expected.read_bytes()
+        assert stdout == "\n".join(lines) + "\n"
 
 
 class TestBalance:
@@ -431,6 +469,29 @@ class TestErrorHandling:
         assert main(["synth", str(spec), str(out), "--n", "4"]) == 2
         err = capsys.readouterr().err
         assert "float32" in err and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, options",
+        [
+            ("train", ["--lr", "nan"]),
+            ("train", ["--lr", "inf"]),
+            ("sweep", ["--lr", "nan"]),
+            ("surrogate", ["--kind", "iaaft", "--tol", "nan"]),
+        ],
+    )
+    def test_non_finite_setting_exit_2(self, tmp_path, dataset_file, command, options, capsys):
+        out = tmp_path / "out"
+        argv = {
+            "train": ["train", dataset_file, str(out), "--steps", "2", "--batch", "4"],
+            "sweep": ["sweep", dataset_file, "--alphas", "0", "--folds", "1", "--steps", "2",
+                      "--batch", "4", "--out", str(out)],
+            "surrogate": ["surrogate", dataset_file, str(out)],
+        }[command]
+        capsys.readouterr()
+        assert main(argv + options) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("surrokit: ") and err.count("\n") == 1
         assert not out.exists()
 
     def test_bad_env_seed_is_usage_error(self, spec_file, tmp_path, monkeypatch):

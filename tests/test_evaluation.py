@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import f1_oracle
+from oracles import f1_oracle, iaaft_per_channel, phase_randomize_per_channel
 from surrokit.balance import Dataset
 from surrokit.classifiers import BandPowerClassifier
 from surrokit.errors import InvalidInputError
@@ -13,8 +13,7 @@ from surrokit.evaluation import (
     evaluate,
     f1_scores,
 )
-from surrokit.seeding import NS_CONDCONF, derive_seed
-from surrokit.surrogates import SurrogateConfig, epoch_surrogate
+from surrokit.seeding import NS_CONDCONF, derive_seed, spawn_rng
 from surrokit.synthetic import (
     ClassSpec,
     SyntheticSpec,
@@ -201,8 +200,9 @@ class TestConditionalConfusion:
 
     @pytest.mark.parametrize("kind", ["ft", "iaaft"])
     def test_block_matches_one_epoch_at_a_time(self, kind):
-        # the conditional set is surrogated as one block; epoch i must still
-        # get exactly epoch_surrogate under the key (seed, condconf, i)
+        # the conditional set is surrogated as one block; channel c of epoch
+        # i must still get exactly the per-channel surrogate under the key
+        # (derive_seed(seed, condconf, i), c)
         ds, waveform = burst_position_dataset(n=12)
         seen = []
 
@@ -212,11 +212,17 @@ class TestConditionalConfusion:
                 return super().predict(epoch)
 
         conditional_confusion(Recorder(waveform), ds, kind, seed=5)
-        expected = [
-            epoch_surrogate(ds.epoch(i), SurrogateConfig(kind=kind), derive_seed(5, NS_CONDCONF, i))
-            for i in range(len(ds))  # every epoch is predicted correctly
-        ]
-        assert seen[len(ds):] == [ep.to_array().tobytes() for ep in expected]
+        expected = []
+        for i in range(len(ds)):  # every epoch is predicted correctly
+            epoch_seed = derive_seed(5, NS_CONDCONF, i)
+            rows = [
+                phase_randomize_per_channel(row, spawn_rng(epoch_seed, c))
+                if kind == "ft"
+                else iaaft_per_channel(row, spawn_rng(epoch_seed, c), 100, 1e-8)[0]
+                for c, row in enumerate(ds.x[i])
+            ]
+            expected.append(np.array(rows).tobytes())
+        assert seen[len(ds):] == expected
 
     def test_deterministic(self):
         ds, waveform = burst_position_dataset()

@@ -12,9 +12,11 @@ from oracles import (
     idft_oracle,
     one_sided_amplitudes,
     phase_randomize_per_channel,
+    splice_surrogate_per_row,
 )
 from surrokit import parallel, surrogates
 from surrokit.errors import InvalidInputError
+from surrokit.saliency import SALIENCY_CHUNK
 from surrokit.seeding import spawn_rng
 from surrokit.signals import Signal, epoch_from_array
 from surrokit.surrogates import (
@@ -24,6 +26,7 @@ from surrokit.surrogates import (
     PartialSurrogateSpec,
     SurrogateConfig,
     _iaaft_core,
+    _splice_surrogate,
     _surrogate_rows,
     crossfade_weights,
     epoch_surrogate,
@@ -214,22 +217,26 @@ class TestIaaftBlock:
             ar2_signal.samples, spawn_rng(8)
         ).tobytes()
 
-        epoch = epoch_from_array(rng.standard_normal((4, 90)), 32.0, "S2")
-        for kind, shared in (("iaaft", False), ("iaaft", True), ("ft", False)):
-            surrogate, reports = epoch_surrogate_with_reports(
-                epoch, SurrogateConfig(kind=kind), seed=9, share_channel_phases=shared
-            )
-            for i, (before, after) in enumerate(zip(epoch.channels, surrogate.channels)):
-                stream = spawn_rng(9) if shared else spawn_rng(9, i)
+        # three epochs of four channels, one seed per epoch
+        x = rng.standard_normal((3, 4, 90))
+        seeds = [9, 2**40, 0]
+        for kind in ("iaaft", "ft"):
+            out, reports = epoch_surrogate_with_reports(x, seeds, SurrogateConfig(kind=kind))
+            assert out.shape == x.shape and len(reports) == 12
+            for i, c in np.ndindex(3, 4):
+                stream = spawn_rng(seeds[i], c)
                 if kind == "ft":
-                    expected = phase_randomize_per_channel(before.samples, stream)
-                    assert reports[i] is None
+                    expected = phase_randomize_per_channel(x[i, c], stream)
+                    assert reports[4 * i + c] is None
                 else:
-                    expected, expected_report = iaaft_per_channel(
-                        before.samples, stream, 100, 1e-8
-                    )
-                    assert reports[i] == expected_report
-                assert after.samples.tobytes() == expected.tobytes()
+                    expected, expected_report = iaaft_per_channel(x[i, c], stream, 100, 1e-8)
+                    assert reports[4 * i + c] == expected_report
+                assert out[i, c].tobytes() == expected.tobytes()
+            epoch = epoch_from_array(x[1], 32.0, "S2")
+            single = epoch_surrogate(epoch, SurrogateConfig(kind=kind), seeds[1])
+            assert single.to_array().tobytes() == out[1].tobytes()
+        with pytest.raises(InvalidInputError):
+            epoch_surrogate_with_reports(x, seeds[:2], SurrogateConfig())
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -391,6 +398,47 @@ class TestPartialSurrogate:
         np.testing.assert_array_equal(a.samples, b.samples)
 
 
+class TestBlockSplice:
+    """One ``_splice_surrogate`` call makes the patches of a block of rows;
+    one row at a time through ``oracles.splice_surrogate_per_row`` is the
+    byte-level reference."""
+
+    @staticmethod
+    def per_row(samples, geometry, n_rows):
+        return np.array(
+            [splice_surrogate_per_row(samples, *geometry, spawn_rng(4, r)) for r in range(n_rows)]
+        )
+
+    @pytest.mark.parametrize("n", [960, 961, 97])
+    @pytest.mark.parametrize("where", ["left", "middle", "right"])
+    @pytest.mark.parametrize("n_rows", [1, SALIENCY_CHUNK + 7])
+    def test_rows_equal_one_at_a_time(self, n, where, n_rows):
+        samples = np.random.default_rng(n).standard_normal(n) * 3
+        window, crossfade = n // 6, n // 60
+        start = {"left": 0, "middle": n // 2 - window // 2, "right": n - window}[where]
+        # crossfades are truncated at the epoch edges, as saliency does
+        geometry = (start, window, min(crossfade, start), min(crossfade, n - start - window))
+        out = _splice_surrogate(samples, *geometry, [spawn_rng(4, r) for r in range(n_rows)])
+        assert out.tobytes() == self.per_row(samples, geometry, n_rows).tobytes()
+
+    def test_zero_length_patch_copies_and_draws_nothing(self):
+        samples = np.random.default_rng(1).standard_normal(64)
+        rngs = [spawn_rng(4, r) for r in range(3)]
+        out = _splice_surrogate(samples, 20, 0, 0, 0, rngs)
+        assert out.tobytes() == self.per_row(samples, (20, 0, 0, 0), 3).tobytes()
+        assert out.tobytes() == np.tile(samples, (3, 1)).tobytes()
+        for r, rng in enumerate(rngs):
+            assert rng.bit_generator.state == spawn_rng(4, r).bit_generator.state
+
+    @pytest.mark.parametrize("geometry", [(3, 15, 2, 0), (0, 19, 0, 0)])
+    def test_remainder_too_short_rejected(self, geometry):
+        samples = np.random.default_rng(2).standard_normal(20)
+        with pytest.raises(InvalidInputError):
+            _splice_surrogate(samples, *geometry, [spawn_rng(4, 0), spawn_rng(4, 1)])
+        with pytest.raises(InvalidInputError):
+            self.per_row(samples, geometry, 1)
+
+
 class TestEpochSurrogate:
     def test_constant_epoch_unchanged(self):
         data = np.tile(np.array([[1.0], [2.0], [3.0], [4.0]]), (1, 64))
@@ -413,14 +461,6 @@ class TestEpochSurrogate:
         epoch = epoch_from_array(np.tile(row, (4, 1)), 32.0, "Wake")
         out = epoch_surrogate(epoch, SurrogateConfig(kind="ft"), seed=2)
         assert not np.array_equal(out.channels[0].samples, out.channels[1].samples)
-
-    def test_shared_phase_flag(self, rng):
-        row = rng.standard_normal(128)
-        epoch = epoch_from_array(np.tile(row, (4, 1)), 32.0, "Wake")
-        out = epoch_surrogate(
-            epoch, SurrogateConfig(kind="ft"), seed=2, share_channel_phases=True
-        )
-        np.testing.assert_array_equal(out.channels[0].samples, out.channels[1].samples)
 
     def test_same_seed_identical(self, rng):
         data = rng.standard_normal((4, 96))
