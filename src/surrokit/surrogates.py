@@ -13,7 +13,11 @@ the sorted surrogate samples equal the sorted originals bit for bit and
 the residual error lives in the amplitude spectrum. The loop stops when
 the spectral discrepancy stops improving or its relative change drops
 below the configured tolerance; the best iterate seen is returned, so
-the reported discrepancy sequence is strictly decreasing. Channels run
+the reported discrepancy sequence is strictly decreasing. Each spectral
+step imposes the target amplitudes by dividing the bins by their
+magnitudes, not through ``exp(i * angle)``; an iterate whose values tie
+up to rounding takes the exponential instead, so the surrogates are the
+same, bit for bit, as with the exponential alone. Channels run
 in chunks of ``SURROGATE_CHUNK`` rows that share each iteration's
 argsort and FFTs, and the chunks of a block run on threads over the
 usable cores (``parallel``). Every row has its own generator, created
@@ -43,6 +47,10 @@ SURROGATE_KINDS = (KIND_FT, KIND_IAAFT)
 IAAFT_STOP_REASONS = ("exact", "tolerance", "stalled", "max_iters")
 # rows surrogated as one block; bounds the FFT and sort temporaries
 SURROGATE_CHUNK = 64
+# an IAAFT iterate whose closest two values lie within this fraction of its
+# peak is recomputed from exp(i * angle); the two phase formulas move an
+# iterate by at most about 1e-15 of its peak
+NEAR_TIE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -142,6 +150,15 @@ def _iaaft_core(block, rngs, max_iters, tolerance):
     same iterate, discrepancies and reason, bit for bit, as it would in
     a block of one.
 
+    The target amplitudes are imposed as ``target * bins / |bins|``,
+    reusing the ``|bins|`` of the discrepancy. That phasor differs from
+    ``exp(i * angle(bins))`` only in the last bits, and the iterate only
+    matters through its ranking, so the surrogates stay the same unless
+    two iterate values tie up to rounding. A row whose iterate has two
+    values within ``NEAR_TIE`` of its peak, or an exactly-zero bin, is
+    therefore recomputed from ``exp(i * angle(bins))``: every surrogate
+    and report equals the exponential form's, bit for bit.
+
     Returns:
         ((k, n) surrogates, tuple of one IaaftReport per row).
     """
@@ -161,7 +178,8 @@ def _iaaft_core(block, rngs, max_iters, tolerance):
         ranked = np.empty_like(current)
         np.put_along_axis(ranked, np.argsort(current, axis=1), sorted_values, axis=1)
         bins = np.fft.rfft(ranked)
-        residual = np.abs(bins) - target
+        amplitudes = np.abs(bins)
+        residual = amplitudes - target
         accepted = np.zeros(active.size, dtype=bool)
         running = np.zeros(active.size, dtype=bool)
         for r, row in enumerate(active):
@@ -183,11 +201,22 @@ def _iaaft_core(block, rngs, max_iters, tolerance):
         if not running.any():
             break
         if not running.all():
-            active, target, target_norms, sorted_values, bins = (
-                a[running] for a in (active, target, target_norms, sorted_values, bins)
+            active, target, target_norms, sorted_values, bins, amplitudes = (
+                a[running]
+                for a in (active, target, target_norms, sorted_values, bins, amplitudes)
             )
-        # spectral adjustment: impose the target amplitudes, keep the phases
-        current = np.fft.irfft(target * np.exp(1j * np.angle(bins)), n=n)
+        # spectral adjustment: impose the target amplitudes, keep the phases;
+        # rows with a zero bin, or with values the two phasors may rank
+        # differently, take the exponential form
+        silent = amplitudes == 0
+        amplitudes[silent] = 1.0  # keeps the division finite on rows redone below
+        current = np.fft.irfft(bins * (target / amplitudes), n=n)
+        ordered = np.sort(current, axis=1)
+        peaks = np.maximum(-ordered[:, 0], ordered[:, -1])
+        gaps = np.diff(ordered, axis=1).min(axis=1)
+        exact = silent.any(axis=1) | (gaps <= NEAR_TIE * peaks)
+        if exact.any():
+            current[exact] = np.fft.irfft(target[exact] * np.exp(1j * np.angle(bins[exact])), n=n)
 
     reports = tuple(
         IaaftReport(

@@ -494,6 +494,21 @@ class TestErrorHandling:
         assert err.startswith("surrokit: ") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["synth", "surrogate", "balance", "evaluate"])
+    def test_missing_output_directory_names_the_path(
+        self, tmp_path, spec_file, dataset_file, weights_file, command, capsys
+    ):
+        missing = tmp_path / "missing"
+        out = missing / "out"
+        argv = {
+            "synth": ["synth", spec_file, out, "--n", "4"],
+            "surrogate": ["surrogate", dataset_file, out],
+            "balance": ["balance", dataset_file, out, "--alpha", "1"],
+            "evaluate": ["evaluate", dataset_file, weights_file, "--out", out],
+        }[command]
+        err = _exits_2_with_one_line(argv, capsys, missing)
+        assert repr(str(out)) in err and ".part" not in err
+
     def test_bad_env_seed_is_usage_error(self, spec_file, tmp_path, monkeypatch):
         monkeypatch.setenv("SURROKIT_SEED", "abc")
         assert main(["synth", spec_file, str(tmp_path / "x.sdat"), "--n", "4"]) == 1
