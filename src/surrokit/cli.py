@@ -109,6 +109,8 @@ def _cmd_surrogate(args):
     )
     seeds = [derive_seed(seed, NS_EPOCH_FILE, i) for i in range(len(dataset))]
     x, reports = epoch_surrogate_with_reports(dataset.x, seeds, config)
+    out = replace(dataset, x=x)
+    dataio.save_dataset(args.out, out)  # before any output, so a failed write prints nothing else
     if args.kind == KIND_IAAFT:
         n_channels = len(dataset.channel_roles)
         for i in range(len(dataset)):
@@ -116,8 +118,6 @@ def _cmd_surrogate(args):
             iters = ",".join(str(r.iterations) for r in epoch_reports)
             discs = ",".join(f"{r.final_discrepancy:.3e}" for r in epoch_reports)
             print(f"epoch {i}: iterations [{iters}] discrepancy [{discs}]")
-    out = replace(dataset, x=x)
-    dataio.save_dataset(args.out, out)
     print(f"wrote {len(out)} {args.kind} surrogate epochs to {args.out}")
     return 0
 
@@ -132,6 +132,7 @@ def _cmd_balance(args):
     upsampled, flags = upsample(dataset, config)
     reports = []
     augmented = augment(upsampled, flags, config, log=reports.extend)
+    dataio.save_dataset(args.out, augmented)  # before any output, as in _cmd_surrogate
     if args.kind == KIND_IAAFT:
         # diagnostics go to stderr so that stdout and the file stay reproducible
         reasons = Counter(r.reason for r in reports)
@@ -146,7 +147,6 @@ def _cmd_balance(args):
     print("class\tbefore\tafter")
     for label in dataset.label_vocabulary:
         print(f"{label}\t{before[label]}\t{after[label]}")
-    dataio.save_dataset(args.out, augmented)
     print(f"wrote {len(augmented)} epochs to {args.out}")
     return 0
 

@@ -153,8 +153,10 @@ def conv2d_valid_backward_oracle(x, kernel, dz):
 
 
 # Per-tap batch kernels with the network's signatures and caches: one
-# small matmul per kernel tap, and a stacked argmax for the pool. The
-# network's GEMM kernels reorder these sums and must agree to rounding.
+# small matmul per kernel tap over the whole batch, and a stacked argmax
+# for the pool. The network's layer-1 im2col and 2-D GEMM kernels reorder
+# these sums and must agree to rounding; its per-tap Conv1D kernels, run
+# in row chunks, must agree bit for bit.
 
 
 def conv1d_per_tap(x, kernel, bias):
@@ -168,7 +170,20 @@ def conv1d_per_tap(x, kernel, bias):
     return z + bias, (xp, pad_left)
 
 
-def maxpool_stacked(x, width, stride):
+def conv1d_backward_per_tap(dz, kernel, cache):
+    xp, pad_left = cache
+    width = kernel.shape[0]
+    length = dz.shape[1]
+    d_kernel = np.empty_like(kernel)
+    for w in range(width):
+        d_kernel[w] = np.matmul(xp[:, w : w + length].transpose(0, 2, 1), dz).sum(axis=0)
+    dxp = np.zeros_like(xp)
+    for w in range(width):
+        dxp[:, w : w + length] += dz @ kernel[w].T
+    return dxp[:, pad_left : pad_left + length], d_kernel, dz.sum(axis=(0, 1))
+
+
+def maxpool_stacked(x, width, stride, keep_arg):
     length = x.shape[1]
     out_len = -(-length // stride)
     pad_total = max(0, (out_len - 1) * stride + width - length)
@@ -178,7 +193,7 @@ def maxpool_stacked(x, width, stride):
     stacked = np.stack([xp[:, w : last_start + w + 1 : stride] for w in range(width)])
     arg = stacked.argmax(axis=0)
     y = np.take_along_axis(stacked, arg[None], axis=0)[0]
-    return y, (xp.shape, pad_left, arg, out_len)
+    return y, (xp.shape, pad_left, arg if keep_arg else None, out_len)
 
 
 def conv2d_per_tap(x, kernel, bias):
@@ -364,7 +379,7 @@ def _serial_run_pipe(layers, group, weights, x, training, rng, caches):
             caches.append((layer, group, (x.shape, cache, mask)))
             x = np.maximum(z, 0.0) if layer.activation == "relu" else z
         elif isinstance(layer, MaxPool1D):
-            y, cache = network._maxpool_forward(x, layer.width, layer.stride)
+            y, cache = network._maxpool_forward(x, layer.width, layer.stride, True)
             caches.append((layer, group, (x.shape, cache)))
             x = y
         elif isinstance(layer, Conv2D):

@@ -368,8 +368,9 @@ class TestMalformedHeaders:
 def _exits_2_with_one_line(argv, capsys, *outputs):
     capsys.readouterr()
     assert main([str(a) for a in argv]) == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert err.startswith("surrokit: ") and err.count("\n") == 1, err
+    assert out == "", out
     assert not any(Path(path).exists() for path in outputs)
     return err
 
@@ -494,16 +495,23 @@ class TestErrorHandling:
         assert err.startswith("surrokit: ") and err.count("\n") == 1
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["synth", "surrogate", "balance", "evaluate"])
+    @pytest.mark.parametrize(
+        "command",
+        ["synth", "surrogate", "surrogate-iaaft", "balance", "balance-iaaft", "evaluate"],
+    )
     def test_missing_output_directory_names_the_path(
         self, tmp_path, spec_file, dataset_file, weights_file, command, capsys
     ):
+        # the write comes before any output: a failed one leaves the one
+        # error line, no stdout (IAAFT reports, class table) and no file
         missing = tmp_path / "missing"
         out = missing / "out"
         argv = {
             "synth": ["synth", spec_file, out, "--n", "4"],
             "surrogate": ["surrogate", dataset_file, out],
+            "surrogate-iaaft": ["surrogate", dataset_file, out, "--kind", "iaaft"],
             "balance": ["balance", dataset_file, out, "--alpha", "1"],
+            "balance-iaaft": ["balance", dataset_file, out, "--alpha", "1", "--kind", "iaaft"],
             "evaluate": ["evaluate", dataset_file, weights_file, "--out", out],
         }[command]
         err = _exits_2_with_one_line(argv, capsys, missing)

@@ -248,9 +248,10 @@ class TestLayerOracles:
     def test_maxpool_against_naive_loop(self, rng):
         for length in (9, 10, 960):
             x = rng.standard_normal((2, length, 3))
-            y, _ = _maxpool_forward(x, 3, 2)
-            for b in range(2):
-                np.testing.assert_array_equal(y[b], maxpool_same_oracle(x[b], 3, 2))
+            for keep_arg in (False, True):
+                y, _ = _maxpool_forward(x, 3, 2, keep_arg)
+                for b in range(2):
+                    np.testing.assert_array_equal(y[b], maxpool_same_oracle(x[b], 3, 2))
 
     def test_conv2d_against_naive_loop(self, rng):
         x = rng.standard_normal((2, 7, 4, 3))
@@ -275,12 +276,69 @@ class TestKernels:
                     z[b], conv1d_same_oracle(x[b], kernel, bias), rtol=0, atol=1e-12
                 )
 
+    @pytest.mark.parametrize(
+        "rows", [1, IM2COL_CHUNK - 1, IM2COL_CHUNK, IM2COL_CHUNK + 1, 2 * IM2COL_CHUNK + 3]
+    )
+    def test_conv1d_chunks_keep_every_bit(self, rows, rng):
+        # rows run in chunks of IM2COL_CHUNK; per tap the products and their
+        # order are the per-tap oracle's. The single-channel im2col GEMM
+        # reorders a row's tap sum (1e-12 tests above), but gives each row
+        # the bits it has alone.
+        for c_in, width, filters in ((1, 16, 8), (8, 19, 8), (16, 27, 19)):
+            x = np.maximum(rng.standard_normal((rows, 60, c_in)), 0.0)  # ReLU zeros
+            kernel = rng.standard_normal((width, c_in, filters))
+            bias = rng.standard_normal(filters)
+            z, cache = _conv1d_forward(x, kernel, bias)
+            z_ref, cache_ref = oracles.conv1d_per_tap(x, kernel, bias)
+            np.testing.assert_array_equal(cache[0], cache_ref[0])
+            assert cache[1] == cache_ref[1]
+            if c_in == 1:
+                for b in range(rows):
+                    assert np.array_equal(z[b], _conv1d_forward(x[b : b + 1], kernel, bias)[0][0])
+            else:
+                assert np.array_equal(z, z_ref)
+            dz = rng.standard_normal(z.shape)
+            got = network._conv1d_backward(dz, kernel, cache)
+            expected = oracles.conv1d_backward_per_tap(dz, kernel, cache_ref)
+            for a, b in zip(got, expected, strict=True):  # dx, d_kernel, d_bias
+                assert a.shape == b.shape and np.array_equal(a, b)
+
+    @pytest.mark.parametrize("build", [full_architecture, reference_architecture])
+    def test_channel_pipes_are_batch_invariant(self, build, rng):
+        # each epoch gets the same bits at every channel-pipe layer, alone
+        # or anywhere in a batch whose stacked rows cross chunk boundaries
+        desc = build()
+        weights = init_weights(desc, 13)
+        x = rng.standard_normal((2 * IM2COL_CHUNK + 3, 4, 960)) * 20
+        acts = channel_activations(desc, weights, x)
+        for b in (0, IM2COL_CHUNK - 1, IM2COL_CHUNK, IM2COL_CHUNK + 1, len(x) - 1):
+            alone = channel_activations(desc, weights, x[b : b + 1])
+            for per_channel, per_channel_alone in zip(acts, alone, strict=True):
+                for layer, layer_alone in zip(per_channel, per_channel_alone, strict=True):
+                    assert np.array_equal(layer[b : b + 1], layer_alone)
+
+    @pytest.mark.parametrize("length", [9, 10, 960])
+    def test_inference_pool_gives_the_training_bits(self, length, rng):
+        # ReLU output with runs of ties, -0.0 beside +0.0, and signed zeros
+        # at both ends, where windows reach the -inf padding
+        x = np.maximum(rng.standard_normal((3, length, 4)), 0.0)
+        x[0, : length // 2] = 0.0
+        x[1, ::2] = -0.0
+        x[:, 0] = -0.0
+        x[:, -1] = -0.0
+        y_train, (_, _, arg, _) = _maxpool_forward(x, 3, 2, True)
+        y, (_, _, no_arg, _) = _maxpool_forward(x, 3, 2, False)
+        assert arg is not None and no_arg is None
+        assert y.shape == y_train.shape and y.tobytes() == y_train.tobytes()
+        for b in range(3):
+            np.testing.assert_array_equal(y[b], maxpool_same_oracle(x[b], 3, 2))
+
     def test_maxpool_ties_route_to_lowest_index(self, rng):
         # ReLU output: runs of exact zeros make many windows tie
         x = np.maximum(rng.standard_normal((3, 21, 4)), 0.0)
         x[0, :6] = 0.0
-        y, cache = _maxpool_forward(x, 3, 2)
-        y_ref, cache_ref = oracles.maxpool_stacked(x, 3, 2)
+        y, cache = _maxpool_forward(x, 3, 2, True)
+        y_ref, cache_ref = oracles.maxpool_stacked(x, 3, 2, True)
         np.testing.assert_array_equal(y, y_ref)
         np.testing.assert_array_equal(cache[2], cache_ref[2])
         dy = rng.standard_normal(y.shape)
