@@ -19,6 +19,9 @@ The channel-pipe kernels work on rows (channel copies of epochs) in
 chunks of ``IM2COL_CHUNK``, so that a convolution's per-tap products and
 sums can stay in cache; every row gets the bits it would get alone. The pool
 finds each window's winning tap only when a backward pass will read it.
+The input-gradient products of the backward pass multiply by a contiguous
+copy of the transposed kernel, which OpenBLAS runs about twice as fast as
+a transposed view, with the same bits at the reference network's widths.
 
 Weights are a flat dict keyed "group/layer/param" of float64 arrays.
 """
@@ -345,11 +348,16 @@ def _conv1d_backward(dz, kernel, cache):
         d_kernel[w] = np.matmul(xp[:, w : w + length].transpose(0, 2, 1), dz, out=products).sum(0)
     dxp = np.zeros_like(xp)
     tap = np.empty((min(batch, IM2COL_CHUNK), length, c_in))
+    # a contiguous (W, F, C) copy: OpenBLAS takes 0.07-0.10 ms per tap on it
+    # against 0.13-0.24 ms on the transposed view kernel[w].T (32 rows x 480
+    # samples x 8 -> 8 channels, one BLAS thread); the bits are the view's
+    # at the reference widths, and within 4e-16 at the full layer 3 (F = 23)
+    kernel_t = np.ascontiguousarray(kernel.transpose(0, 2, 1))
     for start in range(0, batch, IM2COL_CHUNK):
         stop = min(start + IM2COL_CHUNK, batch)
         buf = tap[: stop - start]
         for w in range(width):
-            np.matmul(dz[start:stop], kernel[w].T, out=buf)
+            np.matmul(dz[start:stop], kernel_t[w], out=buf)
             dxp[start:stop, w : w + length] += buf
     return dxp[:, pad_left : pad_left + length], d_kernel, d_bias
 
@@ -373,10 +381,15 @@ def _maxpool_padded(xp, width, stride, out_len, keep_arg):
     last_start = (out_len - 1) * stride
     y = xp[:, 0 : last_start + 1 : stride].copy()
     arg = np.zeros(y.shape, dtype=np.min_scalar_type(width - 1)) if keep_arg else None
+    won = np.empty(y.shape, dtype=bool) if keep_arg else None
     for w in range(1, width):
         view = xp[:, w : last_start + w + 1 : stride]
         if keep_arg:
-            np.copyto(arg, w, where=view > y)
+            # a later tap that wins has a larger index, so a maximum records
+            # it: 2.2 ms per tap, compare included, against 17-19 ms for a
+            # masked np.copyto at 512 rows x 480 x 8
+            np.greater(view, y, out=won)
+            np.maximum(arg, won * arg.dtype.type(w), out=arg)
         np.maximum(y, view, out=y)
     return y, arg
 
@@ -419,11 +432,13 @@ def _conv2d_backward(dz, x_shape, kernel, cache):
     dx = np.zeros_like(x)
     dz_flat = dz.reshape(-1, filters)
     patch_shape = (x.shape[0], oh, ow, c_in)
+    # contiguous (KH, KW, F, C), for the reason given in _conv1d_backward
+    kernel_t = np.ascontiguousarray(kernel.transpose(0, 1, 3, 2))
     for i in range(kh):
         for j in range(kw):
             patch = x[:, i : i + oh, j : j + ow].reshape(-1, c_in)
             d_kernel[i, j] = patch.T @ dz_flat
-            dx[:, i : i + oh, j : j + ow] += (dz_flat @ kernel[i, j].T).reshape(patch_shape)
+            dx[:, i : i + oh, j : j + ow] += (dz_flat @ kernel_t[i, j]).reshape(patch_shape)
     return dx, d_kernel, d_bias
 
 

@@ -3,11 +3,18 @@
 numpy releases the interpreter lock inside BLAS, FFT, sort and ufunc
 loops, so threads overlap there. The network runs its channel-group
 pipes this way and the surrogates their chunks of rows. No thread starts
-at import, and a call with one partition runs inline.
+at import, and a call with one partition runs inline. While a call's
+workers run, numpy's OpenBLAS runs one thread, so that BLAS threads do
+not compete with them for the same cores.
 """
 
+import ctypes
+import glob
 import os
 from concurrent.futures import ThreadPoolExecutor
+from functools import cache
+
+import numpy as np
 
 
 def _usable_cores():
@@ -32,6 +39,25 @@ def _partitions(sizes, n_parts):
     return [sorted(part) for part in parts if part]
 
 
+@cache
+def _openblas_threads():
+    """``(get, set)`` for the thread count of numpy's bundled OpenBLAS, or
+    None where that library or either symbol is absent. The symbols are not
+    in the process's global namespace, so the library numpy loaded is
+    opened again by its path (``RTLD_NOLOAD``: nothing new is loaded)."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "libscipy_openblas64_*.so")):
+        try:
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD | os.RTLD_LAZY)
+            get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        except (AttributeError, OSError):
+            continue
+        get.argtypes, get.restype = (), ctypes.c_int
+        set_.argtypes, set_.restype = (ctypes.c_int,), None
+        return get, set_
+    return None
+
+
 def _map_partitioned(fn, sizes):
     """``[fn(i) for i in range(len(sizes))]`` spread over the cores.
 
@@ -40,6 +66,11 @@ def _map_partitioned(fn, sizes):
     one worker thread each of the others. Each ``fn(i)`` must touch no
     state another item writes. A worker's exception is raised here when
     its result is read.
+
+    With workers, an OpenBLAS count above one is set to one before they
+    start and restored after they join, so none of them is inside BLAS
+    while it changes. Maps run from several threads at once may overlap
+    at the higher count; the count still ends as it began.
     """
     parts = _partitions(sizes, _usable_cores())
     if len(parts) < 2:
@@ -48,9 +79,17 @@ def _map_partitioned(fn, sizes):
     def run(part):
         return [(i, fn(i)) for i in part]
 
-    with ThreadPoolExecutor(max_workers=len(parts) - 1) as pool:
-        futures = [pool.submit(run, part) for part in parts[1:]]
-        done = run(parts[0])
-        for future in futures:
-            done += future.result()
+    blas = _openblas_threads()
+    blas_count = blas[0]() if blas else 1
+    if blas_count > 1:
+        blas[1](1)
+    try:
+        with ThreadPoolExecutor(max_workers=len(parts) - 1) as pool:
+            futures = [pool.submit(run, part) for part in parts[1:]]
+            done = run(parts[0])
+            for future in futures:
+                done += future.result()
+    finally:
+        if blas_count > 1:
+            blas[1](blas_count)
     return [result for _, result in sorted(done, key=lambda item: item[0])]
