@@ -27,16 +27,7 @@ from .network import (
     reference_architecture,
 )
 from .saliency import SaliencyMap, SaliencySpec, surrogate_saliency, zero_out_saliency
-from .signals import (
-    Epoch,
-    Signal,
-    Spectrum,
-    butterworth_lowpass,
-    epoch_from_array,
-    forward_dft,
-    inverse_dft,
-    resample,
-)
+from .signals import Epoch, Signal
 from .surrogates import (
     IaaftReport,
     PartialSurrogateSpec,

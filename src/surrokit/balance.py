@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .seeding import NS_AUGMENT, NS_UPSAMPLE, spawn_rng
-from .signals import DEFAULT_ROLES, _check_samples, epoch_from_array
+from .signals import DEFAULT_ROLES, Epoch, _check_samples
 from .surrogates import SurrogateConfig, _surrogate_rows
 
 DEFAULT_VOCABULARY = ("Wake", "S1", "S2", "S3", "S4", "REM")
@@ -76,7 +76,7 @@ class Dataset:
 
     def epoch(self, i: int):
         label = self.label_vocabulary[self.labels[i]]
-        return epoch_from_array(self.x[i], self.sample_rate_hz, label, self.channel_roles)
+        return Epoch(self.x[i], self.sample_rate_hz, label, self.channel_roles)
 
     @property
     def epochs(self) -> tuple:

@@ -87,9 +87,9 @@ def band_power_features(epoch: Epoch, bands) -> np.ndarray:
     so the features are invariant to overall amplitude scale.
     """
     features = []
-    for ch in epoch.channels:
-        spectrum = np.abs(np.fft.rfft(ch.samples)) ** 2
-        freqs = np.fft.rfftfreq(len(ch), d=1.0 / ch.sample_rate_hz)
+    freqs = np.fft.rfftfreq(epoch.n_samples, d=1.0 / epoch.sample_rate_hz)
+    for row in epoch.samples:
+        spectrum = np.abs(np.fft.rfft(row)) ** 2
         total = spectrum.sum()
         for lo, hi in bands:
             mask = (freqs >= lo) & (freqs < hi)
@@ -146,10 +146,10 @@ def matched_filter_score(epoch: Epoch, waveform: np.ndarray, channels, combine="
     """
     waveform = np.asarray(waveform, dtype=np.float64)
     scores = []
-    for role, ch in zip(epoch.channel_roles, epoch.channels):
+    for role, row in zip(epoch.channel_roles, epoch.samples):
         if role not in channels:
             continue
-        r = np.correlate(ch.samples, waveform, mode="same")
+        r = np.correlate(row, waveform, mode="same")
         rms = np.sqrt(np.mean(r**2)) + 1e-30
         scores.append(float(np.max(np.abs(r)) / rms))
     if not scores:

@@ -580,7 +580,7 @@ def _check_roles(descriptor, roles):
 def _epoch_batch(descriptor, epoch: Epoch) -> np.ndarray:
     """One epoch as a (1, n_channels, n_samples) batch, its roles checked."""
     _check_roles(descriptor, epoch.channel_roles)
-    return epoch.to_array()[None]
+    return epoch.samples[None]
 
 
 def forward_batch(descriptor, weights, x, training=False, rng=None, return_caches=False):

@@ -10,8 +10,10 @@ instead; it needs no ensemble and is provided as the naive baseline the
 surrogate method improves on.
 
 Window positions cover [0, epoch_len - window_len] with the configured
-step, which must be at least one sample. Crossfades are truncated at the
-epoch boundaries so the first and last positions remain valid.
+step. The step and the window must be at least one sample, and neither
+the window nor the crossfade may be longer than the epoch. Crossfades are
+truncated at the epoch boundaries so the first and last positions remain
+valid.
 
 Both methods run one loop: per position, the replacements are made and
 classified in blocks of ``SALIENCY_CHUNK``, the surrogate patches of a
@@ -33,7 +35,7 @@ import numpy as np
 from .classifiers import NetworkClassifier
 from .errors import InvalidInputError
 from .seeding import NS_SALIENCY, spawn_rng
-from .signals import Epoch, Signal
+from .signals import Epoch
 from .surrogates import _splice_surrogate, crossfade_weights
 
 # replacements per block sent to the classifier; bounds the stacked rows
@@ -103,16 +105,14 @@ def _validate(epoch: Epoch, spec: SaliencySpec):
         raise InvalidInputError(f"target channels {sorted(unknown)} not present in epoch")
     if not spec.target_channels:
         raise InvalidInputError("target_channels is empty")
-    # window starts are rounded to whole samples
-    if spec.step_s < 1.0 / epoch.sample_rate_hz:
-        raise InvalidInputError(
-            f"step of {spec.step_s} s is shorter than one sample "
-            f"({1.0 / epoch.sample_rate_hz} s)"
-        )
-    if spec.window_len_s > epoch.duration_s:
-        raise InvalidInputError(
-            f"window of {spec.window_len_s} s exceeds the {epoch.duration_s} s epoch"
-        )
+    # window starts and lengths are rounded to whole samples
+    period = 1.0 / epoch.sample_rate_hz
+    for name, value in (("step", spec.step_s), ("window", spec.window_len_s)):
+        if value < period:
+            raise InvalidInputError(f"{name} of {value} s is shorter than one sample ({period} s)")
+    for name, value in (("window", spec.window_len_s), ("crossfade", spec.crossfade_s)):
+        if value > epoch.duration_s:
+            raise InvalidInputError(f"{name} of {value} s exceeds the {epoch.duration_s} s epoch")
 
 
 def _predictor(classifier, epoch: Epoch):
@@ -128,13 +128,13 @@ def _predictor(classifier, epoch: Epoch):
         return classifier.splice_predictor(epoch)
 
     def predict_rows(rows, lo, hi):
+        samples = epoch.samples.copy()
         probs = []
         for r in range(len(next(iter(rows.values())))):
-            channels = tuple(
-                Signal(rows[c][r], ch.sample_rate_hz) if c in rows else ch
-                for c, ch in enumerate(epoch.channels)
-            )
-            probs.append(classifier.predict(Epoch(channels, epoch.label, epoch.channel_roles)))
+            for c, block in rows.items():
+                samples[c] = block[r]
+            replaced = Epoch(samples, epoch.sample_rate_hz, epoch.label, epoch.channel_roles)
+            probs.append(classifier.predict(replaced))
         return np.array(probs, dtype=np.float64)
 
     return np.asarray(classifier.predict(epoch), dtype=np.float64), predict_rows
@@ -177,7 +177,7 @@ def surrogate_saliency(classifier, epoch: Epoch, spec: SaliencySpec) -> Saliency
 
     def replace(p_idx, block, c_idx, geometry):
         rngs = [spawn_rng(spec.seed, NS_SALIENCY, p_idx, r, c_idx) for r in block]
-        return _splice_surrogate(epoch.channels[c_idx].samples, *geometry, rngs)
+        return _splice_surrogate(epoch.samples[c_idx], *geometry, rngs)
 
     positions, baseline, means, stds = _saliency(
         classifier, epoch, spec, spec.n_replacements, replace
@@ -196,7 +196,7 @@ def zero_out_saliency(classifier, epoch: Epoch, spec: SaliencySpec) -> SaliencyM
         start, window_len, cf_left, cf_right = geometry
         weights = crossfade_weights(window_len, cf_left, cf_right)
         region = slice(start - cf_left, start - cf_left + weights.size)
-        rows = np.tile(epoch.channels[c_idx].samples, (len(block), 1))
+        rows = np.tile(epoch.samples[c_idx], (len(block), 1))
         rows[:, region] = (1.0 - weights) * rows[:, region]
         return rows
 

@@ -32,6 +32,7 @@ and surrogate weights sum to one. Every surrogate, whole or partial, is
 made in a block of rows with one generator per row.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +40,7 @@ import numpy as np
 from .errors import InvalidInputError
 from .parallel import _map_partitioned
 from .seeding import spawn_rng
-from .signals import Epoch, Signal, epoch_from_array
+from .signals import Epoch, Signal
 
 KIND_FT = "ft"
 KIND_IAAFT = "iaaft"
@@ -110,7 +111,10 @@ class PartialSurrogateSpec:
     crossfade_s: float = 0.5
 
     def __post_init__(self):
-        if self.window_start_s < 0 or self.window_len_s < 0 or self.crossfade_s < 0:
+        placement = (self.window_start_s, self.window_len_s, self.crossfade_s)
+        if not all(map(math.isfinite, placement)):
+            raise InvalidInputError("window placement values must be finite")
+        if min(placement) < 0:
             raise InvalidInputError("window placement values must be non-negative")
 
 
@@ -330,6 +334,12 @@ def partial_ft_surrogate(signal: Signal, spec: PartialSurrogateSpec, seed: int) 
     """
     rate = signal.sample_rate_hz
     n = signal.samples.size
+    # refused in seconds: a huge value would overflow the conversion to samples
+    longest = max(spec.window_start_s, spec.window_len_s, spec.crossfade_s)
+    if longest > signal.duration_s:
+        raise InvalidInputError(
+            f"window placement value of {longest} s exceeds the {signal.duration_s} s signal"
+        )
     start = int(round(spec.window_start_s * rate))
     window_len = int(round(spec.window_len_s * rate))
     crossfade = int(round(spec.crossfade_s * rate))
@@ -361,5 +371,5 @@ def epoch_surrogate_with_reports(x, seeds, config: SurrogateConfig):
 
 def epoch_surrogate(epoch, config: SurrogateConfig, seed) -> Epoch:
     """Per-channel surrogate of an epoch, label kept; channel c draws from (seed, c)."""
-    x, _ = epoch_surrogate_with_reports(epoch.to_array()[None], [seed], config)
-    return epoch_from_array(x[0], epoch.sample_rate_hz, epoch.label, epoch.channel_roles)
+    x, _ = epoch_surrogate_with_reports(epoch.samples[None], [seed], config)
+    return Epoch(x[0], epoch.sample_rate_hz, epoch.label, epoch.channel_roles)

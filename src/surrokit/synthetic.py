@@ -40,7 +40,7 @@ import numpy as np
 from .balance import DEFAULT_VOCABULARY, Dataset
 from .errors import InvalidInputError
 from .seeding import NS_SYNTH, spawn_rng
-from .signals import Epoch, Signal
+from .signals import Epoch
 
 
 @dataclass(frozen=True)
@@ -233,15 +233,8 @@ def add_transient(epoch: Epoch, transient: TransientSpec, center_s: float) -> Ep
     if center - half < 0 or center + half + 1 > epoch.n_samples:
         raise InvalidInputError(f"burst at {center_s} s does not fit the epoch")
     waveform = transient_waveform(transient, epoch.sample_rate_hz)
-    channels = []
-    for role, ch in zip(epoch.channel_roles, epoch.channels):
-        if role in transient.channels:
-            samples = ch.samples.copy()
-            samples[center - half : center + half + 1] += waveform
-            channels.append(Signal(samples, ch.sample_rate_hz))
-        else:
-            channels.append(ch)
-    return Epoch(tuple(channels), epoch.label, epoch.channel_roles)
+    samples = _inject(epoch.samples.copy(), epoch.channel_roles, transient, waveform, [center])
+    return Epoch(samples, epoch.sample_rate_hz, epoch.label, epoch.channel_roles)
 
 
 def default_group_labels(dataset: Dataset, n_groups: int = 2) -> dict:

@@ -13,7 +13,7 @@ settings.register_profile("surrokit", derandomize=True, database=None)
 settings.load_profile("surrokit")
 
 from surrokit import parallel
-from surrokit.signals import Signal, epoch_from_array
+from surrokit.signals import Epoch, Signal
 
 
 @pytest.fixture
@@ -45,4 +45,4 @@ def ar2_signal(rng):
 @pytest.fixture
 def small_epoch(rng):
     data = rng.standard_normal((4, 128)) * 5.0
-    return epoch_from_array(data, 32.0, "Wake")
+    return Epoch(data, 32.0, "Wake")

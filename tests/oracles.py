@@ -25,7 +25,7 @@ from surrokit.errors import InvalidInputError
 from surrokit.network import Conv1D, Conv2D, Dense, Dropout, MaxPool1D, Scale
 from surrokit.saliency import _validate, _window_geometry, window_positions
 from surrokit.seeding import NS_SALIENCY, spawn_rng
-from surrokit.signals import Epoch, Signal
+from surrokit.signals import Epoch
 from surrokit.surrogates import IaaftReport, crossfade_weights
 
 
@@ -322,17 +322,15 @@ def surrogate_saliency_per_replacement(classifier, epoch, spec):
         start, window_len, cf_left, cf_right = _window_geometry(epoch, pos, spec)
         probs = np.empty((spec.n_replacements, baseline.size))
         for r in range(spec.n_replacements):
-            channels = []
-            for c_idx, (role, ch) in enumerate(zip(epoch.channel_roles, epoch.channels)):
+            samples = epoch.samples.copy()
+            for c_idx, role in enumerate(epoch.channel_roles):
                 if role not in spec.target_channels:
-                    channels.append(ch)
                     continue
                 rng = spawn_rng(spec.seed, NS_SALIENCY, p_idx, r, c_idx)
-                samples = splice_surrogate_per_row(
-                    ch.samples, start, window_len, cf_left, cf_right, rng
+                samples[c_idx] = splice_surrogate_per_row(
+                    epoch.samples[c_idx], start, window_len, cf_left, cf_right, rng
                 )
-                channels.append(Signal(samples, ch.sample_rate_hz))
-            replaced = Epoch(tuple(channels), epoch.label, epoch.channel_roles)
+            replaced = Epoch(samples, epoch.sample_rate_hz, epoch.label, epoch.channel_roles)
             probs[r] = classifier.predict(replaced)
         means[p_idx] = probs.mean(axis=0)
     return means, baseline
@@ -348,15 +346,12 @@ def zero_out_saliency_per_position(classifier, epoch, spec):
         start, window_len, cf_left, cf_right = _window_geometry(epoch, pos, spec)
         weights = crossfade_weights(window_len, cf_left, cf_right)
         region = slice(start - cf_left, start - cf_left + weights.size)
-        channels = []
-        for role, ch in zip(epoch.channel_roles, epoch.channels):
-            if role not in spec.target_channels:
-                channels.append(ch)
-                continue
-            samples = ch.samples.copy()
-            samples[region] = (1.0 - weights) * samples[region]
-            channels.append(Signal(samples, ch.sample_rate_hz))
-        means[p_idx] = classifier.predict(Epoch(tuple(channels), epoch.label, epoch.channel_roles))
+        samples = epoch.samples.copy()
+        for c_idx, role in enumerate(epoch.channel_roles):
+            if role in spec.target_channels:
+                samples[c_idx, region] = (1.0 - weights) * samples[c_idx, region]
+        replaced = Epoch(samples, epoch.sample_rate_hz, epoch.label, epoch.channel_roles)
+        means[p_idx] = classifier.predict(replaced)
     return means, baseline
 
 

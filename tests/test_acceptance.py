@@ -287,7 +287,8 @@ class NonTargetBandPower:
     def predict(self, epoch):
         keep = [i for i, role in enumerate(epoch.channel_roles) if role in self.roles]
         sub = Epoch(
-            tuple(epoch.channels[i] for i in keep),
+            epoch.samples[keep],
+            epoch.sample_rate_hz,
             epoch.label,
             tuple(epoch.channel_roles[i] for i in keep),
         )

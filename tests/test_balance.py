@@ -111,12 +111,12 @@ class TestAugment:
         out = augment(up, flags, cfg)
         for before, after, flagged in zip(up.epochs, out.epochs, flags):
             if not flagged:
-                assert after.to_array().tobytes() == before.to_array().tobytes()
+                assert after.samples.tobytes() == before.samples.tobytes()
                 continue
-            for ch_b, ch_a in zip(before.channels, after.channels):
-                assert not np.array_equal(ch_a.samples, ch_b.samples)
-                a = one_sided_amplitudes(ch_b.samples)
-                b = one_sided_amplitudes(ch_a.samples)
+            for ch_b, ch_a in zip(before.samples, after.samples):
+                assert not np.array_equal(ch_a, ch_b)
+                a = one_sided_amplitudes(ch_b)
+                b = one_sided_amplitudes(ch_a)
                 np.testing.assert_allclose(b, a, rtol=0, atol=1e-9 * max(a.max(), 1.0))
             assert after.label == before.label
 
@@ -127,8 +127,8 @@ class TestAugment:
         out = augment(ds, flags, BalanceConfig(alpha=0.4, seed=12))
         replaced = 0
         for before, after in zip(ds.epochs, out.epochs):
-            for ch_b, ch_a in zip(before.channels, after.channels):
-                if not np.array_equal(ch_a.samples, ch_b.samples):
+            for ch_b, ch_a in zip(before.samples, after.samples):
+                if not np.array_equal(ch_a, ch_b):
                     replaced += 1
         assert 0.38 <= replaced / 10_000 <= 0.42
 
@@ -156,19 +156,19 @@ def assert_augment_matches_per_channel_reference(ds, flags, cfg):
     (reports,) = logged
     expected_reports = []
     for i, (before, after) in enumerate(zip(ds.epochs, out.epochs)):
-        for j, (ch_b, ch_a) in enumerate(zip(before.channels, after.channels)):
+        for j, (ch_b, ch_a) in enumerate(zip(before.samples, after.samples)):
             rng = spawn_rng(cfg.seed, NS_AUGMENT, i, j)
             if not (flags[i] and rng.uniform() < cfg.alpha):
-                assert ch_a.samples.tobytes() == ch_b.samples.tobytes()
+                assert ch_a.tobytes() == ch_b.tobytes()
                 continue
             if cfg.surrogate.kind == "ft":
-                expected, report = phase_randomize_per_channel(ch_b.samples, rng), None
+                expected, report = phase_randomize_per_channel(ch_b, rng), None
             else:
                 expected, report = iaaft_per_channel(
-                    ch_b.samples, rng, cfg.surrogate.iaaft_max_iters,
+                    ch_b, rng, cfg.surrogate.iaaft_max_iters,
                     cfg.surrogate.iaaft_tolerance,
                 )
-            assert ch_a.samples.tobytes() == expected.tobytes()
+            assert ch_a.tobytes() == expected.tobytes()
             expected_reports.append(report)
     assert sorted(reports, key=repr) == sorted(expected_reports, key=repr)
     return reports
@@ -296,7 +296,7 @@ class TestDataset:
         epoch = ds.epoch(3)
         assert (epoch.label, epoch.channel_roles) == ("B", ds.channel_roles)
         assert epoch.sample_rate_hz == 32.0
-        assert epoch.to_array().tobytes() == ds.x[3].tobytes()
+        assert epoch.samples.tobytes() == ds.x[3].tobytes()
         assert [ep.label for ep in ds.epochs] == ["A", "A", "B", "B", "B"]
 
     def test_take(self):

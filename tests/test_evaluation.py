@@ -139,7 +139,7 @@ class BurstPositionClassifier:
         self.waveform = waveform
 
     def predict(self, epoch):
-        r = np.correlate(epoch.channels[0].samples, self.waveform, mode="same")
+        r = np.correlate(epoch.samples[0], self.waveform, mode="same")
         early = np.abs(r).argmax() < r.size // 2
         return np.array([1.0, 0.0]) if early else np.array([0.0, 1.0])
 
@@ -208,7 +208,7 @@ class TestConditionalConfusion:
 
         class Recorder(BurstPositionClassifier):
             def predict(self, epoch):
-                seen.append(epoch.to_array().tobytes())
+                seen.append(epoch.samples.tobytes())
                 return super().predict(epoch)
 
         conditional_confusion(Recorder(waveform), ds, kind, seed=5)

@@ -51,7 +51,7 @@ from surrokit.network import (
     spliced_layers,
     weight_shapes,
 )
-from surrokit.signals import epoch_from_array
+from surrokit.signals import Epoch
 from surrokit.training import TrainConfig, train_network
 
 TABLE_CHANNEL_SHAPES = [
@@ -452,7 +452,7 @@ class TestForward:
     def test_zero_weights_give_uniform_output(self):
         desc = full_architecture()
         weights = {k: np.zeros(s) for k, s in weight_shapes(desc).items()}
-        epoch = epoch_from_array(np.random.default_rng(0).standard_normal((4, 960)), 32.0, "Wake")
+        epoch = Epoch(np.random.default_rng(0).standard_normal((4, 960)), 32.0, "Wake")
         probs = forward(desc, weights, epoch)
         np.testing.assert_allclose(probs, 1.0 / 6.0, atol=1e-12)
 
@@ -460,7 +460,7 @@ class TestForward:
         desc = reference_architecture()
         weights = init_weights(desc, 3)
         for _ in range(5):
-            epoch = epoch_from_array(rng.standard_normal((4, 960)) * 20, 32.0, "S2")
+            epoch = Epoch(rng.standard_normal((4, 960)) * 20, 32.0, "S2")
             probs = forward(desc, weights, epoch)
             assert probs.sum() == pytest.approx(1.0, abs=1e-9)
             assert np.all(probs >= 0)
@@ -473,7 +473,7 @@ class TestForward:
     def test_inference_is_deterministic(self, rng):
         desc = reference_architecture()
         weights = init_weights(desc, 5)
-        epoch = epoch_from_array(rng.standard_normal((4, 960)), 32.0, "S1")
+        epoch = Epoch(rng.standard_normal((4, 960)), 32.0, "S1")
         np.testing.assert_array_equal(forward(desc, weights, epoch), forward(desc, weights, epoch))
 
     def test_dropout_only_active_in_training(self, rng):
@@ -516,7 +516,7 @@ class TestForward:
         desc = reference_architecture()
         weights = init_weights(desc, 2024)
         data = np.sin(np.outer(np.arange(4) + 1, np.linspace(0.0, 60.0, 960))) * 25.0
-        probs = forward(desc, weights, epoch_from_array(data, 32.0, "Wake"))
+        probs = forward(desc, weights, Epoch(data, 32.0, "Wake"))
         golden = GOLDEN_REFERENCE_PROBS
         np.testing.assert_allclose(probs, golden, rtol=0, atol=1e-12)
 

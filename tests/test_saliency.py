@@ -13,7 +13,7 @@ from surrokit.saliency import (
     window_positions,
     zero_out_saliency,
 )
-from surrokit.signals import epoch_from_array
+from surrokit.signals import Epoch
 
 
 class MeanSensitiveClassifier:
@@ -22,7 +22,7 @@ class MeanSensitiveClassifier:
     label_vocabulary = ("flat", "offset")
 
     def predict(self, epoch):
-        m = np.mean([ch.samples.mean() for ch in epoch.channels])
+        m = np.mean([row.mean() for row in epoch.samples])
         p = 1.0 / (1.0 + np.exp(-(m - 1.0)))
         return np.array([1.0 - p, p])
 
@@ -33,7 +33,7 @@ class WindowEnergyClassifier:
     label_vocabulary = ("a", "b")
 
     def predict(self, epoch):
-        e = np.log1p(np.mean(epoch.channels[0].samples ** 2))
+        e = np.log1p(np.mean(epoch.samples[0] ** 2))
         p = 1.0 / (1.0 + np.exp(-(e - np.log1p(25.0))))
         return np.array([1.0 - p, p])
 
@@ -53,7 +53,7 @@ class RecordingClassifier:
 
 def flat_epoch(rng, n_seconds=10.0, rate=32.0, scale=5.0):
     n = int(n_seconds * rate)
-    return epoch_from_array(rng.standard_normal((4, n)) * scale, rate, "a")
+    return Epoch(rng.standard_normal((4, n)) * scale, rate, "a")
 
 
 class TestWindowPositions:
@@ -87,9 +87,9 @@ class TestSurrogateSaliency:
             target_channels=("EEG1",), seed=3,
         )
         surrogate_saliency(recorder, epoch, spec)
-        originals = epoch.to_array()
+        originals = epoch.samples
         for seen in recorder.seen[1:]:  # first call is the baseline
-            arr = seen.to_array()
+            arr = seen.samples
             np.testing.assert_array_equal(arr[1], originals[1])
             np.testing.assert_array_equal(arr[2], originals[2])
             np.testing.assert_array_equal(arr[3], originals[3])
@@ -130,7 +130,7 @@ class TestSurrogateSaliency:
 
 class TestZeroOutSaliency:
     def test_zero_signal_map_is_constant_baseline(self):
-        epoch = epoch_from_array(np.zeros((4, 256)), 32.0, "a")
+        epoch = Epoch(np.zeros((4, 256)), 32.0, "a")
         spec = SaliencySpec(window_len_s=2.0, step_s=1.0)
         smap = zero_out_saliency(MeanSensitiveClassifier(), epoch, spec)
         for row in smap.mean_probabilities:
@@ -141,7 +141,7 @@ class TestZeroOutSaliency:
         # surrogate method avoids
         n = 320
         data = rng.standard_normal((4, n)) * 0.5 + 2.0
-        epoch = epoch_from_array(data, 32.0, "offset")
+        epoch = Epoch(data, 32.0, "offset")
         spec = SaliencySpec(
             window_len_s=2.0, step_s=1.0, target_channels=("EEG1", "EEG2", "EOG", "EMG")
         )
@@ -160,7 +160,7 @@ class TestZeroOutSaliency:
 def network_setup(build, rng):
     desc = build()
     classifier = NetworkClassifier(desc, init_weights(desc, 7), "ABCDEF")
-    epoch = epoch_from_array(rng.standard_normal((4, 960)) * 20, 32.0, "A")
+    epoch = Epoch(rng.standard_normal((4, 960)) * 20, 32.0, "A")
     return classifier, epoch
 
 
@@ -227,7 +227,7 @@ class TestBlackBoxPath:
         assert len(recorder.seen) == len(reference.seen) > 1
         for seen, expected in zip(recorder.seen, reference.seen):
             assert seen.channel_roles == expected.channel_roles
-            np.testing.assert_array_equal(seen.to_array(), expected.to_array())
+            np.testing.assert_array_equal(seen.samples, expected.samples)
 
 
 class TestHostileSpec:
@@ -236,3 +236,10 @@ class TestHostileSpec:
     def test_non_finite_rejected(self, field, value):
         with pytest.raises(InvalidInputError):
             SaliencySpec(**{field: value})
+
+    @pytest.mark.parametrize("method", [surrogate_saliency, zero_out_saliency])
+    @pytest.mark.parametrize("field, value", [("window_len_s", 1e-300), ("crossfade_s", 1e308)])
+    def test_placement_that_cannot_round_rejected(self, method, field, value, rng):
+        spec = SaliencySpec(**{"window_len_s": 2.0, "n_replacements": 1, field: value})
+        with pytest.raises(InvalidInputError):
+            method(WindowEnergyClassifier(), flat_epoch(rng), spec)

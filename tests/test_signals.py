@@ -1,21 +1,8 @@
 import numpy as np
 import pytest
 
-from oracles import dft_oracle, idft_oracle, one_sided_amplitudes
 from surrokit.errors import InvalidInputError
-from surrokit.signals import (
-    Signal,
-    Spectrum,
-    butterworth_lowpass,
-    forward_dft,
-    inverse_dft,
-    resample,
-)
-
-
-def steady_amplitude(samples):
-    """Amplitude of a (near-)pure sinusoid from its mean square."""
-    return np.sqrt(2.0 * np.mean(samples**2))
+from surrokit.signals import DEFAULT_ROLES, Epoch, Signal
 
 
 class TestSignalValidation:
@@ -37,168 +24,44 @@ class TestSignalValidation:
             sig.samples[0] = 9.0
 
 
-class TestForwardDft:
-    def test_constant_signal_is_dc_only(self):
-        spec = forward_dft(Signal([5.0, 5.0, 5.0, 5.0], 4.0))
-        assert spec.amplitudes[0] == pytest.approx(20.0)  # un-normalized forward
-        assert np.all(spec.amplitudes[1:] < 1e-12)
-
-    def test_single_bin_cosine(self):
-        n, k = 64, 5
-        t = np.arange(n)
-        sig = Signal(np.cos(2 * np.pi * k * t / n), 32.0)
-        spec = forward_dft(sig)
-        assert spec.amplitudes[k] == pytest.approx(n / 2)
-        others = np.delete(spec.amplitudes, k)
-        assert np.all(others < 1e-9 * n)
-        assert abs(spec.phases[k]) < 1e-9
-
-    def test_matches_direct_summation_oracle(self, rng):
-        x = rng.standard_normal(64)
-        spec = forward_dft(Signal(x, 32.0))
-        full = dft_oracle(x)
-        one_sided = full[:33]
-        np.testing.assert_allclose(spec.amplitudes, np.abs(one_sided), rtol=0, atol=1e-9)
-        # compare as complex numbers so -pi vs pi folding cannot bite
-        np.testing.assert_allclose(
-            spec.amplitudes * np.exp(1j * spec.phases), one_sided, atol=1e-9
-        )
-
-    def test_phase_range(self, rng):
-        for n in (17, 32, 63, 64):
-            spec = forward_dft(Signal(rng.standard_normal(n), 10.0))
-            assert np.all(spec.phases >= -np.pi)
-            assert np.all(spec.phases < np.pi)
-
-
-class TestInverseDft:
-    def test_dc_only_spectrum_gives_constant(self):
-        n = 8
-        amps = np.zeros(n // 2 + 1)
-        amps[0] = 4.0 * n  # DC bin holds sum of samples
-        sig = inverse_dft(Spectrum(amps, np.zeros_like(amps), n, 32.0))
-        np.testing.assert_allclose(sig.samples, 4.0, atol=1e-12)
-
-    def test_zero_amplitudes_give_zero_signal(self):
-        amps = np.zeros(6)
-        sig = inverse_dft(Spectrum(amps, np.zeros_like(amps), 10, 32.0))
-        np.testing.assert_array_equal(sig.samples, 0.0)
-
-    def test_round_trip_recovers_signal(self, rng):
-        x = rng.standard_normal(64) * 10
-        back = inverse_dft(forward_dft(Signal(x, 32.0)))
-        scale = np.max(np.abs(x))
-        np.testing.assert_allclose(back.samples, x, rtol=0, atol=1e-9 * scale)
-
-    def test_round_trip_matches_idft_oracle(self, rng):
-        x = rng.standard_normal(32)
-        spec = forward_dft(Signal(x, 32.0))
-        bins = spec.amplitudes * np.exp(1j * spec.phases)
-        full = np.concatenate([bins, np.conj(bins[-2:0:-1])])
-        oracle = idft_oracle(full)
-        assert np.max(np.abs(oracle.imag)) < 1e-9
-        np.testing.assert_allclose(inverse_dft(spec).samples, oracle.real, atol=1e-9)
-
-    def test_rejects_inconsistent_lengths(self):
+class TestEpochValidation:
+    @pytest.mark.parametrize("shape", [(8,), (1, 4, 8), (0, 8)])
+    def test_rejects_non_channel_major_shapes(self, shape):
         with pytest.raises(InvalidInputError):
-            Spectrum(np.zeros(5), np.zeros(5), 12, 32.0)
+            Epoch(np.zeros(shape), 32.0, "Wake", DEFAULT_ROLES[: shape[0]])
 
-
-class TestRoundTripProperty:
-    @pytest.mark.parametrize("n", [2, 3, 5, 17, 64, 127, 128, 513, 1024])
-    def test_identity_within_tolerance(self, n, rng):
-        x = rng.standard_normal(n) * 20
-        back = inverse_dft(forward_dft(Signal(x, 100.0)))
-        np.testing.assert_allclose(back.samples, x, rtol=0, atol=1e-9 * max(1, np.max(np.abs(x))))
-
-    @pytest.mark.parametrize("n", [2, 3, 4, 9, 16, 255, 256, 1023, 1024])
-    def test_parseval(self, n, rng):
-        x = rng.standard_normal(n)
-        spec = forward_dft(Signal(x, 1.0))
-        time_energy = float(np.sum(x**2))
-        assert spec.energy() == pytest.approx(time_energy, rel=1e-9)
-
-
-class TestButterworth:
-    def test_passband_sinusoid_nearly_unaffected(self):
-        rate, f = 256.0, 1.0
-        t = np.arange(int(8 * rate)) / rate
-        sig = Signal(np.sin(2 * np.pi * f * t), rate)
-        out = butterworth_lowpass(sig, 13.0, order=4)
-        tail = out.samples[int(4 * rate) :]
-        assert steady_amplitude(tail) == pytest.approx(1.0, rel=0.02)
-
-    def test_cutoff_is_half_power(self):
-        rate, cutoff = 256.0, 13.0
-        t = np.arange(int(16 * rate)) / rate
-        sig = Signal(np.sin(2 * np.pi * cutoff * t), rate)
-        out = butterworth_lowpass(sig, cutoff, order=4)
-        tail = out.samples[int(8 * rate) :]
-        power_ratio = np.mean(tail**2) / 0.5
-        assert power_ratio == pytest.approx(0.5, rel=0.10)
-        db = 10 * np.log10(power_ratio)
-        assert -3.5 < db < -2.5
-
-    def test_zero_signal(self):
-        sig = Signal(np.zeros(256), 256.0)
-        out = butterworth_lowpass(sig, 13.0)
-        np.testing.assert_array_equal(out.samples, 0.0)
-
-    def test_rejects_cutoff_above_nyquist(self):
-        sig = Signal(np.zeros(64), 32.0)
+    def test_rejects_role_count_mismatch(self):
         with pytest.raises(InvalidInputError):
-            butterworth_lowpass(sig, 16.0)
+            Epoch(np.zeros((3, 8)), 32.0, "Wake")
+
+    def test_rejects_nan(self):
+        data = np.zeros((4, 8))
+        data[2, 5] = np.nan
         with pytest.raises(InvalidInputError):
-            butterworth_lowpass(sig, 20.0)
+            Epoch(data, 32.0, "Wake")
 
-    def test_linearity(self, rng):
-        rate = 64.0
-        x = rng.standard_normal(512)
-        y = rng.standard_normal(512)
-        a, b = 2.5, -1.25
-        fx = butterworth_lowpass(Signal(x, rate), 10.0).samples
-        fy = butterworth_lowpass(Signal(y, rate), 10.0).samples
-        fxy = butterworth_lowpass(Signal(a * x + b * y, rate), 10.0).samples
-        np.testing.assert_allclose(fxy, a * fx + b * fy, atol=1e-9)
-
-    def test_zero_phase_flag_removes_delay(self):
-        rate = 128.0
-        t = np.arange(int(8 * rate)) / rate
-        x = np.sin(2 * np.pi * 2.0 * t)
-        causal = butterworth_lowpass(Signal(x, rate), 10.0).samples
-        zero_phase = butterworth_lowpass(Signal(x, rate), 10.0, zero_phase=True).samples
-        mid = slice(int(2 * rate), int(6 * rate))
-        assert np.abs(zero_phase[mid] - x[mid]).max() < np.abs(causal[mid] - x[mid]).max()
-
-
-class TestResample:
-    def test_paper_length_arithmetic(self):
-        sig = Signal(np.sin(np.arange(7680) * 0.01), 256.0)
-        out = resample(sig, 32.0)
-        assert len(out) == 960
-        assert out.sample_rate_hz == 32.0
-
-    def test_identity_rate_returns_identical_samples(self, rng):
-        x = rng.standard_normal(100)
-        out = resample(Signal(x, 32.0), 32.0)
-        np.testing.assert_array_equal(out.samples, x)
-
-    def test_sinusoid_fidelity(self):
-        rate, f = 256.0, 4.0
-        t = np.arange(7680) / rate
-        sig = Signal(np.sin(2 * np.pi * f * t), rate)
-        out = resample(sig, 32.0)
-        assert steady_amplitude(out.samples) == pytest.approx(1.0, rel=0.02)
-        spec_amp = one_sided_amplitudes(out.samples[:256])
-        freqs = np.fft.rfftfreq(256, d=1 / 32.0)
-        assert freqs[np.argmax(spec_amp)] == pytest.approx(4.0, abs=0.25)
-
-    def test_mean_preserved(self, rng):
-        x = rng.standard_normal(512) + 3.0
-        filtered = butterworth_lowpass(Signal(x, 256.0), 13.0)
-        out = resample(filtered, 32.0)
-        assert np.mean(out.samples) == pytest.approx(np.mean(filtered.samples), rel=0.01)
-
-    def test_rejects_nonpositive_rate(self):
+    def test_rejects_zero_rate(self):
         with pytest.raises(InvalidInputError):
-            resample(Signal(np.zeros(16), 32.0), 0.0)
+            Epoch(np.zeros((4, 8)), 0.0, "Wake")
+
+    def test_rejects_short(self):
+        with pytest.raises(InvalidInputError):
+            Epoch(np.zeros((4, 1)), 32.0, "Wake")
+
+    def test_samples_are_immutable(self):
+        epoch = Epoch(np.zeros((4, 8)), 32.0, "Wake")
+        with pytest.raises(ValueError):
+            epoch.samples[1, 3] = 9.0
+
+    def test_does_not_alias_its_source(self, rng):
+        data = rng.standard_normal((4, 8))
+        before = data.copy()
+        epoch = Epoch(data, 32.0, "Wake")
+        data[:] = 0.0
+        np.testing.assert_array_equal(epoch.samples, before)
+
+    def test_shape_and_timing(self):
+        epoch = Epoch(np.zeros((4, 960)), 32, "S2", list(DEFAULT_ROLES))
+        assert epoch.samples.dtype == np.float64 and epoch.samples.shape == (4, 960)
+        assert epoch.n_samples == 960 and epoch.duration_s == 30.0
+        assert epoch.sample_rate_hz == 32.0 and epoch.channel_roles == DEFAULT_ROLES

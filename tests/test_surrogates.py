@@ -18,7 +18,7 @@ from surrokit import parallel, surrogates
 from surrokit.errors import InvalidInputError
 from surrokit.saliency import SALIENCY_CHUNK
 from surrokit.seeding import spawn_rng
-from surrokit.signals import Signal, epoch_from_array
+from surrokit.signals import Epoch, Signal
 from surrokit.synthetic import bundled_spec, generate_synthetic
 from surrokit.surrogates import (
     IAAFT_STOP_REASONS,
@@ -245,9 +245,9 @@ class TestIaaftBlock:
                     expected, expected_report = iaaft_per_channel(x[i, c], stream, 100, 1e-8)
                     assert reports[4 * i + c] == expected_report
                 assert out[i, c].tobytes() == expected.tobytes()
-            epoch = epoch_from_array(x[1], 32.0, "S2")
+            epoch = Epoch(x[1], 32.0, "S2")
             single = epoch_surrogate(epoch, SurrogateConfig(kind=kind), seeds[1])
-            assert single.to_array().tobytes() == out[1].tobytes()
+            assert single.samples.tobytes() == out[1].tobytes()
         with pytest.raises(InvalidInputError):
             epoch_surrogate_with_reports(x, seeds[:2], SurrogateConfig())
 
@@ -424,6 +424,13 @@ class TestPartialSurrogate:
                 ar2_signal, PartialSurrogateSpec(28.0, 4.0, crossfade_s=0.5), seed=1
             )
 
+    @pytest.mark.parametrize(
+        "start, length", [(float("nan"), 5.0), (10.0, float("inf")), (1e308, 5.0)]
+    )
+    def test_hostile_placement_rejected(self, ar2_signal, start, length):
+        with pytest.raises(InvalidInputError):
+            partial_ft_surrogate(ar2_signal, PartialSurrogateSpec(start, length), seed=1)
+
     def test_deterministic(self, ar2_signal):
         spec = PartialSurrogateSpec(window_start_s=10.0, window_len_s=5.0)
         a = partial_ft_surrogate(ar2_signal, spec, seed=33)
@@ -475,36 +482,36 @@ class TestBlockSplice:
 class TestEpochSurrogate:
     def test_constant_epoch_unchanged(self):
         data = np.tile(np.array([[1.0], [2.0], [3.0], [4.0]]), (1, 64))
-        epoch = epoch_from_array(data, 32.0, "Wake")
+        epoch = Epoch(data, 32.0, "Wake")
         out = epoch_surrogate(epoch, SurrogateConfig(kind="ft"), seed=1)
-        np.testing.assert_allclose(out.to_array(), data, atol=1e-12)
+        np.testing.assert_allclose(out.samples, data, atol=1e-12)
         assert out.label == "Wake"
 
     def test_per_channel_amplitude_preservation(self, rng):
         data = rng.standard_normal((4, 240)) * 7
-        epoch = epoch_from_array(data, 32.0, "S2")
+        epoch = Epoch(data, 32.0, "S2")
         out = epoch_surrogate(epoch, SurrogateConfig(kind="ft"), seed=9)
-        for before, after in zip(epoch.channels, out.channels):
-            a = one_sided_amplitudes(before.samples)
-            b = one_sided_amplitudes(after.samples)
+        for before, after in zip(epoch.samples, out.samples):
+            a = one_sided_amplitudes(before)
+            b = one_sided_amplitudes(after)
             np.testing.assert_allclose(b, a, rtol=0, atol=1e-9 * a.max())
 
     def test_channels_randomized_independently(self, rng):
         row = rng.standard_normal(128)
-        epoch = epoch_from_array(np.tile(row, (4, 1)), 32.0, "Wake")
+        epoch = Epoch(np.tile(row, (4, 1)), 32.0, "Wake")
         out = epoch_surrogate(epoch, SurrogateConfig(kind="ft"), seed=2)
-        assert not np.array_equal(out.channels[0].samples, out.channels[1].samples)
+        assert not np.array_equal(out.samples[0], out.samples[1])
 
     def test_same_seed_identical(self, rng):
         data = rng.standard_normal((4, 96))
-        epoch = epoch_from_array(data, 32.0, "REM")
+        epoch = Epoch(data, 32.0, "REM")
         a = epoch_surrogate(epoch, SurrogateConfig(kind="ft"), seed=4)
         b = epoch_surrogate(epoch, SurrogateConfig(kind="ft"), seed=4)
-        np.testing.assert_array_equal(a.to_array(), b.to_array())
+        np.testing.assert_array_equal(a.samples, b.samples)
 
     def test_iaaft_kind(self, rng):
         data = rng.standard_normal((4, 96))
-        epoch = epoch_from_array(data, 32.0, "S3")
+        epoch = Epoch(data, 32.0, "S3")
         out = epoch_surrogate(epoch, SurrogateConfig(kind="iaaft"), seed=6)
-        for before, after in zip(epoch.channels, out.channels):
-            np.testing.assert_array_equal(np.sort(after.samples), np.sort(before.samples))
+        for before, after in zip(epoch.samples, out.samples):
+            np.testing.assert_array_equal(np.sort(after), np.sort(before))

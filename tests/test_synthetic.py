@@ -47,10 +47,10 @@ class TestGenerate:
         assert a.record_ids == b.record_ids
         for ea, eb in zip(a.epochs, b.epochs):
             assert ea.label == eb.label
-            np.testing.assert_array_equal(ea.to_array(), eb.to_array())
+            np.testing.assert_array_equal(ea.samples, eb.samples)
         c = generate_synthetic(two_class_spec(), 40, seed=10)
         assert any(
-            not np.array_equal(x.to_array(), y.to_array()) for x, y in zip(a.epochs, c.epochs)
+            not np.array_equal(x.samples, y.samples) for x, y in zip(a.epochs, c.epochs)
         )
 
     def test_epoch_contract(self):
@@ -92,11 +92,11 @@ class TestGenerate:
             )
 
         stds_flat = [
-            ep.channels[0].samples.std()
+            ep.samples[0].std()
             for ep in generate_synthetic(spec_with(0.0), 60, seed=4).epochs
         ]
         stds_jittered = [
-            ep.channels[0].samples.std()
+            ep.samples[0].std()
             for ep in generate_synthetic(spec_with(0.4), 60, seed=4).epochs
         ]
         spread = lambda v: np.std(v) / np.mean(v)
@@ -112,7 +112,7 @@ class TestGenerate:
         )
         ds = generate_synthetic(spec, 24, seed=5)
         spectra = np.mean(
-            [np.abs(np.fft.rfft(ep.channels[0].samples)) ** 2 for ep in ds.epochs], axis=0
+            [np.abs(np.fft.rfft(ep.samples[0])) ** 2 for ep in ds.epochs], axis=0
         )
         freqs = np.fft.rfftfreq(960, d=1 / 32.0)
         peak = freqs[np.argmax(spectra[1:]) + 1]
@@ -147,21 +147,21 @@ class TestTransients:
         ds = generate_synthetic(spec, 10, seed=8)
         waveform = transient_waveform(spec.classes[0].transient, 32.0)
         for ep in ds.epochs:
-            energy = np.sum(ep.channels[0].samples ** 2)
+            energy = np.sum(ep.samples[0] ** 2)
             assert energy == pytest.approx(np.sum(waveform**2), rel=1e-3)
-            np.testing.assert_allclose(ep.channels[2].samples, 0.0, atol=1e-4)
+            np.testing.assert_allclose(ep.samples[2], 0.0, atol=1e-4)
 
     def test_add_transient_places_burst(self, rng):
         data = rng.standard_normal((4, 960))
-        from surrokit.signals import epoch_from_array
+        from surrokit.signals import Epoch
 
-        epoch = epoch_from_array(data, 32.0, "Wake")
+        epoch = Epoch(data, 32.0, "Wake")
         transient = TransientSpec(amplitude=200.0, width_s=0.5, freq_hz=3.0,
                                   channels=("EEG1", "EEG2"))
         out = add_transient(epoch, transient, center_s=17.0)
-        diff = out.channels[0].samples - epoch.channels[0].samples
+        diff = out.samples[0] - epoch.samples[0]
         assert np.abs(diff).argmax() == pytest.approx(17.0 * 32.0, abs=8)
-        np.testing.assert_array_equal(out.channels[2].samples, epoch.channels[2].samples)
+        np.testing.assert_array_equal(out.samples[2], epoch.samples[2])
         with pytest.raises(InvalidInputError):
             add_transient(epoch, transient, center_s=0.1)
 
