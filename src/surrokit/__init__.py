@@ -27,12 +27,10 @@ from .network import (
     reference_architecture,
 )
 from .saliency import SaliencyMap, SaliencySpec, surrogate_saliency, zero_out_saliency
-from .signals import Epoch, Signal
+from .signals import Epoch
 from .surrogates import (
     IaaftReport,
-    PartialSurrogateSpec,
     SurrogateConfig,
-    epoch_surrogate,
     ft_surrogate,
     iaaft_surrogate,
     partial_ft_surrogate,

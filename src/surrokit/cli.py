@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 usage error, 2 data or validation error,
 3 numerical failure. When --seed is absent the SURROKIT_SEED environment
 variable supplies the default (its use is echoed to stderr); otherwise
-the seed is 0. Every output file is written atomically.
+the seed is 0. A negative seed is a usage error. Every output file is
+written atomically.
 """
 
 import argparse
@@ -41,13 +42,19 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _non_negative_seed(seed: int, source: str) -> int:
+    if seed < 0:
+        raise _UsageError(f"{source} must be a non-negative integer, got {seed}")
+    return seed
+
+
 def _resolve_seed(args) -> int:
     if getattr(args, "seed", None) is not None:
-        return args.seed
+        return _non_negative_seed(args.seed, "--seed")
     env = os.environ.get("SURROKIT_SEED")
     if env is not None:
         try:
-            seed = int(env)
+            seed = _non_negative_seed(int(env), "SURROKIT_SEED")
         except ValueError:
             raise _UsageError(f"SURROKIT_SEED must be an integer, got {env!r}")
         print(f"surrokit: using seed {seed} from SURROKIT_SEED", file=sys.stderr)

@@ -9,9 +9,10 @@ the prediction. The zero-out variant smoothly blends the window to zero
 instead; it needs no ensemble and is provided as the naive baseline the
 surrogate method improves on.
 
-Window positions cover [0, epoch_len - window_len] with the configured
-step. The step and the window must be at least one sample, and neither
-the window nor the crossfade may be longer than the epoch. Crossfades are
+Window positions step through [0, epoch_len - window_len] while the
+window, rounded to samples (``window_samples``), ends inside the epoch.
+The step and the window must be at least one sample, and neither the
+window nor the crossfade may be longer than the epoch. Crossfades are
 truncated at the epoch boundaries so the first and last positions remain
 valid.
 
@@ -36,7 +37,7 @@ from .classifiers import NetworkClassifier
 from .errors import InvalidInputError
 from .seeding import NS_SALIENCY, spawn_rng
 from .signals import Epoch
-from .surrogates import _splice_surrogate, crossfade_weights
+from .surrogates import _splice_surrogate, crossfade_weights, window_samples
 
 # replacements per block sent to the classifier; bounds the stacked rows
 # and the joined-pipe activations held at once
@@ -77,26 +78,22 @@ class SaliencyMap:
     std_probabilities: np.ndarray = None  # per-position ensemble stddev, None for zero-out
 
 
-def window_positions(epoch_len_s: float, window_len_s: float, step_s: float) -> np.ndarray:
-    """Start times 0, step, 2*step, ... while the window fits the epoch."""
-    span = epoch_len_s - window_len_s
-    if span < 0:
-        raise InvalidInputError(
-            f"window of {window_len_s} s does not fit a {epoch_len_s} s epoch"
-        )
-    count = int(np.floor(span / step_s + 1e-9)) + 1
-    return np.arange(count) * step_s
+def window_positions(n_samples, sample_rate_hz, window_len_s, step_s) -> np.ndarray:
+    """Start times 0, step, 2*step, ... while the rounded window fits."""
+    _, window_len, _ = window_samples(n_samples, sample_rate_hz, 0.0, window_len_s)
+    span = n_samples / sample_rate_hz - window_len_s
+    positions = np.arange(int(np.floor(span / step_s + 1e-9)) + 1) * step_s
+    while window_samples(n_samples, sample_rate_hz, positions[-1])[0] + window_len > n_samples:
+        positions = positions[:-1]
+    return positions
 
 
 def _window_geometry(epoch: Epoch, position_s: float, spec: SaliencySpec):
-    rate = epoch.sample_rate_hz
     n = epoch.n_samples
-    start = int(round(position_s * rate))
-    window_len = int(round(spec.window_len_s * rate))
-    crossfade = int(round(spec.crossfade_s * rate))
-    cf_left = min(crossfade, start)
-    cf_right = min(crossfade, n - start - window_len)
-    return start, window_len, cf_left, cf_right
+    start, window_len, crossfade = window_samples(
+        n, epoch.sample_rate_hz, position_s, spec.window_len_s, spec.crossfade_s
+    )
+    return start, window_len, min(crossfade, start), min(crossfade, n - start - window_len)
 
 
 def _validate(epoch: Epoch, spec: SaliencySpec):
@@ -110,9 +107,7 @@ def _validate(epoch: Epoch, spec: SaliencySpec):
     for name, value in (("step", spec.step_s), ("window", spec.window_len_s)):
         if value < period:
             raise InvalidInputError(f"{name} of {value} s is shorter than one sample ({period} s)")
-    for name, value in (("window", spec.window_len_s), ("crossfade", spec.crossfade_s)):
-        if value > epoch.duration_s:
-            raise InvalidInputError(f"{name} of {value} s exceeds the {epoch.duration_s} s epoch")
+    window_samples(epoch.n_samples, epoch.sample_rate_hz, 0.0, spec.window_len_s, spec.crossfade_s)
 
 
 def _predictor(classifier, epoch: Epoch):
@@ -149,7 +144,9 @@ def _saliency(classifier, epoch: Epoch, spec: SaliencySpec, n_replacements, repl
     """
     _validate(epoch, spec)
     baseline, predict_rows = _predictor(classifier, epoch)
-    positions = window_positions(epoch.duration_s, spec.window_len_s, spec.step_s)
+    positions = window_positions(
+        epoch.n_samples, epoch.sample_rate_hz, spec.window_len_s, spec.step_s
+    )
     targets = [c for c, role in enumerate(epoch.channel_roles) if role in spec.target_channels]
     means = np.empty((positions.size, baseline.size))
     stds = np.empty((positions.size, baseline.size))

@@ -1,10 +1,11 @@
-"""Core signal types: one channel (``Signal``) and one labeled epoch (``Epoch``).
+"""Core signal type: one labeled epoch (``Epoch``).
 
-Both hold 64-bit float samples, finite and at least 2 per channel, at a
-positive sample rate. File storage may quantize to 32-bit, see
-:mod:`surrokit.dataio`. Both are immutable after construction: they keep a
-read-only copy of the samples they are given, so they are safe to share
-across concurrent tasks and never alias their caller's array.
+An epoch holds 64-bit float samples, finite and at least 2 per channel,
+at a positive sample rate. File storage may quantize to 32-bit, see
+:mod:`surrokit.dataio`. It is immutable after construction: it keeps a
+read-only copy of the samples it is given, so it is safe to share across
+concurrent tasks and never aliases its caller's array. The surrogate
+functions check a single channel with the same rules (``_check_samples``).
 """
 
 from dataclasses import dataclass
@@ -24,40 +25,6 @@ def _check_samples(samples: np.ndarray, sample_rate_hz) -> None:
         raise InvalidInputError("signal contains non-finite samples")
     if not sample_rate_hz > 0:
         raise InvalidInputError(f"sample rate must be positive, got {sample_rate_hz}")
-
-
-def _readonly(array, dtype=np.float64) -> np.ndarray:
-    out = np.array(array, dtype=dtype, copy=True)
-    out.setflags(write=False)
-    return out
-
-
-@dataclass(frozen=True)
-class Signal:
-    """One uniformly sampled real-valued channel.
-
-    Attributes:
-        samples: 1-D float64 array, length >= 2, all values finite.
-        sample_rate_hz: positive sampling rate.
-    """
-
-    samples: np.ndarray
-    sample_rate_hz: float
-
-    def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=np.float64)
-        if samples.ndim != 1:
-            raise InvalidInputError(f"signal must be 1-D, got shape {samples.shape}")
-        _check_samples(samples, self.sample_rate_hz)
-        object.__setattr__(self, "samples", _readonly(samples))
-        object.__setattr__(self, "sample_rate_hz", float(self.sample_rate_hz))
-
-    def __len__(self) -> int:
-        return self.samples.size
-
-    @property
-    def duration_s(self) -> float:
-        return self.samples.size / self.sample_rate_hz
 
 
 @dataclass(frozen=True)
@@ -84,7 +51,9 @@ class Epoch:
         if len(roles) != samples.shape[0]:
             raise InvalidInputError(f"{len(roles)} channel roles for {samples.shape[0]} channels")
         _check_samples(samples, self.sample_rate_hz)
-        object.__setattr__(self, "samples", _readonly(samples))
+        samples = np.array(samples)  # a copy, so the epoch never aliases its source
+        samples.setflags(write=False)
+        object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "sample_rate_hz", float(self.sample_rate_hz))
         object.__setattr__(self, "channel_roles", roles)
 

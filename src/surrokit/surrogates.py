@@ -28,8 +28,10 @@ number of cores.
 Partial surrogates replace one window of a signal with surrogate content
 generated from the remainder (the two flanking segments concatenated
 end to end), blended in with cosine half-wave crossfades whose original
-and surrogate weights sum to one. Every surrogate, whole or partial, is
-made in a block of rows with one generator per row.
+and surrogate weights sum to one; ``window_samples`` rounds the window,
+placed in seconds, to samples. Every surrogate, whole or partial, is made
+in a block of rows with one generator per row; the 1-D functions return
+new arrays.
 """
 
 import math
@@ -40,7 +42,7 @@ import numpy as np
 from .errors import InvalidInputError
 from .parallel import _map_partitioned
 from .seeding import spawn_rng
-from .signals import Epoch, Signal
+from .signals import _check_samples
 
 KIND_FT = "ft"
 KIND_IAAFT = "iaaft"
@@ -97,25 +99,30 @@ class IaaftReport:
         return self.discrepancies[-1]
 
 
-@dataclass(frozen=True)
-class PartialSurrogateSpec:
-    """Window placement for a partial surrogate, in seconds.
+def _as_channel(samples, sample_rate_hz=1.0) -> np.ndarray:
+    """``samples`` as a 1-D float64 array, checked as a stored channel is."""
+    samples = np.asarray(samples, dtype=np.float64)
+    if samples.ndim != 1:
+        raise InvalidInputError(f"signal must be 1-D, got shape {samples.shape}")
+    _check_samples(samples, sample_rate_hz)
+    return samples
 
-    The window core is [window_start_s, window_start_s + window_len_s);
-    crossfades of ``crossfade_s`` extend beyond it on both sides and must
-    stay inside the signal.
+
+def window_samples(n, sample_rate_hz, window_start_s, window_len_s=0.0, crossfade_s=0.0):
+    """(start, window length, crossfade) in whole samples of an n-sample
+    signal, from a placement in seconds.
+
+    A value that is not finite, negative or longer than the signal is
+    refused before the rounding, which a huge value would overflow.
     """
-
-    window_start_s: float
-    window_len_s: float
-    crossfade_s: float = 0.5
-
-    def __post_init__(self):
-        placement = (self.window_start_s, self.window_len_s, self.crossfade_s)
-        if not all(map(math.isfinite, placement)):
-            raise InvalidInputError("window placement values must be finite")
-        if min(placement) < 0:
-            raise InvalidInputError("window placement values must be non-negative")
+    duration = n / sample_rate_hz
+    values = {"window start": window_start_s, "window": window_len_s, "crossfade": crossfade_s}
+    for name, value in values.items():
+        if not (math.isfinite(value) and value >= 0):
+            raise InvalidInputError(f"{name} must be finite and non-negative, got {value} s")
+        if value > duration:
+            raise InvalidInputError(f"{name} of {value} s exceeds the {duration} s signal")
+    return tuple(int(round(value * sample_rate_hz)) for value in values.values())
 
 
 def _phase_randomize(block: np.ndarray, rngs) -> np.ndarray:
@@ -134,14 +141,13 @@ def _phase_randomize(block: np.ndarray, rngs) -> np.ndarray:
     return np.fft.irfft(randomized, n=n)
 
 
-def ft_surrogate(signal: Signal, seed: int) -> Signal:
-    """Plain FT surrogate: same amplitude spectrum, random phases.
+def ft_surrogate(samples, seed: int) -> np.ndarray:
+    """Plain FT surrogate of a 1-D array: same amplitude spectrum, random phases.
 
     Deterministic given the seed; see :mod:`surrokit.seeding` for the
     generator used.
     """
-    rng = spawn_rng(seed)
-    return Signal(_phase_randomize(signal.samples[None], [rng])[0], signal.sample_rate_hz)
+    return _phase_randomize(_as_channel(samples)[None], [spawn_rng(seed)])[0]
 
 
 def _iaaft_core(block, rngs, max_iters, tolerance):
@@ -261,8 +267,8 @@ def _surrogate_rows(block, rngs, config: SurrogateConfig):
     return out, tuple(report for reports in per_chunk for report in reports)
 
 
-def iaaft_surrogate(signal: Signal, config: SurrogateConfig, seed: int):
-    """IAAFT surrogate plus its iteration report.
+def iaaft_surrogate(samples, config: SurrogateConfig, seed: int):
+    """IAAFT surrogate of a 1-D array plus its iteration report.
 
     The returned surrogate's sorted sample values equal the sorted input
     values exactly. Non-convergence within ``iaaft_max_iters`` is not an
@@ -273,8 +279,8 @@ def iaaft_surrogate(signal: Signal, config: SurrogateConfig, seed: int):
     """
     if config.kind != KIND_IAAFT:
         raise InvalidInputError(f"config.kind must be {KIND_IAAFT!r}, got {config.kind!r}")
-    samples, (report,) = _surrogate_rows(signal.samples[None], [spawn_rng(seed)], config)
-    return Signal(samples[0], signal.sample_rate_hz), report
+    out, (report,) = _surrogate_rows(_as_channel(samples)[None], [spawn_rng(seed)], config)
+    return out[0], report
 
 
 def crossfade_weights(window_len: int, crossfade_left: int, crossfade_right: int) -> np.ndarray:
@@ -323,34 +329,29 @@ def _splice_surrogate(samples, start, window_len, crossfade_left, crossfade_righ
     return out
 
 
-def partial_ft_surrogate(signal: Signal, spec: PartialSurrogateSpec, seed: int) -> Signal:
-    """Replace one window of a signal with an FT surrogate of the remainder.
+def partial_ft_surrogate(
+    samples, sample_rate_hz, window_start_s, window_len_s, seed, crossfade_s=0.5
+) -> np.ndarray:
+    """Replace one window of a 1-D array with an FT surrogate of the remainder.
 
-    The remainder is the concatenation of the two flanking segments; a
-    patch of window plus both crossfades is cut from its surrogate at a
-    random offset and blended in with cosine half-wave weights. Samples
-    outside the window-plus-crossfade region are bit-identical to the
-    input.
+    The core [window_start_s, window_start_s + window_len_s) and crossfades
+    of ``crossfade_s`` on both sides must lie inside the signal. The
+    remainder is the concatenation of the two flanking segments; a patch
+    of window plus both crossfades is cut from its surrogate at a random
+    offset and blended in with cosine half-wave weights. Samples outside
+    the window-plus-crossfade region are bit-identical to the input.
     """
-    rate = signal.sample_rate_hz
-    n = signal.samples.size
-    # refused in seconds: a huge value would overflow the conversion to samples
-    longest = max(spec.window_start_s, spec.window_len_s, spec.crossfade_s)
-    if longest > signal.duration_s:
+    samples = _as_channel(samples, sample_rate_hz)
+    rate = float(sample_rate_hz)
+    n = samples.size
+    start, length, crossfade = window_samples(n, rate, window_start_s, window_len_s, crossfade_s)
+    if start - crossfade < 0 or start + length + crossfade > n:
         raise InvalidInputError(
-            f"window placement value of {longest} s exceeds the {signal.duration_s} s signal"
-        )
-    start = int(round(spec.window_start_s * rate))
-    window_len = int(round(spec.window_len_s * rate))
-    crossfade = int(round(spec.crossfade_s * rate))
-    if start - crossfade < 0 or start + window_len + crossfade > n:
-        raise InvalidInputError(
-            f"window [{spec.window_start_s}, {spec.window_start_s + spec.window_len_s}] s "
-            f"with {spec.crossfade_s} s crossfades does not fit a {n / rate} s signal"
+            f"window [{window_start_s}, {window_start_s + window_len_s}] s "
+            f"with {crossfade_s} s crossfades does not fit a {n / rate} s signal"
         )
     rngs = [spawn_rng(seed)]
-    out = _splice_surrogate(signal.samples, start, window_len, crossfade, crossfade, rngs)
-    return Signal(out[0], rate)
+    return _splice_surrogate(samples, start, length, crossfade, crossfade, rngs)[0]
 
 
 def epoch_surrogate_with_reports(x, seeds, config: SurrogateConfig):
@@ -368,8 +369,3 @@ def epoch_surrogate_with_reports(x, seeds, config: SurrogateConfig):
     rows, reports = _surrogate_rows(x.reshape(-1, length), rngs, config)
     return rows.reshape(x.shape), reports
 
-
-def epoch_surrogate(epoch, config: SurrogateConfig, seed) -> Epoch:
-    """Per-channel surrogate of an epoch, label kept; channel c draws from (seed, c)."""
-    x, _ = epoch_surrogate_with_reports(epoch.samples[None], [seed], config)
-    return Epoch(x[0], epoch.sample_rate_hz, epoch.label, epoch.channel_roles)

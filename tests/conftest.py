@@ -13,7 +13,7 @@ settings.register_profile("surrokit", derandomize=True, database=None)
 settings.load_profile("surrokit")
 
 from surrokit import parallel
-from surrokit.signals import Epoch, Signal
+from surrokit.signals import Epoch
 
 
 @pytest.fixture
@@ -39,7 +39,7 @@ def ar2_signal(rng):
 
     a1 = 2 * 0.92 * np.cos(2 * np.pi * 10.0 / 32.0)
     a2 = -(0.92**2)
-    return Signal(ar2_path(a1, a2, 10.0, 960, rng), 32.0)
+    return ar2_path(a1, a2, 10.0, 960, rng)
 
 
 @pytest.fixture

@@ -316,7 +316,9 @@ def surrogate_saliency_per_replacement(classifier, epoch, spec):
     """(mean probabilities per position, baseline probabilities)."""
     _validate(epoch, spec)
     baseline = np.asarray(classifier.predict(epoch), dtype=np.float64)
-    positions = window_positions(epoch.duration_s, spec.window_len_s, spec.step_s)
+    positions = window_positions(
+        epoch.n_samples, epoch.sample_rate_hz, spec.window_len_s, spec.step_s
+    )
     means = np.empty((positions.size, baseline.size))
     for p_idx, pos in enumerate(positions):
         start, window_len, cf_left, cf_right = _window_geometry(epoch, pos, spec)
@@ -340,7 +342,9 @@ def zero_out_saliency_per_position(classifier, epoch, spec):
     """(probabilities per position, baseline probabilities)."""
     _validate(epoch, spec)
     baseline = np.asarray(classifier.predict(epoch), dtype=np.float64)
-    positions = window_positions(epoch.duration_s, spec.window_len_s, spec.step_s)
+    positions = window_positions(
+        epoch.n_samples, epoch.sample_rate_hz, spec.window_len_s, spec.step_s
+    )
     means = np.empty((positions.size, baseline.size))
     for p_idx, pos in enumerate(positions):
         start, window_len, cf_left, cf_right = _window_geometry(epoch, pos, spec)

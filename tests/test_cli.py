@@ -517,6 +517,35 @@ class TestErrorHandling:
         monkeypatch.setenv("SURROKIT_SEED", "abc")
         assert main(["synth", spec_file, str(tmp_path / "x.sdat"), "--n", "4"]) == 1
 
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    @pytest.mark.parametrize(
+        "command", ["synth", "surrogate", "balance", "train", "sweep", "condconf", "saliency"]
+    )
+    def test_negative_seed_is_usage_error(
+        self, tmp_path, spec_file, dataset_file, weights_file, command, source, monkeypatch,
+        capsys,
+    ):
+        out = tmp_path / "out"
+        argv = {
+            "synth": ["synth", spec_file, out, "--n", "4"],
+            "surrogate": ["surrogate", dataset_file, out],
+            "balance": ["balance", dataset_file, out, "--alpha", "1"],
+            "train": ["train", dataset_file, out, "--steps", "2", "--batch", "4"],
+            "sweep": ["sweep", dataset_file, "--alphas", "0", "--folds", "1", "--steps", "2",
+                      "--batch", "4", "--out", out],
+            "condconf": ["condconf", dataset_file, weights_file, "--out", out],
+            "saliency": ["saliency", dataset_file, weights_file, "--reps", "2", "--out", out],
+        }[command]
+        if source == "flag":
+            argv += ["--seed", "-1"]
+        else:
+            monkeypatch.setenv("SURROKIT_SEED", "-3")
+        capsys.readouterr()
+        assert main([str(a) for a in argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("surrokit: usage error: ") and captured.err.count("\n") == 1
+        assert captured.out == "" and not out.exists()
+
     def test_numerical_failure_exit_3(self, tmp_path, dataset_file, monkeypatch):
         from surrokit import cli
         from surrokit.errors import NumericalError

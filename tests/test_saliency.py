@@ -58,7 +58,7 @@ def flat_epoch(rng, n_seconds=10.0, rate=32.0, scale=5.0):
 
 class TestWindowPositions:
     def test_cover_and_count(self):
-        positions = window_positions(30.0, 5.0, 0.5)
+        positions = window_positions(960, 32.0, 5.0, 0.5)
         assert positions.size == int(np.floor((30.0 - 5.0) / 0.5)) + 1 == 51
         assert positions[0] == 0.0
         assert positions[-1] == pytest.approx(25.0)
@@ -66,7 +66,19 @@ class TestWindowPositions:
 
     def test_window_too_long_rejected(self):
         with pytest.raises(InvalidInputError):
-            window_positions(4.0, 5.0, 0.5)
+            window_positions(128, 32.0, 5.0, 0.5)
+
+    @pytest.mark.parametrize("method", [surrogate_saliency, zero_out_saliency])
+    def test_rounded_window_stays_inside_odd_length_epoch(self, method, rng):
+        # the grid's second start, 29.046875 s, rounds to sample 930, and the
+        # 0.984375 s window to 32 samples: it would end at 962 of 961
+        epoch = Epoch(rng.standard_normal((4, 961)), 32.0, "a")
+        spec = SaliencySpec(window_len_s=0.984375, step_s=29.046875, n_replacements=2)
+        smap = method(WindowEnergyClassifier(), epoch, spec)
+        assert smap.positions_s.size == 1
+        for position in smap.positions_s:
+            start, window_len, cf_left, cf_right = saliency._window_geometry(epoch, position, spec)
+            assert start + window_len <= epoch.n_samples and min(cf_left, cf_right) >= 0
 
 
 class TestSurrogateSaliency:

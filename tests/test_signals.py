@@ -2,26 +2,45 @@ import numpy as np
 import pytest
 
 from surrokit.errors import InvalidInputError
-from surrokit.signals import DEFAULT_ROLES, Epoch, Signal
+from surrokit.signals import DEFAULT_ROLES, Epoch
+from surrokit.surrogates import (
+    SurrogateConfig,
+    ft_surrogate,
+    iaaft_surrogate,
+    partial_ft_surrogate,
+)
 
 
-class TestSignalValidation:
-    def test_rejects_nan(self):
+SURROGATES = {
+    "ft": lambda x, rate: ft_surrogate(x, seed=1),
+    "iaaft": lambda x, rate: iaaft_surrogate(x, SurrogateConfig(kind="iaaft"), seed=1)[0],
+    "partial": lambda x, rate: partial_ft_surrogate(x, rate, 0.5, 0.5, seed=1, crossfade_s=0.25),
+}
+
+
+class TestSurrogateInputs:
+    """The single-channel surrogates check a 1-D array as a stored channel
+    is checked, and never write to or return a view of it."""
+
+    @pytest.mark.parametrize("kind", SURROGATES)
+    @pytest.mark.parametrize(
+        "samples", [[1.0, np.nan, 2.0], [1.0], np.zeros((2, 64))], ids=["nan", "short", "2d"]
+    )
+    def test_rejects_bad_samples(self, kind, samples):
         with pytest.raises(InvalidInputError):
-            Signal([1.0, np.nan, 2.0], 32.0)
+            SURROGATES[kind](samples, 32.0)
 
-    def test_rejects_short(self):
+    def test_rejects_zero_rate(self):
         with pytest.raises(InvalidInputError):
-            Signal([1.0], 32.0)
+            SURROGATES["partial"](np.zeros(64), 0.0)
 
-    def test_rejects_bad_rate(self):
-        with pytest.raises(InvalidInputError):
-            Signal([1.0, 2.0], 0.0)
-
-    def test_samples_are_immutable(self):
-        sig = Signal([1.0, 2.0, 3.0], 32.0)
-        with pytest.raises(ValueError):
-            sig.samples[0] = 9.0
+    @pytest.mark.parametrize("kind", SURROGATES)
+    def test_does_not_alias_its_input(self, kind, rng):
+        x = rng.standard_normal(64)
+        before = x.copy()
+        out = SURROGATES[kind](x, 32.0)
+        np.testing.assert_array_equal(x, before)
+        assert out.shape == x.shape and not np.shares_memory(out, x)
 
 
 class TestEpochValidation:

@@ -18,19 +18,17 @@ from surrokit import parallel, surrogates
 from surrokit.errors import InvalidInputError
 from surrokit.saliency import SALIENCY_CHUNK
 from surrokit.seeding import spawn_rng
-from surrokit.signals import Epoch, Signal
+from surrokit.signals import Epoch
 from surrokit.synthetic import bundled_spec, generate_synthetic
 from surrokit.surrogates import (
     IAAFT_STOP_REASONS,
     SURROGATE_CHUNK,
     IaaftReport,
-    PartialSurrogateSpec,
     SurrogateConfig,
     _iaaft_core,
     _splice_surrogate,
     _surrogate_rows,
     crossfade_weights,
-    epoch_surrogate,
     epoch_surrogate_with_reports,
     ft_surrogate,
     iaaft_surrogate,
@@ -40,33 +38,32 @@ from surrokit.surrogates import (
 
 class TestFtSurrogate:
     def test_constant_signal_unchanged(self):
-        sig = Signal(np.full(64, 3.5), 32.0)
-        out = ft_surrogate(sig, seed=7)
-        np.testing.assert_allclose(out.samples, 3.5, atol=1e-12)
+        out = ft_surrogate(np.full(64, 3.5), seed=7)
+        np.testing.assert_allclose(out, 3.5, atol=1e-12)
 
     def test_single_bin_cosine_keeps_amplitude(self):
         n, k, amp = 128, 9, 2.5
         t = np.arange(n)
-        sig = Signal(amp * np.cos(2 * np.pi * k * t / n), 32.0)
+        sig = amp * np.cos(2 * np.pi * k * t / n)
         out = ft_surrogate(sig, seed=3)
-        amps = np.abs(np.fft.rfft(out.samples))
+        amps = np.abs(np.fft.rfft(out))
         assert amps[k] == pytest.approx(amp * n / 2, rel=1e-12)
         assert np.all(np.delete(amps, k) < 1e-9 * n)
         # still a pure cosine at bin k, just at a different phase
-        assert np.std(np.abs(np.fft.rfft(out.samples)) - np.abs(np.fft.rfft(sig.samples))) < 1e-9
+        assert np.std(np.abs(np.fft.rfft(out)) - np.abs(np.fft.rfft(sig))) < 1e-9
 
     def test_periodogram_preserved_bin_for_bin(self, ar2_signal):
         out = ft_surrogate(ar2_signal, seed=11)
-        original = one_sided_amplitudes(ar2_signal.samples)
-        surrogate = one_sided_amplitudes(out.samples)
+        original = one_sided_amplitudes(ar2_signal)
+        surrogate = one_sided_amplitudes(out)
         scale = original.max()
         np.testing.assert_allclose(surrogate, original, rtol=0, atol=1e-9 * scale)
 
     def test_correlation_with_original_is_chance_level(self, ar2_signal):
-        x = ar2_signal.samples - ar2_signal.samples.mean()
+        x = ar2_signal - ar2_signal.mean()
         corrs = []
         for seed in range(100):
-            y = ft_surrogate(ar2_signal, seed=seed).samples
+            y = ft_surrogate(ar2_signal, seed=seed)
             y = y - y.mean()
             corrs.append(float(x @ y / (np.linalg.norm(x) * np.linalg.norm(y))))
         corrs = np.array(corrs)
@@ -75,9 +72,8 @@ class TestFtSurrogate:
 
     def test_mean_preserved(self, rng):
         x = rng.standard_normal(301) + 12.0
-        sig = Signal(x, 32.0)
-        out = ft_surrogate(sig, seed=5)
-        assert out.samples.mean() == pytest.approx(x.mean(), abs=1e-9 * np.abs(x).max())
+        out = ft_surrogate(x, seed=5)
+        assert out.mean() == pytest.approx(x.mean(), abs=1e-9 * np.abs(x).max())
 
     def test_realness_against_two_sided_oracle(self, rng):
         # rebuild the randomized full spectrum with the same phase draws and
@@ -85,7 +81,7 @@ class TestFtSurrogate:
         for n in (32, 33):
             x = rng.standard_normal(n) * 4
             seed = 17 + n
-            out = ft_surrogate(Signal(x, 32.0), seed=seed)
+            out = ft_surrogate(x, seed=seed)
             bins = np.fft.rfft(x)
             theta = spawn_rng(seed).uniform(0.0, 2.0 * np.pi, bins.size)
             randomized = np.abs(bins) * np.exp(1j * theta)
@@ -98,27 +94,26 @@ class TestFtSurrogate:
                 full = np.concatenate([randomized, np.conj(randomized[:0:-1])])
             inverted = idft_oracle(full)
             assert np.max(np.abs(inverted.imag)) < 1e-9
-            np.testing.assert_allclose(out.samples, inverted.real, atol=1e-9)
+            np.testing.assert_allclose(out, inverted.real, atol=1e-9)
 
     def test_deterministic(self, ar2_signal):
         a = ft_surrogate(ar2_signal, seed=99)
         b = ft_surrogate(ar2_signal, seed=99)
-        np.testing.assert_array_equal(a.samples, b.samples)
+        np.testing.assert_array_equal(a, b)
         c = ft_surrogate(ar2_signal, seed=100)
-        assert not np.array_equal(a.samples, c.samples)
+        assert not np.array_equal(a, c)
 
 
 class TestIaaft:
     def test_constant_converges_in_one_iteration(self):
-        sig = Signal(np.full(32, -2.0), 8.0)
-        out, report = iaaft_surrogate(sig, SurrogateConfig(kind="iaaft"), seed=1)
-        np.testing.assert_allclose(out.samples, -2.0, atol=1e-12)
+        out, report = iaaft_surrogate(np.full(32, -2.0), SurrogateConfig(kind="iaaft"), seed=1)
+        np.testing.assert_allclose(out, -2.0, atol=1e-12)
         assert report.iterations == 1
         assert report.converged
 
     def test_exact_value_multiset(self, ar2_signal):
         out, _ = iaaft_surrogate(ar2_signal, SurrogateConfig(kind="iaaft"), seed=2)
-        np.testing.assert_array_equal(np.sort(out.samples), np.sort(ar2_signal.samples))
+        np.testing.assert_array_equal(np.sort(out), np.sort(ar2_signal))
 
     def test_final_discrepancy_below_frozen_threshold(self, ar2_signal):
         out, report = iaaft_surrogate(
@@ -126,17 +121,15 @@ class TestIaaft:
         )
         assert report.final_discrepancy < 5e-2
         # the reported number must agree with an independent recomputation
-        target = one_sided_amplitudes(ar2_signal.samples)
-        achieved = one_sided_amplitudes(out.samples)
+        target = one_sided_amplitudes(ar2_signal)
+        achieved = one_sided_amplitudes(out)
         recomputed = np.linalg.norm(achieved - target) / np.linalg.norm(target)
         assert report.final_discrepancy == pytest.approx(recomputed, rel=1e-6)
 
     def test_discrepancies_non_increasing(self, rng):
         for trial in range(10):
             x = rng.standard_normal(240) * 3
-            _, report = iaaft_surrogate(
-                Signal(x, 32.0), SurrogateConfig(kind="iaaft"), seed=trial
-            )
+            _, report = iaaft_surrogate(x, SurrogateConfig(kind="iaaft"), seed=trial)
             diffs = np.diff(report.discrepancies)
             assert np.all(diffs <= 0)
 
@@ -155,7 +148,7 @@ class TestIaaft:
         cfg = SurrogateConfig(kind="iaaft")
         a, ra = iaaft_surrogate(ar2_signal, cfg, seed=12)
         b, rb = iaaft_surrogate(ar2_signal, cfg, seed=12)
-        np.testing.assert_array_equal(a.samples, b.samples)
+        np.testing.assert_array_equal(a, b)
         assert ra == rb
 
 
@@ -221,14 +214,11 @@ class TestIaaftBlock:
 
     def test_public_paths_match_per_channel_reference(self, rng, ar2_signal):
         out, report = iaaft_surrogate(ar2_signal, SurrogateConfig(kind="iaaft"), seed=8)
-        expected, expected_report = iaaft_per_channel(
-            ar2_signal.samples, spawn_rng(8), 100, 1e-8
-        )
-        assert out.samples.tobytes() == expected.tobytes() and report == expected_report
+        expected, expected_report = iaaft_per_channel(ar2_signal, spawn_rng(8), 100, 1e-8)
+        assert out.tobytes() == expected.tobytes() and report == expected_report
         ft = ft_surrogate(ar2_signal, seed=8)
-        assert ft.samples.tobytes() == phase_randomize_per_channel(
-            ar2_signal.samples, spawn_rng(8)
-        ).tobytes()
+        expected = phase_randomize_per_channel(ar2_signal, spawn_rng(8))
+        assert ft.tobytes() == expected.tobytes()
 
         # three epochs of four channels, one seed per epoch
         x = rng.standard_normal((3, 4, 90))
@@ -246,8 +236,10 @@ class TestIaaftBlock:
                     assert reports[4 * i + c] == expected_report
                 assert out[i, c].tobytes() == expected.tobytes()
             epoch = Epoch(x[1], 32.0, "S2")
-            single = epoch_surrogate(epoch, SurrogateConfig(kind=kind), seeds[1])
-            assert single.samples.tobytes() == out[1].tobytes()
+            single = epoch_surrogate_with_reports(
+                epoch.samples[None], [seeds[1]], SurrogateConfig(kind=kind)
+            )[0][0]
+            assert single.tobytes() == out[1].tobytes()
         with pytest.raises(InvalidInputError):
             epoch_surrogate_with_reports(x, seeds[:2], SurrogateConfig())
 
@@ -374,19 +366,17 @@ class TestThreadedChunks:
 
 class TestPartialSurrogate:
     def test_zero_window_zero_crossfade_is_identity(self, ar2_signal):
-        spec = PartialSurrogateSpec(window_start_s=10.0, window_len_s=0.0, crossfade_s=0.0)
-        out = partial_ft_surrogate(ar2_signal, spec, seed=1)
-        np.testing.assert_array_equal(out.samples, ar2_signal.samples)
+        out = partial_ft_surrogate(ar2_signal, 32.0, 10.0, 0.0, seed=1, crossfade_s=0.0)
+        np.testing.assert_array_equal(out, ar2_signal)
 
     def test_outside_window_bit_identical(self, ar2_signal):
-        rate = ar2_signal.sample_rate_hz
-        spec = PartialSurrogateSpec(window_start_s=13.0, window_len_s=4.0, crossfade_s=0.5)
-        out = partial_ft_surrogate(ar2_signal, spec, seed=5)
+        rate = 32.0
+        out = partial_ft_surrogate(ar2_signal, rate, 13.0, 4.0, seed=5, crossfade_s=0.5)
         lo = int(round((13.0 - 0.5) * rate))
         hi = int(round((13.0 + 4.0 + 0.5) * rate))
-        np.testing.assert_array_equal(out.samples[:lo], ar2_signal.samples[:lo])
-        np.testing.assert_array_equal(out.samples[hi:], ar2_signal.samples[hi:])
-        assert not np.array_equal(out.samples[lo:hi], ar2_signal.samples[lo:hi])
+        np.testing.assert_array_equal(out[:lo], ar2_signal[:lo])
+        np.testing.assert_array_equal(out[hi:], ar2_signal[hi:])
+        assert not np.array_equal(out[lo:hi], ar2_signal[lo:hi])
 
     def test_replaced_window_carries_remainder_peak(self):
         # alpha-dominated signal: the patch must inherit the 10 Hz peak
@@ -394,10 +384,8 @@ class TestPartialSurrogate:
         t = np.arange(n) / rate
         rng = np.random.default_rng(8)
         x = 10 * np.sin(2 * np.pi * 10.0 * t) + rng.standard_normal(n)
-        sig = Signal(x, rate)
-        spec = PartialSurrogateSpec(window_start_s=13.0, window_len_s=4.0, crossfade_s=0.5)
-        out = partial_ft_surrogate(sig, spec, seed=21)
-        core = out.samples[int(13.0 * rate) : int(17.0 * rate)]
+        out = partial_ft_surrogate(x, rate, 13.0, 4.0, seed=21, crossfade_s=0.5)
+        core = out[int(13.0 * rate) : int(17.0 * rate)]
         amps = np.abs(np.fft.rfft(core))
         freqs = np.fft.rfftfreq(core.size, d=1 / rate)
         remainder = np.concatenate([x[: int(13.0 * rate)], x[int(17.0 * rate) :]])
@@ -416,26 +404,21 @@ class TestPartialSurrogate:
 
     def test_window_out_of_bounds_rejected(self, ar2_signal):
         with pytest.raises(InvalidInputError):
-            partial_ft_surrogate(
-                ar2_signal, PartialSurrogateSpec(0.0, 4.0, crossfade_s=0.5), seed=1
-            )
+            partial_ft_surrogate(ar2_signal, 32.0, 0.0, 4.0, seed=1, crossfade_s=0.5)
         with pytest.raises(InvalidInputError):
-            partial_ft_surrogate(
-                ar2_signal, PartialSurrogateSpec(28.0, 4.0, crossfade_s=0.5), seed=1
-            )
+            partial_ft_surrogate(ar2_signal, 32.0, 28.0, 4.0, seed=1, crossfade_s=0.5)
 
     @pytest.mark.parametrize(
         "start, length", [(float("nan"), 5.0), (10.0, float("inf")), (1e308, 5.0)]
     )
     def test_hostile_placement_rejected(self, ar2_signal, start, length):
         with pytest.raises(InvalidInputError):
-            partial_ft_surrogate(ar2_signal, PartialSurrogateSpec(start, length), seed=1)
+            partial_ft_surrogate(ar2_signal, 32.0, start, length, seed=1)
 
     def test_deterministic(self, ar2_signal):
-        spec = PartialSurrogateSpec(window_start_s=10.0, window_len_s=5.0)
-        a = partial_ft_surrogate(ar2_signal, spec, seed=33)
-        b = partial_ft_surrogate(ar2_signal, spec, seed=33)
-        np.testing.assert_array_equal(a.samples, b.samples)
+        a = partial_ft_surrogate(ar2_signal, 32.0, 10.0, 5.0, seed=33)
+        b = partial_ft_surrogate(ar2_signal, 32.0, 10.0, 5.0, seed=33)
+        np.testing.assert_array_equal(a, b)
 
 
 class TestBlockSplice:
@@ -479,19 +462,23 @@ class TestBlockSplice:
             self.per_row(samples, geometry, 1)
 
 
+def surrogate_epoch(epoch, config, seed):
+    """Per-channel surrogates of one epoch; channel c draws from (seed, c)."""
+    return epoch_surrogate_with_reports(epoch.samples[None], [seed], config)[0][0]
+
+
 class TestEpochSurrogate:
     def test_constant_epoch_unchanged(self):
         data = np.tile(np.array([[1.0], [2.0], [3.0], [4.0]]), (1, 64))
         epoch = Epoch(data, 32.0, "Wake")
-        out = epoch_surrogate(epoch, SurrogateConfig(kind="ft"), seed=1)
-        np.testing.assert_allclose(out.samples, data, atol=1e-12)
-        assert out.label == "Wake"
+        out = surrogate_epoch(epoch, SurrogateConfig(kind="ft"), 1)
+        np.testing.assert_allclose(out, data, atol=1e-12)
 
     def test_per_channel_amplitude_preservation(self, rng):
         data = rng.standard_normal((4, 240)) * 7
         epoch = Epoch(data, 32.0, "S2")
-        out = epoch_surrogate(epoch, SurrogateConfig(kind="ft"), seed=9)
-        for before, after in zip(epoch.samples, out.samples):
+        out = surrogate_epoch(epoch, SurrogateConfig(kind="ft"), 9)
+        for before, after in zip(epoch.samples, out):
             a = one_sided_amplitudes(before)
             b = one_sided_amplitudes(after)
             np.testing.assert_allclose(b, a, rtol=0, atol=1e-9 * a.max())
@@ -499,19 +486,19 @@ class TestEpochSurrogate:
     def test_channels_randomized_independently(self, rng):
         row = rng.standard_normal(128)
         epoch = Epoch(np.tile(row, (4, 1)), 32.0, "Wake")
-        out = epoch_surrogate(epoch, SurrogateConfig(kind="ft"), seed=2)
-        assert not np.array_equal(out.samples[0], out.samples[1])
+        out = surrogate_epoch(epoch, SurrogateConfig(kind="ft"), 2)
+        assert not np.array_equal(out[0], out[1])
 
     def test_same_seed_identical(self, rng):
         data = rng.standard_normal((4, 96))
         epoch = Epoch(data, 32.0, "REM")
-        a = epoch_surrogate(epoch, SurrogateConfig(kind="ft"), seed=4)
-        b = epoch_surrogate(epoch, SurrogateConfig(kind="ft"), seed=4)
-        np.testing.assert_array_equal(a.samples, b.samples)
+        a = surrogate_epoch(epoch, SurrogateConfig(kind="ft"), 4)
+        b = surrogate_epoch(epoch, SurrogateConfig(kind="ft"), 4)
+        np.testing.assert_array_equal(a, b)
 
     def test_iaaft_kind(self, rng):
         data = rng.standard_normal((4, 96))
         epoch = Epoch(data, 32.0, "S3")
-        out = epoch_surrogate(epoch, SurrogateConfig(kind="iaaft"), seed=6)
-        for before, after in zip(epoch.samples, out.samples):
+        out = surrogate_epoch(epoch, SurrogateConfig(kind="iaaft"), 6)
+        for before, after in zip(epoch.samples, out):
             np.testing.assert_array_equal(np.sort(after), np.sort(before))
