@@ -8,7 +8,7 @@ from .balance import (
     repetition_counts,
     upsample,
 )
-from .classifiers import BandPowerClassifier, Classifier, NetworkClassifier
+from .classifiers import BandPowerClassifier, NetworkClassifier
 from .errors import InvalidInputError, NumericalError, ShapeError
 from .evaluation import (
     ConfusionMatrix,

@@ -13,7 +13,6 @@ which surrogates destroy.
 """
 
 from dataclasses import dataclass
-from typing import Protocol, runtime_checkable
 
 import numpy as np
 
@@ -29,13 +28,6 @@ from .network import (
     validate_weights,
 )
 from .signals import Epoch
-
-
-@runtime_checkable
-class Classifier(Protocol):
-    label_vocabulary: tuple
-
-    def predict(self, epoch: Epoch) -> np.ndarray: ...
 
 
 class NetworkClassifier:

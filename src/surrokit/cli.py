@@ -88,6 +88,15 @@ def _classifier_from_checkpoint(weights_path, dataset: Dataset) -> NetworkClassi
     return NetworkClassifier(descriptor, weights, dataset.label_vocabulary)
 
 
+def _write_or_print(out, text, what) -> None:
+    """Write ``text`` to ``out`` and say so, or print it when ``out`` is unset."""
+    if out:
+        dataio.atomic_write_text(out, text)
+        print(f"wrote {what} to {out}")
+    else:
+        print(text, end="")
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -218,25 +227,21 @@ def _cmd_evaluate(args):
     pred_idx = probs.argmax(axis=1)
     vocab = dataset.label_vocabulary
 
-    lines = ["# section predictions"]
     columns = ["epoch_index", "record_id", "true", "pred"] + [f"p_{c}" for c in vocab]
-    rows = []
-    for i in range(len(dataset)):
-        rows.append(
-            [i, dataset.record_ids[i], vocab[dataset.labels[i]], vocab[pred_idx[i]]]
-            + [float(p) for p in probs[i]]
-        )
-    lines.append(dataio.table_text(columns, rows).rstrip("\n"))
-    lines.append(dataio.confusion_text(result.confusion).rstrip("\n"))
-    lines.append("# section metrics")
-    metric_rows = [
-        [label, float(result.per_class_recall[i]), float(result.per_class_f1[i])]
-        for i, label in enumerate(vocab)
+    rows = [
+        [i, dataset.record_ids[i], vocab[dataset.labels[i]], vocab[pred_idx[i]], *probs[i]]
+        for i in range(len(dataset))
     ]
-    lines.append(dataio.table_text(["class", "recall", "f1"], metric_rows).rstrip("\n"))
-    lines.append(f"macro_f1\t{dataio.format_float(result.macro_f1)}")
-    lines.append(f"weighted_f1\t{dataio.format_float(result.weighted_f1)}")
-    report = "\n".join(lines) + "\n"
+    metric_rows = [
+        *zip(vocab, result.per_class_recall, result.per_class_f1),
+        ("macro_f1", result.macro_f1),
+        ("weighted_f1", result.weighted_f1),
+    ]
+    report = (
+        "# section predictions\n" + dataio.table_text(columns, rows)
+        + dataio.confusion_text(result.confusion)
+        + "# section metrics\n" + dataio.table_text(["class", "recall", "f1"], metric_rows)
+    )
     if args.out:
         dataio.atomic_write_text(args.out, report)
         print(f"wrote report to {args.out}")
@@ -255,11 +260,7 @@ def _cmd_condconf(args):
         print("no correctly predicted epochs; nothing to condition on")
         return 0
     text = dataio.confusion_text(confusion, title=f"conditional_confusion_{args.kind}")
-    if args.out:
-        dataio.atomic_write_text(args.out, text)
-        print(f"wrote conditional confusion to {args.out}")
-    else:
-        print(text, end="")
+    _write_or_print(args.out, text, "conditional confusion")
     print(f"off-diagonal mass: {confusion.off_diagonal_mass():.4f}")
     return 0
 
@@ -283,12 +284,7 @@ def _cmd_sweep(args):
     table_rows = [
         [row.alpha, row.fold, row.macro_f1] + list(row.per_class_recall) for row in rows
     ]
-    text = dataio.table_text(columns, table_rows)
-    if args.out:
-        dataio.atomic_write_text(args.out, text)
-        print(f"wrote {len(rows)} sweep rows to {args.out}")
-    else:
-        print(text, end="")
+    _write_or_print(args.out, dataio.table_text(columns, table_rows), f"{len(rows)} sweep rows")
     return 0
 
 
@@ -314,12 +310,8 @@ def _cmd_saliency(args):
         saliency_map = surrogate_saliency(classifier, epoch, spec)
     else:
         saliency_map = zero_out_saliency(classifier, epoch, spec)
-    text = dataio.saliency_text(saliency_map)
-    if args.out:
-        dataio.atomic_write_text(args.out, text)
-        print(f"wrote saliency map ({len(saliency_map.positions_s)} positions) to {args.out}")
-    else:
-        print(text, end="")
+    what = f"saliency map ({len(saliency_map.positions_s)} positions)"
+    _write_or_print(args.out, dataio.saliency_text(saliency_map), what)
     return 0
 
 

@@ -293,24 +293,18 @@ def table_text(columns, rows) -> str:
 def confusion_text(confusion, title="confusion_counts") -> str:
     """Two matrix blocks: raw counts and row-normalized fractions."""
     labels = confusion.labels
-    lines = [f"# section {title}", "\t".join(("true\\pred",) + labels)]
-    for i, label in enumerate(labels):
-        lines.append("\t".join([label] + [str(int(c)) for c in confusion.counts[i]]))
-    lines.append("# section row_normalized")
-    lines.append("\t".join(("true\\pred",) + labels))
-    normalized = confusion.row_normalized()
-    for i, label in enumerate(labels):
-        lines.append("\t".join([label] + [format_float(v) for v in normalized[i]]))
-    return "\n".join(lines) + "\n"
+    counts = [[label, *row] for label, row in zip(labels, confusion.counts)]
+    fractions = [[label, *row] for label, row in zip(labels, confusion.row_normalized())]
+    return (
+        f"# section {title}\n" + table_text(("true\\pred",) + labels, counts)
+        + "# section row_normalized\n" + table_text(("true\\pred",) + labels, fractions)
+    )
 
 
 def saliency_text(saliency_map) -> str:
     """Header, one baseline row, then one row per window position."""
     columns = ["position_s"] + [f"p_{label}" for label in saliency_map.labels]
-    lines = ["\t".join(columns)]
-    lines.append(
-        "\t".join(["baseline"] + [format_float(v) for v in saliency_map.baseline_probabilities])
-    )
-    for pos, probs in zip(saliency_map.positions_s, saliency_map.mean_probabilities):
-        lines.append("\t".join([format_float(pos)] + [format_float(v) for v in probs]))
-    return "\n".join(lines) + "\n"
+    rows = [["baseline", *saliency_map.baseline_probabilities]]
+    positions = zip(saliency_map.positions_s, saliency_map.mean_probabilities)
+    rows += [[pos, *probs] for pos, probs in positions]
+    return table_text(columns, rows)

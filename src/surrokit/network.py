@@ -805,56 +805,44 @@ def loss_and_gradients(descriptor, weights, x, labels, training=True, rng=None):
 _WIDTHS = {"full": ((16, 19, 23, 27), 10, 85), "reference": ((8, 8, 8, 8), 8, 32)}
 
 
-def _build(name, n_classes, input_len, dropout_conv, dropout_dense, dropout_after_conv2d):
+def _build(name, n_classes=6, input_len=960, dropout_conv=0.33, dropout_dense=0.015):
     filters, conv2d_filters, units = _WIDTHS[name]
     channel = [Scale("scale", init=0.05)]
     for i, (width, n_filters) in enumerate(zip((16, 19, 23, 27), filters), start=1):
         channel.append(Conv1D(f"conv{i}", width=width, filters=n_filters))
         channel.append(Dropout(f"drop{i}", rate=dropout_conv))
         channel.append(MaxPool1D(f"pool{i}", width=3, stride=2))
-    joined = [Conv2D("conv2d", height=20, width=4, filters=conv2d_filters)]
-    if dropout_after_conv2d:
-        joined.append(Dropout("drop_conv2d", rate=dropout_dense))
-    joined += [
+    joined = (
+        Conv2D("conv2d", height=20, width=4, filters=conv2d_filters),
+        Dropout("drop_conv2d", rate=dropout_dense),
         Dense("dense1", units=units),
         Dropout("drop_dense1", rate=dropout_dense),
         Dense("dense2", units=units),
         Dropout("drop_dense2", rate=dropout_dense),
         Dense("output", units=n_classes, activation="softmax"),
-    ]
+    )
     return ArchitectureDescriptor(
-        name=name, input_len=input_len, channel_pipe=tuple(channel), joined_pipe=tuple(joined)
+        name=name, input_len=input_len, channel_pipe=tuple(channel), joined_pipe=joined
     )
 
 
-def full_architecture(
-    n_classes: int = 6,
-    input_len: int = 960,
-    dropout_conv: float = 0.33,
-    dropout_dense: float = 0.015,
-    dropout_after_conv2d: bool = True,
-) -> ArchitectureDescriptor:
+def full_architecture(**config) -> ArchitectureDescriptor:
     """The reference two-stage architecture at publication scale.
 
     Channel pipe: Scale, then four Conv1D/MaxPool blocks with widths and
     filter counts 16/19/23/27 (32,936 trainable parameters per group).
     Joined pipe: a 20x4 Conv2D with 10 filters, two 85-unit dense layers
-    and the softmax output (64,371 trainable parameters).
+    and the softmax output (64,371 trainable parameters). ``config`` may
+    set ``n_classes``, ``input_len``, ``dropout_conv`` and
+    ``dropout_dense``; ``_build`` holds their defaults.
     """
-    return _build("full", n_classes, input_len, dropout_conv, dropout_dense, dropout_after_conv2d)
+    return _build("full", **config)
 
 
-def reference_architecture(
-    n_classes: int = 6,
-    input_len: int = 960,
-    dropout_conv: float = 0.33,
-    dropout_dense: float = 0.015,
-    dropout_after_conv2d: bool = True,
-) -> ArchitectureDescriptor:
-    """Width-reduced variant for desk-scale training (filters 8, dense 32)."""
-    return _build(
-        "reference", n_classes, input_len, dropout_conv, dropout_dense, dropout_after_conv2d
-    )
+def reference_architecture(**config) -> ArchitectureDescriptor:
+    """Width-reduced variant for desk-scale training (filters 8, dense
+    32); it takes the keywords of ``full_architecture``."""
+    return _build("reference", **config)
 
 
 ARCHITECTURES = {"full": full_architecture, "reference": reference_architecture}

@@ -23,9 +23,8 @@ block by exact incremental inference (``network.spliced_forward``): the
 epoch's channel-pipe activations are computed once, and only the output
 ranges the changed samples reach are recomputed, so maps agree with one
 full forward per replacement to rounding. Any other classifier is called
-through ``predict`` once per replaced epoch. The default CLI map (51
-positions x 500 replacements) takes about 15 s with the reference
-architecture on a 2-core Intel Xeon with one OpenBLAS thread.
+through ``predict`` once per replaced epoch. README gives the time of
+the default CLI map (51 positions x 500 replacements).
 """
 
 import math

@@ -7,7 +7,9 @@ surrogate smears across the epoch. That contrast is what makes the
 conditional-confusion and alpha-sweep behaviors reproducible at desk
 scale.
 
-A generator spec is JSON-serializable::
+A generator spec is JSON-serializable. Its keys are the fields of
+``SyntheticSpec``, ``ClassSpec`` and ``TransientSpec``: a missing key
+takes the field's default, and an unknown key is refused::
 
     {
       "sample_rate_hz": 32.0,
@@ -33,7 +35,7 @@ polynomial 1 - a_1 z - ... - a_p z^p outside the unit circle).
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -283,31 +285,7 @@ def bundled_spec() -> SyntheticSpec:
 
 
 def spec_to_json(spec: SyntheticSpec) -> str:
-    payload = {
-        "sample_rate_hz": spec.sample_rate_hz,
-        "epoch_len_s": spec.epoch_len_s,
-        "channel_roles": list(spec.channel_roles),
-        "n_records": spec.n_records,
-        "classes": [],
-    }
-    for cls in spec.classes:
-        entry = {
-            "name": cls.name,
-            "prevalence": cls.prevalence,
-            "ar_coeffs": list(cls.ar_coeffs),
-            "noise_scale": cls.noise_scale,
-            "scale_jitter": cls.scale_jitter,
-        }
-        if cls.transient is not None:
-            entry["transient"] = {
-                "amplitude": cls.transient.amplitude,
-                "width_s": cls.transient.width_s,
-                "freq_hz": cls.transient.freq_hz,
-                "count": cls.transient.count,
-                "channels": list(cls.transient.channels),
-            }
-        payload["classes"].append(entry)
-    return json.dumps(payload, indent=2, sort_keys=True)
+    return json.dumps(asdict(spec), indent=2, sort_keys=True)
 
 
 def spec_from_json(text: str) -> SyntheticSpec:
@@ -315,35 +293,13 @@ def spec_from_json(text: str) -> SyntheticSpec:
         payload = json.loads(text)
         classes = []
         for entry in payload["classes"]:
-            transient = None
-            if entry.get("transient") is not None:
-                t = entry["transient"]
-                transient = TransientSpec(
-                    amplitude=t["amplitude"],
-                    width_s=t["width_s"],
-                    freq_hz=t["freq_hz"],
-                    count=t.get("count", 1),
-                    channels=tuple(t.get("channels", ("EEG1", "EEG2"))),
-                )
-            classes.append(
-                ClassSpec(
-                    name=entry["name"],
-                    prevalence=entry["prevalence"],
-                    ar_coeffs=tuple(entry["ar_coeffs"]),
-                    noise_scale=entry.get("noise_scale", 1.0),
-                    transient=transient,
-                    scale_jitter=entry.get("scale_jitter", 0.0),
-                )
-            )
-        return SyntheticSpec(
-            classes=tuple(classes),
-            sample_rate_hz=payload.get("sample_rate_hz", 32.0),
-            epoch_len_s=payload.get("epoch_len_s", 30.0),
-            channel_roles=tuple(payload.get("channel_roles", ("EEG1", "EEG2", "EOG", "EMG"))),
-            n_records=payload.get("n_records", 6),
-        )
+            t = entry.get("transient")
+            transient = None if t is None else TransientSpec(**t)
+            classes.append(ClassSpec(**{**entry, "transient": transient}))
+        return SyntheticSpec(**{**payload, "classes": classes})
     except KeyError as exc:
         raise InvalidInputError(f"generator spec is missing field {exc}") from exc
     except (AttributeError, TypeError, ValueError, OverflowError) as exc:
-        # ValueError covers JSON syntax and the spec classes' own checks
+        # TypeError covers a missing or unknown field, ValueError JSON
+        # syntax and the spec classes' own checks
         raise InvalidInputError(f"malformed generator spec: {exc}") from exc

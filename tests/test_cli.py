@@ -399,6 +399,9 @@ SPEC_PROBES = {
     "infinite-prevalence-sum": lambda spec: [c.update(prevalence=1e308) for c in spec["classes"]],
     "burst-wider-than-epoch": lambda spec: spec["classes"][1]["transient"].update(width_s=1e9),
     "larger-than-memory": lambda spec: spec.update(epoch_len_s=1e12),
+    "unknown-spec-key": lambda spec: spec.update(n_record=3),
+    "unknown-class-key": lambda spec: spec["classes"][0].update(scale_jiter=0.35),
+    "unknown-transient-key": lambda spec: spec["classes"][1]["transient"].update(widht_s=0.5),
 }
 
 

@@ -1,9 +1,15 @@
-"""Every ```python block of README.md runs as written."""
+"""Every ```python block of README.md runs as written, and no public
+name that README lists as removed has come back."""
 
+import importlib
+import pkgutil
 import re
 from pathlib import Path
 
 import pytest
+
+import surrokit
+from surrokit import Epoch, full_architecture, reference_architecture
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 BLOCKS = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"), re.M | re.S)
@@ -16,3 +22,27 @@ def test_readme_has_python_blocks():
 @pytest.mark.parametrize("index", range(len(BLOCKS)))
 def test_readme_block_runs(index):
     exec(compile(BLOCKS[index], f"README.md python block {index}", "exec"), {})
+
+
+# README, "Removed public names"
+REMOVED_NAMES = (
+    "Spectrum", "forward_dft", "inverse_dft", "butterworth_lowpass", "resample",
+    "epoch_from_array", "Signal", "PartialSurrogateSpec", "epoch_surrogate", "Classifier",
+)
+MODULES = [surrokit] + [
+    importlib.import_module(f"surrokit.{info.name}")
+    for info in pkgutil.iter_modules(surrokit.__path__)
+    if info.name != "__main__"
+]
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
+def test_removed_names_stay_removed(module):
+    assert [name for name in REMOVED_NAMES if hasattr(module, name)] == []
+
+
+def test_removed_members_stay_removed():
+    assert not hasattr(Epoch, "channels") and not hasattr(Epoch, "to_array")
+    for build in (full_architecture, reference_architecture):
+        with pytest.raises(TypeError):
+            build(dropout_after_conv2d=True)

@@ -1,3 +1,4 @@
+import json
 import os
 from dataclasses import replace
 
@@ -177,6 +178,23 @@ class TestSpecSerialization:
             spec_from_json("{not json")
         with pytest.raises(InvalidInputError):
             spec_from_json('{"classes": [{"name": "A"}]}')
+
+    @pytest.mark.parametrize("level", ["spec", "class", "transient"])
+    def test_unknown_key_rejected(self, level):
+        payload = json.loads(spec_to_json(bundled_spec()))
+        burst = next(c for c in payload["classes"] if c["transient"] is not None)
+        node = {"spec": payload, "class": payload["classes"][0], "transient": burst["transient"]}
+        node[level]["scale_jiter"] = 0.35
+        with pytest.raises(InvalidInputError, match="scale_jiter"):
+            spec_from_json(json.dumps(payload))
+
+    def test_absent_and_null_transient_agree(self):
+        payload = json.loads(spec_to_json(two_class_spec()))
+        assert payload["classes"][0]["transient"] is None
+        null = spec_from_json(json.dumps(payload))
+        for entry in payload["classes"]:
+            del entry["transient"]
+        assert spec_from_json(json.dumps(payload)) == null == two_class_spec()
 
 
 class TestGroups:
