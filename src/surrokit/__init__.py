@@ -20,14 +20,12 @@ from .evaluation import (
 from .network import (
     ArchitectureDescriptor,
     count_parameters,
-    forward,
     full_architecture,
     infer_shapes,
     init_weights,
     reference_architecture,
 )
 from .saliency import SaliencyMap, SaliencySpec, surrogate_saliency, zero_out_saliency
-from .signals import Epoch
 from .surrogates import (
     IaaftReport,
     SurrogateConfig,

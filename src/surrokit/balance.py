@@ -5,6 +5,7 @@ random repetitions drawn with replacement from that class, where
 max_count is the most frequent class's count. Rounding is half-to-even.
 Augmentation then replaces each channel of a repeated epoch by its
 surrogate with probability alpha; original epochs are never touched.
+``Dataset`` is the one data type: one epoch is a one-epoch dataset.
 """
 
 from dataclasses import dataclass, replace
@@ -13,7 +14,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .seeding import NS_AUGMENT, NS_UPSAMPLE, spawn_rng
-from .signals import DEFAULT_ROLES, Epoch, _check_samples
+from .signals import DEFAULT_ROLES, _check_samples
 from .surrogates import SurrogateConfig, _surrogate_rows
 
 DEFAULT_VOCABULARY = ("Wake", "S1", "S2", "S3", "S4", "REM")
@@ -26,8 +27,8 @@ class Dataset:
     ``labels`` are int64 indices into ``label_vocabulary``; all epochs
     share ``channel_roles`` and ``sample_rate_hz``. The dataset takes
     ownership of the array it gets: a float64 ``x`` is kept as it is,
-    not copied, and made read-only. ``epoch(i)`` and ``epochs`` build
-    ``Epoch`` objects for the APIs that take one.
+    not copied, and made read-only. ``take([i])`` is epoch i alone, the
+    form the APIs that work on one epoch take.
     """
 
     x: np.ndarray
@@ -43,9 +44,10 @@ class Dataset:
         record_ids = tuple(str(r) for r in self.record_ids)
         vocabulary = tuple(str(v) for v in self.label_vocabulary)
         roles = tuple(str(r) for r in self.channel_roles)
-        if x.ndim != 3:
+        if x.ndim != 3 or not x.shape[1]:
             raise InvalidInputError(
-                f"expected a (n_epochs, n_channels, n_samples) array, got shape {x.shape}"
+                "expected a (n_epochs, n_channels, n_samples) array of >= 1 channel, "
+                f"got shape {x.shape}"
             )
         if len(roles) != x.shape[1]:
             raise InvalidInputError(f"{len(roles)} channel roles for {x.shape[1]} channels")
@@ -74,15 +76,6 @@ class Dataset:
     def n_samples(self) -> int:
         return self.x.shape[2]
 
-    def epoch(self, i: int):
-        label = self.label_vocabulary[self.labels[i]]
-        return Epoch(self.x[i], self.sample_rate_hz, label, self.channel_roles)
-
-    @property
-    def epochs(self) -> tuple:
-        """Every epoch as an ``Epoch``, built on each access."""
-        return tuple(self.epoch(i) for i in range(len(self)))
-
     def take(self, indices) -> "Dataset":
         """The epochs at ``indices``, in that order, as a new dataset."""
         indices = np.asarray(indices, dtype=np.int64)
@@ -93,6 +86,12 @@ class Dataset:
         """Per-class epoch counts over the full vocabulary (zeros included)."""
         counts = np.bincount(self.labels, minlength=len(self.label_vocabulary))
         return {label: int(c) for label, c in zip(self.label_vocabulary, counts)}
+
+
+def _check_one_epoch(dataset: Dataset) -> None:
+    """Refuse a dataset that does not hold exactly one epoch."""
+    if len(dataset) != 1:
+        raise InvalidInputError(f"expected a dataset of one epoch, got {len(dataset)}")
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,10 @@
 """Black-box classifier interface plus ready-made implementations.
 
-Anything with a ``label_vocabulary`` and a ``predict(epoch)`` returning a
-probability vector over that vocabulary can be evaluated or explained by
-the tools in :mod:`surrokit.evaluation` and :mod:`surrokit.saliency`;
-nothing requires differentiability.
+Anything with a ``label_vocabulary`` and a ``predict_batch(dataset)``
+returning an (n_epochs, K) array of probabilities over that vocabulary
+can be evaluated or explained by the tools in :mod:`surrokit.evaluation`
+and :mod:`surrokit.saliency`; nothing requires differentiability. One
+epoch is classified as a one-epoch ``Dataset``.
 
 ``NetworkClassifier`` wraps trained network weights. The band-power
 classifier is a simple analytic model that depends only on the amplitude
@@ -16,18 +17,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .balance import Dataset, _check_one_epoch
 from .errors import InvalidInputError
 from .network import (
     ArchitectureDescriptor,
     _check_roles,
-    _epoch_batch,
     channel_activations,
-    forward,
     forward_batch,
     spliced_forward,
     validate_weights,
 )
-from .signals import Epoch
 
 
 class NetworkClassifier:
@@ -43,17 +42,15 @@ class NetworkClassifier:
         self.weights = weights
         self.label_vocabulary = tuple(label_vocabulary)
 
-    def predict(self, epoch: Epoch) -> np.ndarray:
-        return forward(self.descriptor, self.weights, epoch)
-
-    def predict_batch(self, dataset) -> np.ndarray:
+    def predict_batch(self, dataset: Dataset) -> np.ndarray:
         """(n_epochs, K) probabilities of every epoch of a ``Dataset``."""
         _check_roles(self.descriptor, dataset.channel_roles)
         probs, _ = forward_batch(self.descriptor, self.weights, dataset.x, training=False)
         return probs
 
-    def splice_predictor(self, epoch: Epoch):
-        """The epoch's probabilities and a predictor for spliced copies of it.
+    def splice_predictor(self, epoch: Dataset):
+        """A one-epoch dataset's probabilities and a predictor for spliced
+        copies of its epoch.
 
         The predictor takes ``({channel index: (R, n_samples) rows}, lo,
         hi)``, rows that equal the epoch's channel outside samples [lo,
@@ -62,9 +59,9 @@ class NetworkClassifier:
         here, and each call recomputes only what the changed samples reach
         (``network.spliced_forward``).
         """
-        activations = channel_activations(
-            self.descriptor, self.weights, _epoch_batch(self.descriptor, epoch)
-        )
+        _check_one_epoch(epoch)
+        _check_roles(self.descriptor, epoch.channel_roles)
+        activations = channel_activations(self.descriptor, self.weights, epoch.x)
 
         def predict_rows(rows, lo, hi):
             return spliced_forward(self.descriptor, self.weights, activations, rows, lo, hi)
@@ -72,15 +69,16 @@ class NetworkClassifier:
         return predict_rows({}, 0, 0)[0], predict_rows
 
 
-def band_power_features(epoch: Epoch, bands) -> np.ndarray:
-    """Log relative band powers, concatenated over channels.
+def band_power_features(samples: np.ndarray, sample_rate_hz, bands) -> np.ndarray:
+    """Log relative band powers of an (n_channels, n_samples) array,
+    concatenated over channels.
 
     Powers are normalized by each channel's total power before the log,
     so the features are invariant to overall amplitude scale.
     """
     features = []
-    freqs = np.fft.rfftfreq(epoch.n_samples, d=1.0 / epoch.sample_rate_hz)
-    for row in epoch.samples:
+    freqs = np.fft.rfftfreq(samples.shape[-1], d=1.0 / sample_rate_hz)
+    for row in samples:
         spectrum = np.abs(np.fft.rfft(row)) ** 2
         total = spectrum.sum()
         for lo, hi in bands:
@@ -105,29 +103,34 @@ class BandPowerClassifier:
     temperature: float = 1.0
 
     @classmethod
-    def fit(cls, dataset, bands, temperature: float = 1.0) -> "BandPowerClassifier":
+    def fit(cls, dataset: Dataset, bands, temperature: float = 1.0) -> "BandPowerClassifier":
         vocab = dataset.label_vocabulary
-        features = {label: [] for label in vocab}
-        for ep in dataset.epochs:
-            features[ep.label].append(band_power_features(ep, bands))
-        rows = []
-        for label in vocab:
-            if not features[label]:
+        features = [[] for _ in vocab]
+        for samples, label in zip(dataset.x, dataset.labels):
+            features[label].append(band_power_features(samples, dataset.sample_rate_hz, bands))
+        for label, rows in zip(vocab, features):
+            if not rows:
                 raise InvalidInputError(f"no examples of class {label!r} to fit on")
-            rows.append(np.mean(features[label], axis=0))
-        return cls(tuple(vocab), tuple(bands), np.stack(rows), temperature)
+        centroids = np.stack([np.mean(rows, axis=0) for rows in features])
+        return cls(tuple(vocab), tuple(bands), centroids, temperature)
 
-    def predict(self, epoch: Epoch) -> np.ndarray:
-        f = band_power_features(epoch, self.bands)
-        d2 = ((self.centroids - f) ** 2).sum(axis=1)
-        z = -d2 / self.temperature
-        z -= z.max()
-        e = np.exp(z)
-        return e / e.sum()
+    def predict_batch(self, dataset: Dataset) -> np.ndarray:
+        """(n_epochs, K) probabilities, each epoch's features made as in ``fit``."""
+        probs = np.empty((len(dataset), len(self.label_vocabulary)))
+        for i, samples in enumerate(dataset.x):
+            f = band_power_features(samples, dataset.sample_rate_hz, self.bands)
+            z = -((self.centroids - f) ** 2).sum(axis=1) / self.temperature
+            z -= z.max()
+            e = np.exp(z)
+            probs[i] = e / e.sum()
+        return probs
 
 
-def matched_filter_score(epoch: Epoch, waveform: np.ndarray, channels, combine="max") -> float:
-    """Peak matched-filter response over the given channel roles.
+def matched_filter_score(
+    samples: np.ndarray, channel_roles, waveform: np.ndarray, channels, combine="max"
+) -> float:
+    """Peak matched-filter response of an (n_channels, n_samples) array
+    over the given channel roles.
 
     The response is normalized per channel by its root-mean-square
     correlation level, so the score measures how much one location
@@ -138,7 +141,7 @@ def matched_filter_score(epoch: Epoch, waveform: np.ndarray, channels, combine="
     """
     waveform = np.asarray(waveform, dtype=np.float64)
     scores = []
-    for role, row in zip(epoch.channel_roles, epoch.samples):
+    for role, row in zip(channel_roles, samples):
         if role not in channels:
             continue
         r = np.correlate(row, waveform, mode="same")

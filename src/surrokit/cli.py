@@ -295,7 +295,7 @@ def _cmd_saliency(args):
         raise InvalidInputError(
             f"epoch index {args.epoch_index} outside dataset of {len(dataset)} epochs"
         )
-    epoch = dataset.epoch(args.epoch_index)
+    epoch = dataset.take([args.epoch_index])
     classifier = _classifier_from_checkpoint(args.weights, dataset)
     channels = tuple(c for c in args.channels.split(",") if c)
     spec = SaliencySpec(

@@ -89,17 +89,11 @@ class EvaluationResult:
     probabilities: np.ndarray  # (n_epochs, n_classes), the rows argmax-evaluated
 
 
-def _predict_all(classifier, dataset: Dataset) -> np.ndarray:
-    if hasattr(classifier, "predict_batch"):
-        return np.asarray(classifier.predict_batch(dataset))
-    return np.stack([classifier.predict(ep) for ep in dataset.epochs])
-
-
 def evaluate(classifier, dataset: Dataset) -> EvaluationResult:
     """Argmax-evaluate a classifier over a dataset."""
     if len(dataset) == 0:
         raise InvalidInputError("cannot evaluate on an empty dataset")
-    probs = _predict_all(classifier, dataset)
+    probs = np.asarray(classifier.predict_batch(dataset))
     pred_idx = probs.argmax(axis=1)
     confusion = confusion_from_predictions(dataset.labels, pred_idx, dataset.label_vocabulary)
     recall = np.diag(confusion.row_normalized())
@@ -126,7 +120,7 @@ def conditional_confusion(classifier, dataset: Dataset, surrogate_kind: str, see
         raise InvalidInputError(f"unknown surrogate kind {surrogate_kind!r}")
     if len(dataset) == 0:
         raise InvalidInputError("cannot evaluate on an empty dataset")
-    probs = _predict_all(classifier, dataset)
+    probs = np.asarray(classifier.predict_batch(dataset))
     correct = np.flatnonzero(probs.argmax(axis=1) == dataset.labels)
     if correct.size == 0:
         return None
@@ -136,7 +130,7 @@ def conditional_confusion(classifier, dataset: Dataset, surrogate_kind: str, see
         seeds = [derive_seed(seed, NS_CONDCONF, int(i)) for i in correct]
         config = SurrogateConfig(kind=surrogate_kind)
         subset = replace(subset, x=epoch_surrogate_with_reports(subset.x, seeds, config)[0])
-    new_pred = _predict_all(classifier, subset).argmax(axis=1)
+    new_pred = np.asarray(classifier.predict_batch(subset)).argmax(axis=1)
     return confusion_from_predictions(subset.labels, new_pred, dataset.label_vocabulary)
 
 
@@ -167,6 +161,10 @@ def alpha_sweep(
     """
     from .training import train_reference_classifier
 
+    if folds < 1:
+        raise InvalidInputError(f"folds must be >= 1, got {folds}")
+    if len(alphas) == 0:
+        raise InvalidInputError("alphas is empty")
     rows = []
     for ai, alpha in enumerate(alphas):
         for fold in range(folds):

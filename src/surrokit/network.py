@@ -34,7 +34,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidInputError, ShapeError
 from .parallel import _map_partitioned
-from .signals import DEFAULT_ROLES, Epoch
+from .signals import DEFAULT_ROLES
 
 DEFAULT_SHARING = {"EEG1": "eeg", "EEG2": "eeg", "EOG": "eog", "EMG": "emg"}
 JOINED_GROUP = "joined"
@@ -577,12 +577,6 @@ def _check_roles(descriptor, roles):
         )
 
 
-def _epoch_batch(descriptor, epoch: Epoch) -> np.ndarray:
-    """One epoch as a (1, n_channels, n_samples) batch, its roles checked."""
-    _check_roles(descriptor, epoch.channel_roles)
-    return epoch.samples[None]
-
-
 def forward_batch(descriptor, weights, x, training=False, rng=None, return_caches=False):
     """Forward pass over a batch.
 
@@ -636,13 +630,6 @@ def forward_batch(descriptor, weights, x, training=False, rng=None, return_cache
     if return_caches:
         return probs, logits, (group_channels, [c for _, c in results], joined_caches)
     return probs, logits
-
-
-def forward(descriptor, weights, epoch: Epoch) -> np.ndarray:
-    """Inference-mode class probabilities for one epoch: dropout is off and
-    the result is deterministic."""
-    probs, _ = forward_batch(descriptor, weights, _epoch_batch(descriptor, epoch))
-    return probs[0]
 
 
 def channel_activations(descriptor, weights, x) -> list:

@@ -16,26 +16,28 @@ window nor the crossfade may be longer than the epoch. Crossfades are
 truncated at the epoch boundaries so the first and last positions remain
 valid.
 
-Both methods run one loop: per position, the replacements are made and
-classified in blocks of ``SALIENCY_CHUNK``, the surrogate patches of a
-block in one ``_splice_surrogate`` call. A ``NetworkClassifier`` maps a
-block by exact incremental inference (``network.spliced_forward``): the
-epoch's channel-pipe activations are computed once, and only the output
-ranges the changed samples reach are recomputed, so maps agree with one
-full forward per replacement to rounding. Any other classifier is called
-through ``predict`` once per replaced epoch. README gives the time of
-the default CLI map (51 positions x 500 replacements).
+Both methods take the epoch as a one-epoch ``Dataset`` and run one loop:
+per position, the replacements are made and classified in blocks of
+``SALIENCY_CHUNK``, the surrogate patches of a block in one
+``_splice_surrogate`` call. A ``NetworkClassifier`` maps a block by exact
+incremental inference (``network.spliced_forward``): the epoch's
+channel-pipe activations are computed once, and only the output ranges
+the changed samples reach are recomputed, so maps agree with one full
+forward per replacement to rounding. Any other classifier gets one
+``predict_batch`` call per block, on a dataset of the block's replaced
+epochs. README gives the time of the default CLI map (51 positions x 500
+replacements).
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .balance import Dataset, _check_one_epoch
 from .classifiers import NetworkClassifier
 from .errors import InvalidInputError
 from .seeding import NS_SALIENCY, spawn_rng
-from .signals import Epoch
 from .surrogates import _splice_surrogate, crossfade_weights, window_samples
 
 # replacements per block sent to the classifier; bounds the stacked rows
@@ -87,7 +89,7 @@ def window_positions(n_samples, sample_rate_hz, window_len_s, step_s) -> np.ndar
     return positions
 
 
-def _window_geometry(epoch: Epoch, position_s: float, spec: SaliencySpec):
+def _window_geometry(epoch: Dataset, position_s: float, spec: SaliencySpec):
     n = epoch.n_samples
     start, window_len, crossfade = window_samples(
         n, epoch.sample_rate_hz, position_s, spec.window_len_s, spec.crossfade_s
@@ -95,7 +97,8 @@ def _window_geometry(epoch: Epoch, position_s: float, spec: SaliencySpec):
     return start, window_len, min(crossfade, start), min(crossfade, n - start - window_len)
 
 
-def _validate(epoch: Epoch, spec: SaliencySpec):
+def _validate(epoch: Dataset, spec: SaliencySpec):
+    _check_one_epoch(epoch)
     unknown = set(spec.target_channels) - set(epoch.channel_roles)
     if unknown:
         raise InvalidInputError(f"target channels {sorted(unknown)} not present in epoch")
@@ -109,35 +112,35 @@ def _validate(epoch: Epoch, spec: SaliencySpec):
     window_samples(epoch.n_samples, epoch.sample_rate_hz, 0.0, spec.window_len_s, spec.crossfade_s)
 
 
-def _predictor(classifier, epoch: Epoch):
+def _predictor(classifier, epoch: Dataset):
     """The epoch's probabilities and a function of replacement rows.
 
     The function takes ``{channel index: (R, n_samples) rows}`` that equal
     the epoch outside samples [lo, hi) and returns (R, K) probabilities.
     A ``NetworkClassifier`` gets them by exact incremental inference; any
-    other classifier is called through ``predict`` once per replaced
-    epoch, in row order.
+    other classifier by one ``predict_batch`` call on the R replaced
+    epochs, in row order.
     """
     if isinstance(classifier, NetworkClassifier):
         return classifier.splice_predictor(epoch)
 
     def predict_rows(rows, lo, hi):
-        samples = epoch.samples.copy()
-        probs = []
-        for r in range(len(next(iter(rows.values())))):
-            for c, block in rows.items():
-                samples[c] = block[r]
-            replaced = Epoch(samples, epoch.sample_rate_hz, epoch.label, epoch.channel_roles)
-            probs.append(classifier.predict(replaced))
-        return np.array(probs, dtype=np.float64)
+        index = np.zeros(len(next(iter(rows.values()))), dtype=np.int64)
+        x = epoch.x[index]
+        for c, block in rows.items():
+            x[:, c] = block
+        replaced = replace(
+            epoch, x=x, labels=epoch.labels[index], record_ids=epoch.record_ids * index.size
+        )
+        return np.asarray(classifier.predict_batch(replaced), dtype=np.float64)
 
-    return np.asarray(classifier.predict(epoch), dtype=np.float64), predict_rows
+    return np.asarray(classifier.predict_batch(epoch)[0], dtype=np.float64), predict_rows
 
 
-def _saliency(classifier, epoch: Epoch, spec: SaliencySpec, n_replacements, replace):
+def _saliency(classifier, epoch: Dataset, spec: SaliencySpec, n_replacements, make_rows):
     """Positions, baseline, and per-position mean and std of the probabilities.
 
-    ``replace(p_idx, block, c_idx, geometry)`` returns the replacements
+    ``make_rows(p_idx, block, c_idx, geometry)`` returns the replacements
     in range ``block`` of channel ``c_idx`` at position ``p_idx`` as rows;
     a position's replacements are made in blocks of ``SALIENCY_CHUNK``.
     """
@@ -156,45 +159,45 @@ def _saliency(classifier, epoch: Epoch, spec: SaliencySpec, n_replacements, repl
         probs = np.empty((n_replacements, baseline.size))
         for first in range(0, n_replacements, SALIENCY_CHUNK):
             block = range(first, min(first + SALIENCY_CHUNK, n_replacements))
-            rows = {c: replace(p_idx, block, c, geometry) for c in targets}
+            rows = {c: make_rows(p_idx, block, c, geometry) for c in targets}
             probs[block.start : block.stop] = predict_rows(rows, lo, hi)
         means[p_idx] = probs.mean(axis=0)
         stds[p_idx] = probs.std(axis=0, ddof=1) if n_replacements > 1 else 0.0
     return positions, baseline, means, stds
 
 
-def surrogate_saliency(classifier, epoch: Epoch, spec: SaliencySpec) -> SaliencyMap:
-    """Partial-surrogate saliency map for one epoch.
+def surrogate_saliency(classifier, epoch: Dataset, spec: SaliencySpec) -> SaliencyMap:
+    """Partial-surrogate saliency map for a one-epoch dataset.
 
     Replacement r at position index p for channel c draws from the
     stream keyed (seed, saliency, p, r, c), so maps are deterministic
     given the spec.
     """
 
-    def replace(p_idx, block, c_idx, geometry):
+    def make_rows(p_idx, block, c_idx, geometry):
         rngs = [spawn_rng(spec.seed, NS_SALIENCY, p_idx, r, c_idx) for r in block]
-        return _splice_surrogate(epoch.samples[c_idx], *geometry, rngs)
+        return _splice_surrogate(epoch.x[0, c_idx], *geometry, rngs)
 
     positions, baseline, means, stds = _saliency(
-        classifier, epoch, spec, spec.n_replacements, replace
+        classifier, epoch, spec, spec.n_replacements, make_rows
     )
     return SaliencyMap(positions, means, baseline, tuple(classifier.label_vocabulary), stds)
 
 
-def zero_out_saliency(classifier, epoch: Epoch, spec: SaliencySpec) -> SaliencyMap:
+def zero_out_saliency(classifier, epoch: Dataset, spec: SaliencySpec) -> SaliencyMap:
     """Baseline saliency map: smoothly blend each window to zero.
 
     One deterministic replacement per position; ``n_replacements`` is
     ignored. Uses the same cosine crossfade as the surrogate method.
     """
 
-    def replace(p_idx, block, c_idx, geometry):
+    def make_rows(p_idx, block, c_idx, geometry):
         start, window_len, cf_left, cf_right = geometry
         weights = crossfade_weights(window_len, cf_left, cf_right)
         region = slice(start - cf_left, start - cf_left + weights.size)
-        rows = np.tile(epoch.samples[c_idx], (len(block), 1))
+        rows = np.tile(epoch.x[0, c_idx], (len(block), 1))
         rows[:, region] = (1.0 - weights) * rows[:, region]
         return rows
 
-    positions, baseline, means, _ = _saliency(classifier, epoch, spec, 1, replace)
+    positions, baseline, means, _ = _saliency(classifier, epoch, spec, 1, make_rows)
     return SaliencyMap(positions, means, baseline, tuple(classifier.label_vocabulary))

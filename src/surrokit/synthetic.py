@@ -35,14 +35,22 @@ polynomial 1 - a_1 z - ... - a_p z^p outside the unit circle).
 import json
 import math
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .balance import DEFAULT_VOCABULARY, Dataset
+from .balance import DEFAULT_VOCABULARY, Dataset, _check_one_epoch
 from .errors import InvalidInputError
 from .seeding import NS_SYNTH, spawn_rng
-from .signals import Epoch
+
+
+def _refuse_bools(spec, *fields) -> None:
+    """JSON true and false load as ``bool``, which numeric checks take for 1 and 0."""
+    for name in fields:
+        value = getattr(spec, name)
+        values = value if isinstance(value, (list, tuple)) else [value]
+        if any(isinstance(v, bool) for v in values):
+            raise InvalidInputError(f"{type(spec).__name__}.{name} must be numeric, got {value}")
 
 
 @dataclass(frozen=True)
@@ -56,6 +64,7 @@ class TransientSpec:
     channels: tuple = ("EEG1", "EEG2")
 
     def __post_init__(self):
+        _refuse_bools(self, "amplitude", "width_s", "freq_hz", "count")
         finite = all(map(math.isfinite, (self.amplitude, self.width_s, self.freq_hz)))
         if not finite or self.width_s <= 0 or not isinstance(self.count, int) or self.count < 0:
             raise InvalidInputError("transient needs finite values, width > 0 and count >= 0")
@@ -82,6 +91,7 @@ class ClassSpec:
     def __post_init__(self):
         if not isinstance(self.name, str):
             raise InvalidInputError(f"class name must be a string, got {self.name!r}")
+        _refuse_bools(self, "prevalence", "noise_scale", "scale_jitter", "ar_coeffs")
         if not 0 < self.prevalence < math.inf:
             raise InvalidInputError(f"class {self.name!r} needs finite positive prevalence")
         if self.noise_scale <= 0:
@@ -115,6 +125,7 @@ class SyntheticSpec:
         object.__setattr__(self, "channel_roles", tuple(self.channel_roles))
         if not self.classes:
             raise InvalidInputError("spec needs at least one class")
+        _refuse_bools(self, "n_records", "sample_rate_hz", "epoch_len_s")
         if not isinstance(self.n_records, int) or self.n_records < 1:
             raise InvalidInputError("n_records must be an integer >= 1")
         if not 0 < self.sample_rate_hz < math.inf or self.epoch_len_samples < 2:
@@ -228,15 +239,17 @@ def generate_synthetic(spec: SyntheticSpec, n_epochs: int, seed: int) -> Dataset
     return Dataset(x, labels, record_ids, spec.sample_rate_hz, vocab, roles)
 
 
-def add_transient(epoch: Epoch, transient: TransientSpec, center_s: float) -> Epoch:
-    """Return a copy of ``epoch`` with one burst injected at ``center_s``."""
+def add_transient(epoch: Dataset, transient: TransientSpec, center_s: float) -> Dataset:
+    """Return a copy of a one-epoch dataset with one burst injected at ``center_s``."""
+    _check_one_epoch(epoch)
     half = _half_width(transient, epoch.sample_rate_hz)
     center = int(round(center_s * epoch.sample_rate_hz))
     if center - half < 0 or center + half + 1 > epoch.n_samples:
         raise InvalidInputError(f"burst at {center_s} s does not fit the epoch")
     waveform = transient_waveform(transient, epoch.sample_rate_hz)
-    samples = _inject(epoch.samples.copy(), epoch.channel_roles, transient, waveform, [center])
-    return Epoch(samples, epoch.sample_rate_hz, epoch.label, epoch.channel_roles)
+    x = epoch.x.copy()
+    _inject(x[0], epoch.channel_roles, transient, waveform, [center])
+    return replace(epoch, x=x)
 
 
 def default_group_labels(dataset: Dataset, n_groups: int = 2) -> dict:

@@ -13,7 +13,6 @@ settings.register_profile("surrokit", derandomize=True, database=None)
 settings.load_profile("surrokit")
 
 from surrokit import parallel
-from surrokit.signals import Epoch
 
 
 @pytest.fixture
@@ -40,9 +39,3 @@ def ar2_signal(rng):
     a1 = 2 * 0.92 * np.cos(2 * np.pi * 10.0 / 32.0)
     a2 = -(0.92**2)
     return ar2_path(a1, a2, 10.0, 960, rng)
-
-
-@pytest.fixture
-def small_epoch(rng):
-    data = rng.standard_normal((4, 128)) * 5.0
-    return Epoch(data, 32.0, "Wake")

@@ -18,6 +18,8 @@ dropout keep-mask drawn as its layer is reached; the threaded pass must
 reproduce it bit for bit.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from surrokit import network
@@ -25,7 +27,6 @@ from surrokit.errors import InvalidInputError
 from surrokit.network import Conv1D, Conv2D, Dense, Dropout, MaxPool1D, Scale
 from surrokit.saliency import _validate, _window_geometry, window_positions
 from surrokit.seeding import NS_SALIENCY, spawn_rng
-from surrokit.signals import Epoch
 from surrokit.surrogates import IaaftReport, crossfade_weights
 
 
@@ -308,14 +309,14 @@ def splice_surrogate_per_row(samples, start, window_len, crossfade_left, crossfa
 
 
 # The saliency loops as they were before exact incremental inference: one
-# full single-epoch ``predict`` per replacement. Maps from the block path
-# must agree with these to rounding.
+# full single-epoch ``predict_batch`` per replacement, on a one-epoch
+# dataset. Maps from the block path must agree with these to rounding.
 
 
 def surrogate_saliency_per_replacement(classifier, epoch, spec):
     """(mean probabilities per position, baseline probabilities)."""
     _validate(epoch, spec)
-    baseline = np.asarray(classifier.predict(epoch), dtype=np.float64)
+    baseline = np.asarray(classifier.predict_batch(epoch)[0], dtype=np.float64)
     positions = window_positions(
         epoch.n_samples, epoch.sample_rate_hz, spec.window_len_s, spec.step_s
     )
@@ -324,16 +325,15 @@ def surrogate_saliency_per_replacement(classifier, epoch, spec):
         start, window_len, cf_left, cf_right = _window_geometry(epoch, pos, spec)
         probs = np.empty((spec.n_replacements, baseline.size))
         for r in range(spec.n_replacements):
-            samples = epoch.samples.copy()
+            samples = epoch.x.copy()
             for c_idx, role in enumerate(epoch.channel_roles):
                 if role not in spec.target_channels:
                     continue
                 rng = spawn_rng(spec.seed, NS_SALIENCY, p_idx, r, c_idx)
-                samples[c_idx] = splice_surrogate_per_row(
-                    epoch.samples[c_idx], start, window_len, cf_left, cf_right, rng
+                samples[0, c_idx] = splice_surrogate_per_row(
+                    epoch.x[0, c_idx], start, window_len, cf_left, cf_right, rng
                 )
-            replaced = Epoch(samples, epoch.sample_rate_hz, epoch.label, epoch.channel_roles)
-            probs[r] = classifier.predict(replaced)
+            probs[r] = classifier.predict_batch(replace(epoch, x=samples))[0]
         means[p_idx] = probs.mean(axis=0)
     return means, baseline
 
@@ -341,7 +341,7 @@ def surrogate_saliency_per_replacement(classifier, epoch, spec):
 def zero_out_saliency_per_position(classifier, epoch, spec):
     """(probabilities per position, baseline probabilities)."""
     _validate(epoch, spec)
-    baseline = np.asarray(classifier.predict(epoch), dtype=np.float64)
+    baseline = np.asarray(classifier.predict_batch(epoch)[0], dtype=np.float64)
     positions = window_positions(
         epoch.n_samples, epoch.sample_rate_hz, spec.window_len_s, spec.step_s
     )
@@ -350,12 +350,11 @@ def zero_out_saliency_per_position(classifier, epoch, spec):
         start, window_len, cf_left, cf_right = _window_geometry(epoch, pos, spec)
         weights = crossfade_weights(window_len, cf_left, cf_right)
         region = slice(start - cf_left, start - cf_left + weights.size)
-        samples = epoch.samples.copy()
+        samples = epoch.x.copy()
         for c_idx, role in enumerate(epoch.channel_roles):
             if role in spec.target_channels:
-                samples[c_idx, region] = (1.0 - weights) * samples[c_idx, region]
-        replaced = Epoch(samples, epoch.sample_rate_hz, epoch.label, epoch.channel_roles)
-        means[p_idx] = classifier.predict(replaced)
+                samples[0, c_idx, region] = (1.0 - weights) * samples[0, c_idx, region]
+        means[p_idx] = classifier.predict_batch(replace(epoch, x=samples))[0]
     return means, baseline
 
 

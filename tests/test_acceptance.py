@@ -31,7 +31,6 @@ from surrokit.network import (
 )
 from surrokit.saliency import SaliencySpec, surrogate_saliency
 from surrokit.seeding import spawn_rng
-from surrokit.signals import Epoch
 from surrokit.surrogates import (
     SurrogateConfig,
     crossfade_weights,
@@ -224,10 +223,15 @@ class TransientGate:
         self.threshold = threshold
         self.sharpness = sharpness
 
-    def predict(self, epoch):
-        score = matched_filter_score(epoch, self.waveform, ("EEG1", "EEG2"), combine="min")
-        g = 1.0 / (1.0 + np.exp(-(score - self.threshold) / self.sharpness))
-        return np.array([1.0 - g, g])
+    def predict_batch(self, dataset):
+        probs = []
+        for samples in dataset.x:
+            score = matched_filter_score(
+                samples, dataset.channel_roles, self.waveform, ("EEG1", "EEG2"), combine="min"
+            )
+            g = 1.0 / (1.0 + np.exp(-(score - self.threshold) / self.sharpness))
+            probs.append([1.0 - g, g])
+        return np.array(probs)
 
 
 @pytest.mark.slow
@@ -282,15 +286,14 @@ class NonTargetBandPower:
         self.roles = tuple(roles)
         self.label_vocabulary = base.label_vocabulary
 
-    def predict(self, epoch):
-        keep = [i for i, role in enumerate(epoch.channel_roles) if role in self.roles]
-        sub = Epoch(
-            epoch.samples[keep],
-            epoch.sample_rate_hz,
-            epoch.label,
-            tuple(epoch.channel_roles[i] for i in keep),
+    def predict_batch(self, dataset):
+        keep = [i for i, role in enumerate(dataset.channel_roles) if role in self.roles]
+        sub = replace(
+            dataset,
+            x=dataset.x[:, keep],
+            channel_roles=tuple(dataset.channel_roles[i] for i in keep),
         )
-        return self.base.predict(sub)
+        return self.base.predict_batch(sub)
 
 
 def test_criterion_09_saliency_localization():
@@ -300,7 +303,7 @@ def test_criterion_09_saliency_localization():
         spec = bundled_spec()
         dataset = generate_synthetic(spec, 120, seed=42)
         is_wake = dataset.labels == dataset.label_vocabulary.index("Wake")
-        wake = dataset.epoch(int(np.argmax(is_wake)))
+        wake = dataset.take([int(np.argmax(is_wake))])
         burst = TransientSpec(
             amplitude=120.0, width_s=0.6, freq_hz=10.0, count=1, channels=("EEG1", "EEG2")
         )
@@ -312,7 +315,7 @@ def test_criterion_09_saliency_localization():
             window_len_s=5.0, step_s=0.5, crossfade_s=0.5, n_replacements=120,
             target_channels=("EEG1", "EEG2"), seed=7,
         )
-        assert detector.predict(epoch)[1] > 0.9  # burst detected at baseline
+        assert detector.predict_batch(epoch)[0, 1] > 0.9  # burst detected at baseline
         smap = surrogate_saliency(detector, epoch, saliency_spec)
         deltas = np.abs(smap.mean_probabilities - smap.baseline_probabilities).max(axis=1)
         peak_position = smap.positions_s[int(np.argmax(deltas))]

@@ -109,16 +109,18 @@ class TestAugment:
         cfg = BalanceConfig(beta=1.0, alpha=1.0, seed=7)
         up, flags = upsample(ds, cfg)
         out = augment(up, flags, cfg)
-        for before, after, flagged in zip(up.epochs, out.epochs, flags):
+        for before, after, flagged, label_b, label_a in zip(
+            up.x, out.x, flags, up.labels, out.labels
+        ):
             if not flagged:
-                assert after.samples.tobytes() == before.samples.tobytes()
+                assert after.tobytes() == before.tobytes()
                 continue
-            for ch_b, ch_a in zip(before.samples, after.samples):
+            for ch_b, ch_a in zip(before, after):
                 assert not np.array_equal(ch_a, ch_b)
                 a = one_sided_amplitudes(ch_b)
                 b = one_sided_amplitudes(ch_a)
                 np.testing.assert_allclose(b, a, rtol=0, atol=1e-9 * max(a.max(), 1.0))
-            assert after.label == before.label
+            assert label_a == label_b
 
     def test_replacement_fraction_concentrates(self):
         # 2500 flagged epochs x 4 channels = 10,000 Bernoulli(0.4) draws
@@ -126,8 +128,8 @@ class TestAugment:
         flags = np.ones(len(ds), dtype=bool)
         out = augment(ds, flags, BalanceConfig(alpha=0.4, seed=12))
         replaced = 0
-        for before, after in zip(ds.epochs, out.epochs):
-            for ch_b, ch_a in zip(before.samples, after.samples):
+        for before, after in zip(ds.x, out.x):
+            for ch_b, ch_a in zip(before, after):
                 if not np.array_equal(ch_a, ch_b):
                     replaced += 1
         assert 0.38 <= replaced / 10_000 <= 0.42
@@ -137,11 +139,10 @@ class TestAugment:
         cfg = BalanceConfig(beta=1.0, alpha=1.0, seed=3)
         up, flags = upsample(ds, cfg)
         out = augment(up, flags, cfg)
-        for before, after in zip(up.epochs, out.epochs):
-            assert after.label == before.label
-            assert after.channel_roles == before.channel_roles
-            assert after.n_samples == before.n_samples
-            assert after.sample_rate_hz == before.sample_rate_hz
+        assert list(out.labels) == list(up.labels)
+        assert out.channel_roles == up.channel_roles
+        assert out.x.shape == up.x.shape
+        assert out.sample_rate_hz == up.sample_rate_hz
 
     def test_bad_flag_shape_rejected(self):
         ds = make_dataset({"A": 4})
@@ -155,8 +156,8 @@ def assert_augment_matches_per_channel_reference(ds, flags, cfg):
     out = augment(ds, flags, cfg, log=logged.append)
     (reports,) = logged
     expected_reports = []
-    for i, (before, after) in enumerate(zip(ds.epochs, out.epochs)):
-        for j, (ch_b, ch_a) in enumerate(zip(before.samples, after.samples)):
+    for i, (before, after) in enumerate(zip(ds.x, out.x)):
+        for j, (ch_b, ch_a) in enumerate(zip(before, after)):
             rng = spawn_rng(cfg.seed, NS_AUGMENT, i, j)
             if not (flags[i] and rng.uniform() < cfg.alpha):
                 assert ch_a.tobytes() == ch_b.tobytes()
@@ -285,6 +286,7 @@ class TestDataset:
             ("labels", [0], "1 labels and 2 record ids for 2 epochs"),
             ("record_ids", ("a",), "2 labels and 1 record ids"),
             ("label_vocabulary", ("A", "A"), "duplicates"),
+            ("x", np.zeros((2, 0, 8)), ">= 1 channel"),
         ],
     )
     def test_invalid_fields_rejected(self, field, value, message):
@@ -293,11 +295,13 @@ class TestDataset:
 
     def test_epoch_view(self):
         ds = make_dataset({"A": 2, "B": 3})
-        epoch = ds.epoch(3)
-        assert (epoch.label, epoch.channel_roles) == ("B", ds.channel_roles)
+        epoch = ds.take([3])
+        assert (epoch.label_vocabulary[epoch.labels[0]], epoch.channel_roles) == (
+            "B", ds.channel_roles
+        )
         assert epoch.sample_rate_hz == 32.0
-        assert epoch.samples.tobytes() == ds.x[3].tobytes()
-        assert [ep.label for ep in ds.epochs] == ["A", "A", "B", "B", "B"]
+        assert epoch.x.tobytes() == ds.x[3].tobytes()
+        assert [ds.label_vocabulary[i] for i in ds.labels] == ["A", "A", "B", "B", "B"]
 
     def test_take(self):
         ds = make_dataset({"A": 2, "B": 3})

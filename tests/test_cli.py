@@ -75,7 +75,7 @@ class TestSynth:
         out = str(tmp_path / "b.sdat")
         assert main(["synth", "bundled", out, "--n", "6", "--seed", "1"]) == 0
         ds = load_dataset(out)
-        assert ds.epochs[0].n_samples == 960
+        assert ds.n_samples == 960
 
     def test_missing_spec_file_is_data_error(self, tmp_path):
         assert main(["synth", str(tmp_path / "nope.json"), str(tmp_path / "o"), "--n", "4"]) == 2
@@ -119,8 +119,8 @@ class TestSurrogate:
         assert main(["surrogate", dataset_file, out, "--kind", "ft", "--seed", "3"]) == 0
         original = load_dataset(dataset_file)
         surrogate = load_dataset(out)
-        assert [e.label for e in surrogate.epochs] == [e.label for e in original.epochs]
-        assert not np.array_equal(surrogate.epochs[0].samples, original.epochs[0].samples)
+        assert list(surrogate.labels) == list(original.labels)
+        assert not np.array_equal(surrogate.x[0], original.x[0])
 
     def test_iaaft_prints_reports(self, tmp_path, dataset_file, capsys):
         out = str(tmp_path / "surr.sdat")
@@ -203,7 +203,7 @@ class TestBalance:
         assert main(["balance", dataset_file, out, "--beta", "0", "--alpha", "0"]) == 0
         original = load_dataset(dataset_file)
         balanced = load_dataset(out)
-        key = lambda ds: sorted(ep.samples.tobytes() for ep in ds.epochs)
+        key = lambda ds: sorted(samples.tobytes() for samples in ds.x)
         assert key(original) == key(balanced)
 
 
@@ -310,7 +310,7 @@ class TestTrainEvaluate:
 
 
 def _rewrite_header(src, dst, edit):
-    header_line, payload = open(src, "rb").read().split(b"\n", 1)
+    header_line, payload = Path(src).read_bytes().split(b"\n", 1)
     header = json.loads(header_line)
     edit(header)
     with open(dst, "wb") as handle:
@@ -402,6 +402,9 @@ SPEC_PROBES = {
     "unknown-spec-key": lambda spec: spec.update(n_record=3),
     "unknown-class-key": lambda spec: spec["classes"][0].update(scale_jiter=0.35),
     "unknown-transient-key": lambda spec: spec["classes"][1]["transient"].update(widht_s=0.5),
+    "bool-n_records": lambda spec: spec.update(n_records=True),
+    "bool-transient-count": lambda spec: spec["classes"][1]["transient"].update(count=True),
+    "bool-sample-rate": lambda spec: spec.update(sample_rate_hz=True),
 }
 
 
@@ -440,6 +443,23 @@ class TestMalformedInputFiles:
         empty.write_bytes(json.dumps(header).encode() + b"\n")
         err = _exits_2_with_one_line(["train", empty, out, "--steps", "1"], capsys, out)
         assert "empty" in err
+
+    def test_zero_channel_dataset_exit_2(self, tmp_path, dataset_file, capsys):
+        header_line, payload = Path(dataset_file).read_bytes().split(b"\n", 1)
+        header = json.loads(header_line)
+        header.update(n_channels=0, channel_roles=[])
+        labels = payload[-4 * header["n_epochs"]:]
+        bad, out = tmp_path / "none.sdat", tmp_path / "out.sdat"
+        bad.write_bytes(json.dumps(header).encode() + b"\n" + labels)
+        err = _exits_2_with_one_line(["surrogate", bad, out], capsys, out)
+        assert ">= 1 channel" in err
+
+    @pytest.mark.parametrize("folds", ["0", "-1"])
+    def test_sweep_without_folds_exit_2(self, tmp_path, dataset_file, folds, capsys):
+        out = tmp_path / "sweep.tsv"
+        argv = ["sweep", dataset_file, "--alphas", "0,1", "--folds", folds, "--steps", "1",
+                "--out", out]
+        assert "folds" in _exits_2_with_one_line(argv, capsys, out)
 
 
 class TestErrorHandling:

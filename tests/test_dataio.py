@@ -101,7 +101,7 @@ class TestWeightCheckpoints:
         weights = init_weights(desc, 1)
         path = tmp_path / "w.swt"
         save_weights(path, desc, weights)
-        header_line, payload = open(path, "rb").read().split(b"\n", 1)
+        header_line, payload = path.read_bytes().split(b"\n", 1)
         header = json.loads(header_line)
         header["arch"] = "full"  # descriptor will no longer match the fingerprint
         (tmp_path / "tampered.swt").write_bytes(

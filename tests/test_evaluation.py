@@ -27,15 +27,18 @@ VOCAB6 = ("Wake", "S1", "S2", "S3", "S4", "REM")
 
 
 class OracleClassifier:
-    """Test double that reads the true label off the epoch."""
+    """Test double that reads the true label off each epoch."""
 
     def __init__(self, vocabulary):
         self.label_vocabulary = tuple(vocabulary)
 
-    def predict(self, epoch):
-        probs = np.full(len(self.label_vocabulary), 1e-6)
-        probs[self.label_vocabulary.index(epoch.label)] = 1.0
-        return probs / probs.sum()
+    def predict_batch(self, dataset):
+        rows = []
+        for label in dataset.labels:
+            probs = np.full(len(self.label_vocabulary), 1e-6)
+            probs[self.label_vocabulary.index(dataset.label_vocabulary[label])] = 1.0
+            rows.append(probs / probs.sum())
+        return np.array(rows)
 
 
 class ConstantClassifier:
@@ -43,9 +46,9 @@ class ConstantClassifier:
         self.label_vocabulary = tuple(vocabulary)
         self.index = index
 
-    def predict(self, epoch):
-        probs = np.zeros(len(self.label_vocabulary))
-        probs[self.index] = 1.0
+    def predict_batch(self, dataset):
+        probs = np.zeros((len(dataset), len(self.label_vocabulary)))
+        probs[:, self.index] = 1.0
         return probs
 
 
@@ -104,8 +107,8 @@ class TestEvaluate:
         class TieClassifier:
             label_vocabulary = ("a", "b")
 
-            def predict(self, epoch):
-                return np.array([0.5, 0.5])
+            def predict_batch(self, dataset):
+                return np.full((len(dataset), 2), 0.5)
 
         ds = balanced_dataset(per_class=2, vocabulary=("a", "b"))
         result = evaluate(TieClassifier(), ds)
@@ -138,10 +141,13 @@ class BurstPositionClassifier:
     def __init__(self, waveform):
         self.waveform = waveform
 
-    def predict(self, epoch):
-        r = np.correlate(epoch.samples[0], self.waveform, mode="same")
-        early = np.abs(r).argmax() < r.size // 2
-        return np.array([1.0, 0.0]) if early else np.array([0.0, 1.0])
+    def predict_batch(self, dataset):
+        probs = []
+        for samples in dataset.x:
+            r = np.correlate(samples[0], self.waveform, mode="same")
+            early = np.abs(r).argmax() < r.size // 2
+            probs.append([1.0, 0.0] if early else [0.0, 1.0])
+        return np.array(probs)
 
 
 class TestConditionalConfusion:
@@ -185,10 +191,11 @@ class TestConditionalConfusion:
         class AlwaysWrong:
             label_vocabulary = ("a", "b")
 
-            def predict(self, epoch):
-                wrong = 1 if epoch.label == "a" else 0
-                probs = np.zeros(2)
-                probs[wrong] = 1.0
+            def predict_batch(self, dataset):
+                probs = np.zeros((len(dataset), 2))
+                for i, label in enumerate(dataset.labels):
+                    wrong = 1 if dataset.label_vocabulary[label] == "a" else 0
+                    probs[i, wrong] = 1.0
                 return probs
 
         assert conditional_confusion(AlwaysWrong(), ds, "ft", seed=0) is None
@@ -207,9 +214,9 @@ class TestConditionalConfusion:
         seen = []
 
         class Recorder(BurstPositionClassifier):
-            def predict(self, epoch):
-                seen.append(epoch.samples.tobytes())
-                return super().predict(epoch)
+            def predict_batch(self, dataset):
+                seen.extend(samples.tobytes() for samples in dataset.x)
+                return super().predict_batch(dataset)
 
         conditional_confusion(Recorder(waveform), ds, kind, seed=5)
         expected = []
@@ -271,3 +278,10 @@ class TestAlphaSweep:
         for row in rows:
             assert len(row.per_class_f1) == len(ds.label_vocabulary)
             assert all(0.0 <= f <= 1.0 for f in row.per_class_f1)
+
+    @pytest.mark.parametrize("alphas, folds", [([0.0], 0), ([0.0], -1), ([], 1)])
+    def test_empty_grid_rejected(self, alphas, folds):
+        ds, groups = sweep_dataset()
+        cfg = TrainConfig(steps=2, batch_size=4, seed=0)
+        with pytest.raises(InvalidInputError):
+            alpha_sweep(ds, groups, alphas, beta=0.5, folds=folds, train_config=cfg, seed=1)

@@ -39,7 +39,6 @@ from surrokit.network import (
     _softmax,
     channel_activations,
     count_parameters,
-    forward,
     forward_batch,
     full_architecture,
     glorot_limit,
@@ -51,7 +50,6 @@ from surrokit.network import (
     spliced_layers,
     weight_shapes,
 )
-from surrokit.signals import Epoch
 from surrokit.training import TrainConfig, train_network
 
 TABLE_CHANNEL_SHAPES = [
@@ -448,20 +446,23 @@ class TestKernels:
             assert_close(grads[key], grads_ref[key])
 
 
+def forward_one(desc, weights, samples):
+    """Inference-mode probabilities of one (n_channels, n_samples) epoch."""
+    return forward_batch(desc, weights, samples[None])[0][0]
+
+
 class TestForward:
     def test_zero_weights_give_uniform_output(self):
         desc = full_architecture()
         weights = {k: np.zeros(s) for k, s in weight_shapes(desc).items()}
-        epoch = Epoch(np.random.default_rng(0).standard_normal((4, 960)), 32.0, "Wake")
-        probs = forward(desc, weights, epoch)
+        probs = forward_one(desc, weights, np.random.default_rng(0).standard_normal((4, 960)))
         np.testing.assert_allclose(probs, 1.0 / 6.0, atol=1e-12)
 
     def test_probabilities_sum_to_one(self, rng):
         desc = reference_architecture()
         weights = init_weights(desc, 3)
         for _ in range(5):
-            epoch = Epoch(rng.standard_normal((4, 960)) * 20, 32.0, "S2")
-            probs = forward(desc, weights, epoch)
+            probs = forward_one(desc, weights, rng.standard_normal((4, 960)) * 20)
             assert probs.sum() == pytest.approx(1.0, abs=1e-9)
             assert np.all(probs >= 0)
 
@@ -473,8 +474,10 @@ class TestForward:
     def test_inference_is_deterministic(self, rng):
         desc = reference_architecture()
         weights = init_weights(desc, 5)
-        epoch = Epoch(rng.standard_normal((4, 960)), 32.0, "S1")
-        np.testing.assert_array_equal(forward(desc, weights, epoch), forward(desc, weights, epoch))
+        epoch = rng.standard_normal((4, 960))
+        np.testing.assert_array_equal(
+            forward_one(desc, weights, epoch), forward_one(desc, weights, epoch)
+        )
 
     def test_dropout_only_active_in_training(self, rng):
         desc = tiny_descriptor()
@@ -516,7 +519,7 @@ class TestForward:
         desc = reference_architecture()
         weights = init_weights(desc, 2024)
         data = np.sin(np.outer(np.arange(4) + 1, np.linspace(0.0, 60.0, 960))) * 25.0
-        probs = forward(desc, weights, Epoch(data, 32.0, "Wake"))
+        probs = forward_one(desc, weights, data)
         golden = GOLDEN_REFERENCE_PROBS
         np.testing.assert_allclose(probs, golden, rtol=0, atol=1e-12)
 

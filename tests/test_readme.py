@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import surrokit
-from surrokit import Epoch, full_architecture, reference_architecture
+from surrokit import Dataset, NetworkClassifier, full_architecture, reference_architecture
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 BLOCKS = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"), re.M | re.S)
@@ -28,6 +28,7 @@ def test_readme_block_runs(index):
 REMOVED_NAMES = (
     "Spectrum", "forward_dft", "inverse_dft", "butterworth_lowpass", "resample",
     "epoch_from_array", "Signal", "PartialSurrogateSpec", "epoch_surrogate", "Classifier",
+    "Epoch", "forward",
 )
 MODULES = [surrokit] + [
     importlib.import_module(f"surrokit.{info.name}")
@@ -42,7 +43,8 @@ def test_removed_names_stay_removed(module):
 
 
 def test_removed_members_stay_removed():
-    assert not hasattr(Epoch, "channels") and not hasattr(Epoch, "to_array")
+    assert not hasattr(Dataset, "epoch") and not hasattr(Dataset, "epochs")
+    assert not hasattr(NetworkClassifier, "predict")
     for build in (full_architecture, reference_architecture):
         with pytest.raises(TypeError):
             build(dropout_after_conv2d=True)

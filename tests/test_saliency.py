@@ -3,6 +3,7 @@ import pytest
 
 import oracles
 from surrokit import saliency
+from surrokit.balance import Dataset
 from surrokit.classifiers import NetworkClassifier
 from surrokit.errors import InvalidInputError
 from surrokit.network import full_architecture, init_weights, reference_architecture
@@ -13,7 +14,6 @@ from surrokit.saliency import (
     window_positions,
     zero_out_saliency,
 )
-from surrokit.signals import Epoch
 
 
 class MeanSensitiveClassifier:
@@ -21,10 +21,13 @@ class MeanSensitiveClassifier:
 
     label_vocabulary = ("flat", "offset")
 
-    def predict(self, epoch):
-        m = np.mean([row.mean() for row in epoch.samples])
-        p = 1.0 / (1.0 + np.exp(-(m - 1.0)))
-        return np.array([1.0 - p, p])
+    def predict_batch(self, dataset):
+        probs = []
+        for samples in dataset.x:
+            m = np.mean([row.mean() for row in samples])
+            p = 1.0 / (1.0 + np.exp(-(m - 1.0)))
+            probs.append([1.0 - p, p])
+        return np.array(probs)
 
 
 class WindowEnergyClassifier:
@@ -32,28 +35,35 @@ class WindowEnergyClassifier:
 
     label_vocabulary = ("a", "b")
 
-    def predict(self, epoch):
-        e = np.log1p(np.mean(epoch.samples[0] ** 2))
-        p = 1.0 / (1.0 + np.exp(-(e - np.log1p(25.0))))
-        return np.array([1.0 - p, p])
+    def predict_batch(self, dataset):
+        probs = []
+        for samples in dataset.x:
+            e = np.log1p(np.mean(samples[0] ** 2))
+            p = 1.0 / (1.0 + np.exp(-(e - np.log1p(25.0))))
+            probs.append([1.0 - p, p])
+        return np.array(probs)
 
 
 class RecordingClassifier:
-    """Captures every epoch it is asked to classify."""
+    """Captures every epoch it is asked to classify, as (roles, samples)."""
 
     label_vocabulary = ("x", "y")
 
     def __init__(self):
         self.seen = []
 
-    def predict(self, epoch):
-        self.seen.append(epoch)
-        return np.array([0.5, 0.5])
+    def predict_batch(self, dataset):
+        self.seen.extend((dataset.channel_roles, samples) for samples in dataset.x)
+        return np.full((len(dataset), 2), 0.5)
+
+
+def one_epoch(samples, rate=32.0):
+    return Dataset(samples[None], [0], ("r0",), rate, ("a",))
 
 
 def flat_epoch(rng, n_seconds=10.0, rate=32.0, scale=5.0):
     n = int(n_seconds * rate)
-    return Epoch(rng.standard_normal((4, n)) * scale, rate, "a")
+    return one_epoch(rng.standard_normal((4, n)) * scale, rate)
 
 
 class TestWindowPositions:
@@ -72,7 +82,7 @@ class TestWindowPositions:
     def test_rounded_window_stays_inside_odd_length_epoch(self, method, rng):
         # the grid's second start, 29.046875 s, rounds to sample 930, and the
         # 0.984375 s window to 32 samples: it would end at 962 of 961
-        epoch = Epoch(rng.standard_normal((4, 961)), 32.0, "a")
+        epoch = one_epoch(rng.standard_normal((4, 961)))
         spec = SaliencySpec(window_len_s=0.984375, step_s=29.046875, n_replacements=2)
         smap = method(WindowEnergyClassifier(), epoch, spec)
         assert smap.positions_s.size == 1
@@ -99,9 +109,8 @@ class TestSurrogateSaliency:
             target_channels=("EEG1",), seed=3,
         )
         surrogate_saliency(recorder, epoch, spec)
-        originals = epoch.samples
-        for seen in recorder.seen[1:]:  # first call is the baseline
-            arr = seen.samples
+        originals = epoch.x[0]
+        for _, arr in recorder.seen[1:]:  # first call is the baseline
             np.testing.assert_array_equal(arr[1], originals[1])
             np.testing.assert_array_equal(arr[2], originals[2])
             np.testing.assert_array_equal(arr[3], originals[3])
@@ -142,7 +151,7 @@ class TestSurrogateSaliency:
 
 class TestZeroOutSaliency:
     def test_zero_signal_map_is_constant_baseline(self):
-        epoch = Epoch(np.zeros((4, 256)), 32.0, "a")
+        epoch = one_epoch(np.zeros((4, 256)))
         spec = SaliencySpec(window_len_s=2.0, step_s=1.0)
         smap = zero_out_saliency(MeanSensitiveClassifier(), epoch, spec)
         for row in smap.mean_probabilities:
@@ -153,7 +162,7 @@ class TestZeroOutSaliency:
         # surrogate method avoids
         n = 320
         data = rng.standard_normal((4, n)) * 0.5 + 2.0
-        epoch = Epoch(data, 32.0, "offset")
+        epoch = one_epoch(data)
         spec = SaliencySpec(
             window_len_s=2.0, step_s=1.0, target_channels=("EEG1", "EEG2", "EOG", "EMG")
         )
@@ -172,7 +181,7 @@ class TestZeroOutSaliency:
 def network_setup(build, rng):
     desc = build()
     classifier = NetworkClassifier(desc, init_weights(desc, 7), "ABCDEF")
-    epoch = Epoch(rng.standard_normal((4, 960)) * 20, 32.0, "A")
+    epoch = one_epoch(rng.standard_normal((4, 960)) * 20)
     return classifier, epoch
 
 
@@ -237,9 +246,9 @@ class TestBlackBoxPath:
         new(recorder, epoch, spec)
         old(reference, epoch, spec)
         assert len(recorder.seen) == len(reference.seen) > 1
-        for seen, expected in zip(recorder.seen, reference.seen):
-            assert seen.channel_roles == expected.channel_roles
-            np.testing.assert_array_equal(seen.samples, expected.samples)
+        for (roles, seen), (expected_roles, expected) in zip(recorder.seen, reference.seen):
+            assert roles == expected_roles
+            np.testing.assert_array_equal(seen, expected)
 
 
 class TestHostileSpec:
@@ -255,3 +264,18 @@ class TestHostileSpec:
         spec = SaliencySpec(**{"window_len_s": 2.0, "n_replacements": 1, field: value})
         with pytest.raises(InvalidInputError):
             method(WindowEnergyClassifier(), flat_epoch(rng), spec)
+
+    @pytest.mark.parametrize("method", [surrogate_saliency, zero_out_saliency])
+    @pytest.mark.parametrize("network", [False, True], ids=["black-box", "network"])
+    def test_other_than_one_epoch_rejected(self, method, network, rng):
+        classifier = network_setup(reference_architecture, rng)[0] if network else (
+            WindowEnergyClassifier()
+        )
+        x = rng.standard_normal((2, 4, 960))
+        spec = SaliencySpec(window_len_s=5.0, step_s=5.0, n_replacements=1)
+        for epochs in (Dataset(x, [0, 0], ("r0", "r0"), 32.0), Dataset(x[:0], [], (), 32.0)):
+            with pytest.raises(InvalidInputError, match="one epoch"):
+                method(classifier, epochs, spec)
+        if network:
+            with pytest.raises(InvalidInputError, match="one epoch"):
+                classifier.splice_predictor(Dataset(x, [0, 0], ("r0", "r0"), 32.0))

@@ -18,7 +18,6 @@ from surrokit import parallel, surrogates
 from surrokit.errors import InvalidInputError
 from surrokit.saliency import SALIENCY_CHUNK
 from surrokit.seeding import spawn_rng
-from surrokit.signals import Epoch
 from surrokit.synthetic import bundled_spec, generate_synthetic
 from surrokit.surrogates import (
     IAAFT_STOP_REASONS,
@@ -235,9 +234,8 @@ class TestIaaftBlock:
                     expected, expected_report = iaaft_per_channel(x[i, c], stream, 100, 1e-8)
                     assert reports[4 * i + c] == expected_report
                 assert out[i, c].tobytes() == expected.tobytes()
-            epoch = Epoch(x[1], 32.0, "S2")
             single = epoch_surrogate_with_reports(
-                epoch.samples[None], [seeds[1]], SurrogateConfig(kind=kind)
+                x[1][None], [seeds[1]], SurrogateConfig(kind=kind)
             )[0][0]
             assert single.tobytes() == out[1].tobytes()
         with pytest.raises(InvalidInputError):
@@ -462,43 +460,39 @@ class TestBlockSplice:
             self.per_row(samples, geometry, 1)
 
 
-def surrogate_epoch(epoch, config, seed):
-    """Per-channel surrogates of one epoch; channel c draws from (seed, c)."""
-    return epoch_surrogate_with_reports(epoch.samples[None], [seed], config)[0][0]
+def surrogate_epoch(samples, config, seed):
+    """Per-channel surrogates of one (n_channels, n_samples) epoch; channel
+    c draws from (seed, c)."""
+    return epoch_surrogate_with_reports(samples[None], [seed], config)[0][0]
 
 
 class TestEpochSurrogate:
     def test_constant_epoch_unchanged(self):
         data = np.tile(np.array([[1.0], [2.0], [3.0], [4.0]]), (1, 64))
-        epoch = Epoch(data, 32.0, "Wake")
-        out = surrogate_epoch(epoch, SurrogateConfig(kind="ft"), 1)
+        out = surrogate_epoch(data, SurrogateConfig(kind="ft"), 1)
         np.testing.assert_allclose(out, data, atol=1e-12)
 
     def test_per_channel_amplitude_preservation(self, rng):
         data = rng.standard_normal((4, 240)) * 7
-        epoch = Epoch(data, 32.0, "S2")
-        out = surrogate_epoch(epoch, SurrogateConfig(kind="ft"), 9)
-        for before, after in zip(epoch.samples, out):
+        out = surrogate_epoch(data, SurrogateConfig(kind="ft"), 9)
+        for before, after in zip(data, out):
             a = one_sided_amplitudes(before)
             b = one_sided_amplitudes(after)
             np.testing.assert_allclose(b, a, rtol=0, atol=1e-9 * a.max())
 
     def test_channels_randomized_independently(self, rng):
         row = rng.standard_normal(128)
-        epoch = Epoch(np.tile(row, (4, 1)), 32.0, "Wake")
-        out = surrogate_epoch(epoch, SurrogateConfig(kind="ft"), 2)
+        out = surrogate_epoch(np.tile(row, (4, 1)), SurrogateConfig(kind="ft"), 2)
         assert not np.array_equal(out[0], out[1])
 
     def test_same_seed_identical(self, rng):
         data = rng.standard_normal((4, 96))
-        epoch = Epoch(data, 32.0, "REM")
-        a = surrogate_epoch(epoch, SurrogateConfig(kind="ft"), 4)
-        b = surrogate_epoch(epoch, SurrogateConfig(kind="ft"), 4)
+        a = surrogate_epoch(data, SurrogateConfig(kind="ft"), 4)
+        b = surrogate_epoch(data, SurrogateConfig(kind="ft"), 4)
         np.testing.assert_array_equal(a, b)
 
     def test_iaaft_kind(self, rng):
         data = rng.standard_normal((4, 96))
-        epoch = Epoch(data, 32.0, "S3")
-        out = surrogate_epoch(epoch, SurrogateConfig(kind="iaaft"), 6)
-        for before, after in zip(epoch.samples, out):
+        out = surrogate_epoch(data, SurrogateConfig(kind="iaaft"), 6)
+        for before, after in zip(data, out):
             np.testing.assert_array_equal(np.sort(after), np.sort(before))

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from surrokit.balance import Dataset
 from surrokit.errors import InvalidInputError
 from surrokit.synthetic import (
     ClassSpec,
@@ -46,21 +47,17 @@ class TestGenerate:
         a = generate_synthetic(two_class_spec(), 40, seed=9)
         b = generate_synthetic(two_class_spec(), 40, seed=9)
         assert a.record_ids == b.record_ids
-        for ea, eb in zip(a.epochs, b.epochs):
-            assert ea.label == eb.label
-            np.testing.assert_array_equal(ea.samples, eb.samples)
+        np.testing.assert_array_equal(a.labels, b.labels)
+        np.testing.assert_array_equal(a.x, b.x)
         c = generate_synthetic(two_class_spec(), 40, seed=10)
-        assert any(
-            not np.array_equal(x.samples, y.samples) for x, y in zip(a.epochs, c.epochs)
-        )
+        assert any(not np.array_equal(x, y) for x, y in zip(a.x, c.x))
 
     def test_epoch_contract(self):
         ds = generate_synthetic(bundled_spec(), 20, seed=3)
-        for ep in ds.epochs:
-            assert ep.n_samples == 960
-            assert ep.sample_rate_hz == 32.0
-            assert ep.channel_roles == ("EEG1", "EEG2", "EOG", "EMG")
-            assert ep.label in ds.label_vocabulary
+        assert ds.x.shape == (20, 4, 960)
+        assert ds.sample_rate_hz == 32.0
+        assert ds.channel_roles == ("EEG1", "EEG2", "EOG", "EMG")
+        assert all(0 <= label < len(ds.label_vocabulary) for label in ds.labels)
         assert len(set(ds.record_ids)) == 6
 
     def test_array_larger_than_physical_memory_refused(self, monkeypatch):
@@ -93,12 +90,10 @@ class TestGenerate:
             )
 
         stds_flat = [
-            ep.samples[0].std()
-            for ep in generate_synthetic(spec_with(0.0), 60, seed=4).epochs
+            samples[0].std() for samples in generate_synthetic(spec_with(0.0), 60, seed=4).x
         ]
         stds_jittered = [
-            ep.samples[0].std()
-            for ep in generate_synthetic(spec_with(0.4), 60, seed=4).epochs
+            samples[0].std() for samples in generate_synthetic(spec_with(0.4), 60, seed=4).x
         ]
         spread = lambda v: np.std(v) / np.mean(v)
         assert spread(stds_jittered) > 2 * spread(stds_flat)
@@ -113,7 +108,7 @@ class TestGenerate:
         )
         ds = generate_synthetic(spec, 24, seed=5)
         spectra = np.mean(
-            [np.abs(np.fft.rfft(ep.samples[0])) ** 2 for ep in ds.epochs], axis=0
+            [np.abs(np.fft.rfft(samples[0])) ** 2 for samples in ds.x], axis=0
         )
         freqs = np.fft.rfftfreq(960, d=1 / 32.0)
         peak = freqs[np.argmax(spectra[1:]) + 1]
@@ -147,24 +142,24 @@ class TestTransients:
         )
         ds = generate_synthetic(spec, 10, seed=8)
         waveform = transient_waveform(spec.classes[0].transient, 32.0)
-        for ep in ds.epochs:
-            energy = np.sum(ep.samples[0] ** 2)
+        for samples in ds.x:
+            energy = np.sum(samples[0] ** 2)
             assert energy == pytest.approx(np.sum(waveform**2), rel=1e-3)
-            np.testing.assert_allclose(ep.samples[2], 0.0, atol=1e-4)
+            np.testing.assert_allclose(samples[2], 0.0, atol=1e-4)
 
     def test_add_transient_places_burst(self, rng):
-        data = rng.standard_normal((4, 960))
-        from surrokit.signals import Epoch
-
-        epoch = Epoch(data, 32.0, "Wake")
+        pair = Dataset(rng.standard_normal((2, 4, 960)), [0, 0], ("r0", "r0"), 32.0)
+        epoch = pair.take([0])
         transient = TransientSpec(amplitude=200.0, width_s=0.5, freq_hz=3.0,
                                   channels=("EEG1", "EEG2"))
         out = add_transient(epoch, transient, center_s=17.0)
-        diff = out.samples[0] - epoch.samples[0]
+        diff = out.x[0, 0] - epoch.x[0, 0]
         assert np.abs(diff).argmax() == pytest.approx(17.0 * 32.0, abs=8)
-        np.testing.assert_array_equal(out.samples[2], epoch.samples[2])
+        np.testing.assert_array_equal(out.x[0, 2], epoch.x[0, 2])
         with pytest.raises(InvalidInputError):
             add_transient(epoch, transient, center_s=0.1)
+        with pytest.raises(InvalidInputError, match="one epoch"):
+            add_transient(pair, transient, center_s=17.0)
 
 
 class TestSpecSerialization:
@@ -186,6 +181,22 @@ class TestSpecSerialization:
         node = {"spec": payload, "class": payload["classes"][0], "transient": burst["transient"]}
         node[level]["scale_jiter"] = 0.35
         with pytest.raises(InvalidInputError, match="scale_jiter"):
+            spec_from_json(json.dumps(payload))
+
+    @pytest.mark.parametrize(
+        "level, field",
+        [("spec", "n_records"), ("spec", "sample_rate_hz"), ("spec", "epoch_len_s"),
+         ("class", "prevalence"), ("class", "noise_scale"), ("class", "scale_jitter"),
+         ("class", "ar_coeffs"), ("transient", "count"), ("transient", "amplitude"),
+         ("transient", "width_s"), ("transient", "freq_hz")],
+    )
+    def test_bool_for_a_number_rejected(self, level, field):
+        # JSON true loads as a bool, which passes a numeric check as 1
+        payload = json.loads(spec_to_json(bundled_spec()))
+        burst = next(c for c in payload["classes"] if c["transient"] is not None)
+        node = {"spec": payload, "class": payload["classes"][0], "transient": burst["transient"]}
+        node[level][field] = [True, -0.5] if field == "ar_coeffs" else True
+        with pytest.raises(InvalidInputError, match=field):
             spec_from_json(json.dumps(payload))
 
     def test_absent_and_null_transient_agree(self):
