@@ -5,17 +5,27 @@ row-normalized confusion matrix. Macro-F1 is the unweighted mean over
 the whole vocabulary of 2PR/(P+R), with a class contributing 0 when
 P + R = 0; a prevalence-weighted variant is reported alongside for
 sensitivity checks. Argmax ties resolve to the lowest class index.
+
+The alpha sweep's (alpha, fold) cells are independent trainings, seeded
+per cell, so they run in forked worker processes, one core each
+(``parallel._map_processes``); the dataset reaches the workers through
+the fork and only the rows come back. A process pinned to one core, or
+one that already runs a second thread, runs them one after another, with
+the same rows.
 """
 
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
 from .balance import BalanceConfig, Dataset, augment, record_holdout_split, upsample
 from .classifiers import NetworkClassifier
 from .errors import InvalidInputError
+from .parallel import _map_processes
 from .seeding import NS_CONDCONF, NS_SWEEP, derive_seed
 from .surrogates import SURROGATE_KINDS, SurrogateConfig, epoch_surrogate_with_reports
+from .training import train_reference_classifier
 
 IDENTITY_KIND = "identity"
 CONDITIONAL_KINDS = SURROGATE_KINDS + (IDENTITY_KIND,)
@@ -143,6 +153,24 @@ class SweepRow:
     per_class_f1: tuple
 
 
+def _sweep_cell(dataset, group_labels, alphas, beta, folds, train_config, seed, cell):
+    """Row ``cell`` of the sweep grid: alpha ``alphas[cell // folds]``,
+    fold ``cell % folds``."""
+    ai, fold = divmod(cell, folds)
+    alpha = alphas[ai]
+    train_ds, val_ds = record_holdout_split(dataset, fold, folds, group_labels)
+    balance_cfg = BalanceConfig(
+        beta=beta, alpha=alpha, seed=derive_seed(seed, NS_SWEEP, ai, fold, 0)
+    )
+    upsampled, flags = upsample(train_ds, balance_cfg)
+    augmented = augment(upsampled, flags, balance_cfg)
+    cfg = replace(train_config, seed=derive_seed(seed, NS_SWEEP, ai, fold, 1))
+    result = train_reference_classifier(augmented, cfg)
+    clf = NetworkClassifier(result.descriptor, result.weights, dataset.label_vocabulary)
+    ev = evaluate(clf, val_ds)
+    return SweepRow(alpha, fold, ev.macro_f1, tuple(ev.per_class_recall), tuple(ev.per_class_f1))
+
+
 def alpha_sweep(
     dataset: Dataset,
     group_labels,
@@ -157,30 +185,14 @@ def alpha_sweep(
     For every alpha and fold: record-holdout split, beta up-sampling,
     alpha augmentation with FT surrogates, reference-classifier training,
     evaluation on the held-out records. Each cell derives its own seed
-    from (seed, alpha index, fold).
+    from (seed, alpha index, fold). Rows come back alpha-major, each
+    fold in order, bit for bit those of the cells run one after another.
     """
-    from .training import train_reference_classifier
-
     if folds < 1:
         raise InvalidInputError(f"folds must be >= 1, got {folds}")
     if len(alphas) == 0:
         raise InvalidInputError("alphas is empty")
-    rows = []
-    for ai, alpha in enumerate(alphas):
-        for fold in range(folds):
-            train_ds, val_ds = record_holdout_split(dataset, fold, folds, group_labels)
-            balance_cfg = BalanceConfig(
-                beta=beta, alpha=alpha, seed=derive_seed(seed, NS_SWEEP, ai, fold, 0)
-            )
-            upsampled, flags = upsample(train_ds, balance_cfg)
-            augmented = augment(upsampled, flags, balance_cfg)
-            cfg = replace(train_config, seed=derive_seed(seed, NS_SWEEP, ai, fold, 1))
-            result = train_reference_classifier(augmented, cfg)
-            clf = NetworkClassifier(result.descriptor, result.weights, dataset.label_vocabulary)
-            ev = evaluate(clf, val_ds)
-            rows.append(
-                SweepRow(
-                    alpha, fold, ev.macro_f1, tuple(ev.per_class_recall), tuple(ev.per_class_f1)
-                )
-            )
-    return rows
+    cell = partial(
+        _sweep_cell, dataset, group_labels, list(alphas), beta, folds, train_config, seed
+    )
+    return _map_processes(cell, len(alphas) * folds)

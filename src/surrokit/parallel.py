@@ -1,17 +1,24 @@
-"""Independent items of one call spread over the usable cores, on threads.
+"""Independent items of one call spread over the usable cores.
 
+Two maps share the cores. ``_map_partitioned`` runs items on threads:
 numpy releases the interpreter lock inside BLAS, FFT, sort and ufunc
 loops, so threads overlap there. The network runs its channel-group
-pipes this way and the surrogates their chunks of rows. No thread starts
-at import, and a call with one partition runs inline. While a call's
+pipes this way and the surrogates their chunks of rows. While a call's
 workers run, numpy's OpenBLAS runs one thread, so that BLAS threads do
-not compete with them for the same cores.
+not compete with them for the same cores. ``_map_processes`` runs items
+in forked worker processes, each pinned to one core with one BLAS
+thread, so that items with serial Python between their numpy calls (the
+cells of the alpha sweep) keep every core busy; inside a worker the
+thread map sees one core and runs inline. No thread or process starts at
+import, and a call with one partition or one worker runs inline.
 """
 
 import ctypes
 import glob
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from functools import cache
 
 import numpy as np
@@ -93,3 +100,65 @@ def _map_partitioned(fn, sizes):
         if blas_count > 1:
             blas[1](blas_count)
     return [result for _, result in sorted(done, key=lambda item: item[0])]
+
+
+# the item function of the worker process this module runs in, set by
+# _start_worker; never set in the process that owns the pool
+_worker_fn = None
+
+
+def _start_worker(fn, cores):
+    """Initializer of a ``_map_processes`` worker: keep ``fn``, pin the
+    process to the next core of the queue and run OpenBLAS at one thread."""
+    global _worker_fn
+    _worker_fn = fn
+    os.sched_setaffinity(0, {cores.get()})
+    blas = _openblas_threads()
+    if blas:
+        blas[1](1)
+
+
+def _run_in_worker(i):
+    return _worker_fn(i)
+
+
+def _map_processes(fn, n_items):
+    """``[fn(i) for i in range(n_items)]`` in forked worker processes.
+
+    ``min(n_items, _usable_cores())`` workers start, each pinned to its
+    own core of this process's affinity mask (round robin when the count
+    exceeds the mask) and running OpenBLAS at one thread. ``fn`` reaches
+    them through the fork, unpickled, and may close over any state; only
+    the index goes to a worker and only ``fn(i)`` comes back, pickled, so
+    the result must pickle. Results come back in item order. A worker's
+    exception is raised here with its type and message; the items not yet
+    handed to a worker are cancelled, and every worker has exited before
+    this returns or raises.
+
+    The items run inline, as ``[fn(i) ...]``, when there would be fewer
+    than two workers, where the platform lacks ``fork`` or
+    ``sched_setaffinity``, and when the process already runs more than one
+    thread, because a thread holding a lock at the fork would leave that
+    lock held forever in the child.
+    """
+    n_workers = min(n_items, _usable_cores())
+    if (
+        n_workers < 2
+        or not hasattr(os, "fork")
+        or not hasattr(os, "sched_setaffinity")
+        or threading.active_count() > 1
+    ):
+        return [fn(i) for i in range(n_items)]
+    # imported here: they add about 15 ms to the start of every command
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    context = multiprocessing.get_context("fork")
+    mask = sorted(os.sched_getaffinity(0))
+    with closing(context.SimpleQueue()) as cores:
+        for k in range(n_workers):
+            cores.put(mask[k % len(mask)])
+        with ProcessPoolExecutor(
+            n_workers, mp_context=context, initializer=_start_worker, initargs=(fn, cores)
+        ) as pool:
+            return list(pool.map(_run_in_worker, range(n_items)))

@@ -81,7 +81,11 @@ def rmsprop_step(weights: dict, grads: dict, state: RmspropState, config: TrainC
             g = np.zeros_like(w)
         if not np.all(np.isfinite(g)):
             raise NumericalError(f"non-finite gradient for {key!r}")
-        acc = config.rms_decay * state.accumulator[key] + (1.0 - config.rms_decay) * g * g
+        with np.errstate(over="ignore"):
+            acc = config.rms_decay * state.accumulator[key] + (1.0 - config.rms_decay) * g * g
+        if not np.all(np.isfinite(acc)):
+            # an infinite accumulator makes every later step 0: the weights freeze
+            raise NumericalError(f"non-finite RMSProp accumulator for {key!r}")
         step = config.learning_rate * g / (np.sqrt(acc) + RMSPROP_EPS)
         vel = config.momentum * state.velocity[key] + step
         new_weights[key] = w - vel

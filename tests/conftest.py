@@ -1,3 +1,4 @@
+import multiprocessing
 import sys
 from pathlib import Path
 
@@ -15,10 +16,20 @@ settings.load_profile("surrokit")
 from surrokit import parallel
 
 
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail a test that leaves a live child process behind, such as a
+    sweep worker that outlived ``alpha_sweep`` after a failing cell."""
+    yield
+    left = multiprocessing.active_children()
+    assert not left, f"child processes still alive after the test: {left}"
+
+
 @pytest.fixture
 def set_usable_cores(monkeypatch):
-    """``set_usable_cores(n)`` makes the thread maps of ``surrokit.parallel``
-    see n usable cores until the test ends."""
+    """``set_usable_cores(n)`` makes the maps of ``surrokit.parallel`` see n
+    usable cores until the test ends. Forked sweep workers inherit the
+    patch: inside one, ``_usable_cores()`` reads n, not its one core."""
 
     def set_count(n):
         monkeypatch.setattr(parallel, "_usable_cores", lambda: n)

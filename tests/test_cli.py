@@ -462,6 +462,35 @@ class TestMalformedInputFiles:
         assert "folds" in _exits_2_with_one_line(argv, capsys, out)
 
 
+class TestDivergence:
+    """An overflowing RMSProp accumulator ends training with exit 3."""
+
+    @staticmethod
+    def _exits_3_with_one_line(argv, capsys, out):
+        capsys.readouterr()
+        assert main([str(a) for a in argv]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1, err
+        assert not Path(out).exists()
+        return err
+
+    def test_train_exit_3(self, tmp_path, dataset_file, capsys):
+        out = tmp_path / "w.swt"
+        argv = ["train", dataset_file, out, "--lr", "1e30", "--steps", "4", "--batch", "8"]
+        err = self._exits_3_with_one_line(argv, capsys, out)
+        assert err.startswith("surrokit: numerical failure: non-finite RMSProp accumulator")
+
+    # 2 cores: the cells fail in forked workers; 1 core: inline
+    @pytest.mark.parametrize("cores", [2, 1])
+    def test_sweep_exit_3(self, tmp_path, dataset_file, cores, set_usable_cores, capsys):
+        set_usable_cores(cores)
+        out = tmp_path / "sweep.tsv"
+        argv = ["sweep", dataset_file, "--alphas", "0,1", "--folds", "1", "--lr", "1e30",
+                "--steps", "4", "--batch", "8", "--out", out]
+        err = self._exits_3_with_one_line(argv, capsys, out)
+        assert err.startswith("surrokit: numerical failure: non-finite RMSProp accumulator")
+
+
 class TestErrorHandling:
     def test_usage_error_exit_1(self):
         assert main(["sweep", "nofile", "--alphas", "abc"]) in (1, 2)

@@ -1,10 +1,15 @@
+import os
+import threading
+import time
+
 import numpy as np
 import pytest
 
 from oracles import f1_oracle, iaaft_per_channel, phase_randomize_per_channel
+from surrokit import evaluation, parallel
 from surrokit.balance import Dataset
 from surrokit.classifiers import BandPowerClassifier
-from surrokit.errors import InvalidInputError
+from surrokit.errors import InvalidInputError, NumericalError
 from surrokit.evaluation import (
     ConfusionMatrix,
     alpha_sweep,
@@ -278,6 +283,88 @@ class TestAlphaSweep:
         for row in rows:
             assert len(row.per_class_f1) == len(ds.label_vocabulary)
             assert all(0.0 <= f <= 1.0 for f in row.per_class_f1)
+
+    # set_usable_cores(2) takes the process path (two forked workers; the
+    # patch reaches them through the fork, so inside a worker
+    # _usable_cores() still reads 2 while its affinity mask holds one core)
+    # and set_usable_cores(1) the inline path
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no sched_setaffinity")
+    @pytest.mark.parametrize("alphas, folds", [([0.0, 1.0], 1), ([0.0, 0.5, 1.0], 2)])
+    def test_processes_give_the_inline_rows(self, alphas, folds, set_usable_cores):
+        ds, groups = sweep_dataset()
+        cfg = TrainConfig(steps=3, batch_size=4, seed=0)
+
+        def sweep(cores):
+            set_usable_cores(cores)
+            rows = alpha_sweep(ds, groups, alphas, beta=0.5, folds=folds, train_config=cfg, seed=4)
+            return [repr(row) for row in rows]
+
+        assert sweep(2) == sweep(1)
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no sched_setaffinity")
+    @pytest.mark.parametrize(
+        "alphas, folds, config, error",
+        [
+            # the RMSProp accumulator overflows at the second step
+            ([0.0, 1.0], 1, TrainConfig(steps=4, batch_size=4, learning_rate=1e30), NumericalError),
+            # five cells, each refused: a group of 4 records has no fifth fold
+            ([0.0], 5, TrainConfig(steps=1, batch_size=4), InvalidInputError),
+        ],
+    )
+    def test_cell_errors_reach_the_caller(self, alphas, folds, config, error, set_usable_cores):
+        ds, groups = sweep_dataset()
+        messages = []
+        for cores in (2, 1):  # process path, then inline
+            set_usable_cores(cores)
+            with pytest.raises(error) as caught:
+                alpha_sweep(ds, groups, alphas, beta=0.5, folds=folds, train_config=config, seed=1)
+            assert type(caught.value) is error
+            messages.append(str(caught.value))
+        assert messages[0] == messages[1]
+
+    @staticmethod
+    def _probe_cell(*args):
+        """Stands in for ``_sweep_cell``: where the cell ran, and with what."""
+        time.sleep(0.2)  # long enough that each worker takes a cell
+        blas = parallel._openblas_threads()
+        return os.getpid(), tuple(sorted(os.sched_getaffinity(0))), blas and blas[0]()
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no sched_setaffinity")
+    def test_each_worker_runs_on_one_core_and_one_blas_thread(
+        self, set_usable_cores, monkeypatch
+    ):
+        # process path: two workers, four cells
+        ds, groups = sweep_dataset()
+        set_usable_cores(2)
+        monkeypatch.setattr(evaluation, "_sweep_cell", self._probe_cell)
+        cells = alpha_sweep(ds, groups, [0.0, 1.0], 0.5, 2, TrainConfig(), seed=1)
+        assert len(cells) == 4
+        mask = sorted(os.sched_getaffinity(0))
+        cores = {}
+        for pid, affinity, blas_count in cells:
+            assert pid != os.getpid()
+            assert len(affinity) == 1 and affinity[0] in mask
+            assert cores.setdefault(pid, affinity) == affinity
+            if blas_count is not None:
+                assert blas_count == 1
+        if len(mask) > 1:  # distinct workers, distinct cores
+            assert len(set(cores.values())) == len(cores)
+
+    def test_a_threaded_caller_runs_the_cells_inline(self, set_usable_cores, monkeypatch):
+        # inline path: a second live thread forbids the fork
+        ds, groups = sweep_dataset()
+        set_usable_cores(2)
+        monkeypatch.setattr(evaluation, "_sweep_cell", self._probe_cell)
+        release = threading.Event()
+        waiter = threading.Thread(target=release.wait, args=(10.0,))
+        waiter.start()
+        try:
+            cells = alpha_sweep(ds, groups, [0.0, 1.0], 0.5, 1, TrainConfig(), seed=1)
+        finally:
+            release.set()
+            waiter.join(10.0)
+        assert not waiter.is_alive()
+        assert [pid for pid, _, _ in cells] == [os.getpid()] * 2
 
     @pytest.mark.parametrize("alphas, folds", [([0.0], 0), ([0.0], -1), ([], 1)])
     def test_empty_grid_rejected(self, alphas, folds):

@@ -99,6 +99,14 @@ class TestRmsprop:
         with pytest.raises(NumericalError):
             rmsprop_step(weights, {"w": np.array([np.nan])}, state, TrainConfig())
 
+    def test_overflowing_accumulator_raises_without_a_warning(self):
+        # g * g overflows; an infinite accumulator would make every later step 0
+        weights = {"w": np.array([1.0]), "v": np.array([1.0, 2.0])}
+        state = init_rmsprop_state(weights)
+        grads = {"w": np.array([1.0]), "v": np.array([1.0, 1e200])}
+        with pytest.raises(NumericalError, match="accumulator for 'v'"):
+            rmsprop_step(weights, grads, state, TrainConfig())
+
     def test_inputs_not_mutated(self):
         weights = {"w": np.array([1.0])}
         state = init_rmsprop_state(weights)
