@@ -13,6 +13,7 @@ thread map sees one core and runs inline. No thread or process starts at
 import, and a call with one partition or one worker runs inline.
 """
 
+import contextvars
 import ctypes
 import glob
 import os
@@ -71,8 +72,10 @@ def _map_partitioned(fn, sizes):
     The items are split by ``_partitions`` into at most
     ``_usable_cores()`` partitions; the calling thread runs the first and
     one worker thread each of the others. Each ``fn(i)`` must touch no
-    state another item writes. A worker's exception is raised here when
-    its result is read.
+    state another item writes. Each worker runs in a copy of the caller's
+    ``contextvars`` context (a new thread starts in an empty one), so it
+    sees the caller's ``np.errstate``. A worker's exception is raised here
+    when its result is read.
 
     With workers, an OpenBLAS count above one is set to one before they
     start and restored after they join, so none of them is inside BLAS
@@ -92,7 +95,9 @@ def _map_partitioned(fn, sizes):
         blas[1](1)
     try:
         with ThreadPoolExecutor(max_workers=len(parts) - 1) as pool:
-            futures = [pool.submit(run, part) for part in parts[1:]]
+            futures = [
+                pool.submit(contextvars.copy_context().run, run, part) for part in parts[1:]
+            ]
             done = run(parts[0])
             for future in futures:
                 done += future.result()

@@ -17,13 +17,18 @@ the reported discrepancy sequence is strictly decreasing. Each spectral
 step imposes the target amplitudes by dividing the bins by their
 magnitudes, not through ``exp(i * angle)``; an iterate whose values tie
 up to rounding takes the exponential instead, so the surrogates are the
-same, bit for bit, as with the exponential alone. Channels run
-in chunks of ``SURROGATE_CHUNK`` rows that share each iteration's
-argsort and FFTs, and the chunks of a block run on threads over the
-usable cores (``parallel``). Every row has its own generator, created
-before the threads start, and every chunk writes only its own rows, so
-each channel still gets exactly the result it would get alone, on any
-number of cores.
+same, bit for bit, as with the exponential alone. Each iterate is
+ranked by one in-place sort of keys that pack its values, truncated,
+with the sample indices in the low mantissa bits. The sort gives the
+permutation of ``np.argsort`` and, from the truncated values, the peaks
+and gaps of the near-tie test, off by less than 2**-41 of the peak at
+960 samples (``_rank_rows``). Channels run in chunks of
+``SURROGATE_CHUNK`` rows that share each iteration's sort and FFTs, and
+the chunks of a block run on threads over the usable cores
+(``parallel``). Every row has its own generator, created before the
+threads start, and every chunk writes only its own rows, so each
+channel still gets exactly the result it would get alone, on any number
+of cores.
 
 Partial surrogates replace one window of a signal with surrogate content
 generated from the remainder (the two flanking segments concatenated
@@ -54,6 +59,9 @@ SURROGATE_CHUNK = 64
 # peak is recomputed from exp(i * angle); the two phase formulas move an
 # iterate by at most about 1e-15 of its peak
 NEAR_TIE = 1e-9
+# longest row ranked from packed keys: its index bits move a gap by less
+# than 2**-35 of the peak, far below NEAR_TIE; longer rows rank exactly
+_PACKED_MAX_N = 2**16
 
 
 @dataclass(frozen=True)
@@ -150,15 +158,55 @@ def ft_surrogate(samples, seed: int) -> np.ndarray:
     return _phase_randomize(_as_channel(samples)[None], [spawn_rng(seed)])[0]
 
 
+def _rank_rows(current):
+    """Rank every row of a (k, n) block with one float64 sort of packed keys.
+
+    Each key is a sample whose low b = ``(n - 1).bit_length()`` mantissa
+    bits hold its index instead: the value truncated toward zero, tagged.
+    One in-place sort of the keys orders the samples, and the low bits of
+    the sorted keys are the permutation. Cleared again, the keys are the
+    sorted truncated values, each within 2**(b - 52) of the row's peak
+    (2**-42 at n = 960; of the smallest normal float if the peak is
+    subnormal), so the peak and the smallest gap taken from them are
+    within 2**(b - 51). Where two truncated values differ, so do the
+    samples, and in the same order. A row in which two of them are equal
+    (-0.0 and 0.0 among them, which tie in ``np.argsort`` too) takes
+    ``np.argsort`` and the exact sorted values instead, as does every row
+    longer than ``_PACKED_MAX_N``. So ``order`` equals
+    ``np.argsort(current, axis=1)`` on every row.
+
+    Returns:
+        (order, peaks, gaps): the (k, n) permutation, and per row its
+        largest magnitude and the smallest gap between two of its values.
+    """
+    n = current.shape[1]
+    low = (1 << (n - 1).bit_length()) - 1
+    keys = current.copy()
+    bits = keys.view(np.int64)
+    bits &= ~low
+    bits |= np.arange(n)
+    keys.sort(axis=1)
+    order = bits & low
+    bits ^= order
+    peaks = np.maximum(-keys[:, 0], keys[:, -1])
+    gaps = np.diff(keys, axis=1).min(axis=1, initial=np.inf)
+    for r in np.flatnonzero((gaps == 0) | (n > _PACKED_MAX_N)):
+        order[r] = np.argsort(current[r])
+        exact = np.sort(current[r])
+        peaks[r] = max(-exact[0], exact[-1])
+        gaps[r] = np.diff(exact).min(initial=np.inf)
+    return order, peaks, gaps
+
+
 def _iaaft_core(block, rngs, max_iters, tolerance):
     """IAAFT on every row of a (k, n) block; row r draws from ``rngs[r]``.
 
-    Each iteration ranks all active rows with one argsort and one
-    scatter, and takes one forward FFT for both the discrepancy and the
-    phases. A row leaves the block when its own stop rule fires, and
-    each discrepancy is summed over its row alone, so every row gets the
-    same iterate, discrepancies and reason, bit for bit, as it would in
-    a block of one.
+    Each iteration ranks all active rows with one sort of packed keys
+    (``_rank_rows``) and one flat scatter, and takes one forward FFT
+    for both the discrepancy and the phases. A row leaves the block when
+    its own stop rule fires, and each discrepancy is summed over its row
+    alone, so every row gets the same iterate, discrepancies and reason,
+    bit for bit, as it would in a block of one.
 
     The target amplitudes are imposed as ``target * bins / |bins|``,
     reusing the ``|bins|`` of the discrepancy. That phasor differs from
@@ -166,35 +214,41 @@ def _iaaft_core(block, rngs, max_iters, tolerance):
     matters through its ranking, so the surrogates stay the same unless
     two iterate values tie up to rounding. A row whose iterate has two
     values within ``NEAR_TIE`` of its peak, or an exactly-zero bin, is
-    therefore recomputed from ``exp(i * angle(bins))``: every surrogate
-    and report equals the exponential form's, bit for bit.
+    therefore recomputed from ``exp(i * angle(bins))`` and ranked again:
+    every surrogate and report equals the exponential form's, bit for
+    bit. The peaks and gaps of that test come from the sort's truncated
+    keys, off by less than 2**-41 of the peak at 960 samples (2**-35 at
+    ``_PACKED_MAX_N``). Like the phasor difference of about 1e-15,
+    that is far below ``NEAR_TIE`` (1e-9), so a row that the truncation
+    moves across the threshold ranks the same with either phasor.
 
     Returns:
         ((k, n) surrogates, tuple of one IaaftReport per row).
     """
     n = block.shape[1]
     target = np.abs(np.fft.rfft(block))
-    target_norms = np.array([np.sqrt(t.dot(t)) for t in target])
+    target_norms = np.sqrt(np.vecdot(target, target))
     # the stable sort keeps the sign bit of every zero; the default SIMD
     # sort may write -0.0 back as 0.0
     sorted_values = np.sort(block, axis=1, kind="stable")
 
-    current = _phase_randomize(block, rngs)
+    order = _rank_rows(_phase_randomize(block, rngs))[0]
     best = np.empty_like(block)
     histories = [[] for _ in block]
     reasons = ["max_iters"] * len(block)
     active = np.arange(len(block))
     for _ in range(max_iters):
-        ranked = np.empty_like(current)
-        np.put_along_axis(ranked, np.argsort(current, axis=1), sorted_values, axis=1)
+        ranked = np.empty_like(sorted_values)
+        order += np.arange(0, order.size, n)[:, None]  # flat indices into ranked
+        ranked.reshape(-1)[order] = sorted_values
         bins = np.fft.rfft(ranked)
         amplitudes = np.abs(bins)
         residual = amplitudes - target
+        norms = np.sqrt(np.vecdot(residual, residual))
         accepted = np.zeros(active.size, dtype=bool)
         running = np.zeros(active.size, dtype=bool)
         for r, row in enumerate(active):
-            d = residual[r]
-            disc = float(np.sqrt(d.dot(d)) / target_norms[r]) if target_norms[r] > 0 else 0.0
+            disc = float(norms[r] / target_norms[r]) if target_norms[r] > 0 else 0.0
             history = histories[row]
             if history and disc >= history[-1]:
                 reasons[row] = "stalled"
@@ -220,13 +274,11 @@ def _iaaft_core(block, rngs, max_iters, tolerance):
         # differently, take the exponential form
         silent = amplitudes == 0
         amplitudes[silent] = 1.0  # keeps the division finite on rows redone below
-        current = np.fft.irfft(bins * (target / amplitudes), n=n)
-        ordered = np.sort(current, axis=1)
-        peaks = np.maximum(-ordered[:, 0], ordered[:, -1])
-        gaps = np.diff(ordered, axis=1).min(axis=1)
+        order, peaks, gaps = _rank_rows(np.fft.irfft(bins * (target / amplitudes), n=n))
         exact = silent.any(axis=1) | (gaps <= NEAR_TIE * peaks)
         if exact.any():
-            current[exact] = np.fft.irfft(target[exact] * np.exp(1j * np.angle(bins[exact])), n=n)
+            phasors = np.exp(1j * np.angle(bins[exact]))
+            order[exact] = _rank_rows(np.fft.irfft(target[exact] * phasors, n=n))[0]
 
     reports = tuple(
         IaaftReport(

@@ -126,12 +126,15 @@ def train_network(
     losses = []
     for step in range(config.steps):
         idx = rng_batch.integers(0, len(dataset), size=config.batch_size)
-        loss, grads = loss_and_gradients(
-            descriptor, weights, x[idx], y[idx], training=True, rng=rng_dropout
-        )
-        if not np.isfinite(loss):
-            raise NumericalError(f"training diverged at step {step}: loss={loss}")
-        weights, state = rmsprop_step(weights, grads, state, config)
+        # a diverging step overflows inside the network; the checks below
+        # and in rmsprop_step raise for it, so numpy need not warn first
+        with np.errstate(over="ignore", invalid="ignore"):
+            loss, grads = loss_and_gradients(
+                descriptor, weights, x[idx], y[idx], training=True, rng=rng_dropout
+            )
+            if not np.isfinite(loss):
+                raise NumericalError(f"training diverged at step {step}: loss={loss}")
+            weights, state = rmsprop_step(weights, grads, state, config)
         losses.append(loss)
         if log is not None:
             log(step, loss)

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -489,6 +490,28 @@ class TestDivergence:
                 "--steps", "4", "--batch", "8", "--out", out]
         err = self._exits_3_with_one_line(argv, capsys, out)
         assert err.startswith("surrokit: numerical failure: non-finite RMSProp accumulator")
+
+    # a learning rate that overflows the network itself: the pipes run on
+    # a worker thread at 2 cores, and the sweep cells in forked workers
+    @pytest.mark.parametrize("cores", [2, 1])
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    def test_network_overflow_exits_3_without_a_warning(
+        self, tmp_path, dataset_file, command, cores, set_usable_cores, capsys
+    ):
+        set_usable_cores(cores)
+        if command == "train":
+            out = tmp_path / "w.swt"
+            argv = ["train", dataset_file, out]
+        else:
+            out = tmp_path / "sweep.tsv"
+            argv = ["sweep", dataset_file, "--alphas", "0,1", "--folds", "1", "--out", out]
+        argv += ["--lr", "1e100", "--steps", "4", "--batch", "8"]
+        # a numpy RuntimeWarning, in this process or a forked worker, fails
+        # the command instead of reaching stderr unseen by capsys
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            err = self._exits_3_with_one_line(argv, capsys, out)
+        assert err.startswith("surrokit: numerical failure: training diverged at step")
 
 
 class TestErrorHandling:

@@ -762,6 +762,18 @@ class TestThreadedPipes:
         finally:
             set_(before)
 
+    def test_workers_see_the_callers_error_state(self, set_usable_cores):
+        # numpy's error state is a context variable, which a new thread
+        # does not inherit on its own
+        set_usable_cores(2)
+        with np.errstate(over="ignore", invalid="raise"):
+            seen = parallel._map_partitioned(
+                lambda i: (threading.get_ident(), np.geterr()), [1, 1]
+            )
+        assert len({ident for ident, _ in seen}) == 2
+        for _, state in seen:
+            assert state["over"] == "ignore" and state["invalid"] == "raise"
+
     def test_worker_exception_reaches_the_caller(self, rng):
         desc = reference_architecture()
         weights = init_weights(desc, 24)

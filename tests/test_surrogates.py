@@ -25,6 +25,7 @@ from surrokit.surrogates import (
     IaaftReport,
     SurrogateConfig,
     _iaaft_core,
+    _rank_rows,
     _splice_surrogate,
     _surrogate_rows,
     crossfade_weights,
@@ -165,6 +166,81 @@ def assert_block_matches_oracle(block, seed, max_iters, tolerance):
     return out, reports
 
 
+def argsort_calls(monkeypatch, run):
+    """``run()`` and the number of ``np.argsort`` calls it made, on any
+    thread: the rows that ``_rank_rows`` could not rank from packed keys."""
+    calls = []
+    real = np.argsort
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "argsort", counting)
+        result = run()
+    return result, len(calls)
+
+
+class TestRankRows:
+    """One sort of packed keys ranks each row as ``np.argsort`` does; its
+    peaks and gaps are those of the sorted values, off by less than
+    2**(b - 52) and 2**(b - 51) of the peak (or of the smallest normal
+    float), b index bits."""
+
+    @staticmethod
+    def make_block(values, rows, length, rng):
+        shape = (rows, length)
+        if values == "ties":
+            block = rng.choice(np.array([-2.5, -1.0, -0.0, 0.0, 1.0, 3.0]), size=shape)
+            block[:, :2] = [0.0, -0.0]  # every row holds both zeros
+        elif values == "subnormal":
+            # multiples of the smallest subnormal, zeros and exact ties among them
+            block = rng.integers(-3000, 3000, size=shape) * np.float64(5e-324)
+        elif values == "wide":
+            block = rng.choice([-1.0, 1.0], size=shape) * 10.0 ** rng.uniform(-300, 300, shape)
+        else:
+            block = rng.standard_normal(shape) * 10.0 ** rng.uniform(-300, 300, (rows, 1))
+            if values == "zeros":
+                # distinct values but for the two zeros, which tie in np.argsort
+                block[:, :2] = [0.0, -0.0]
+            elif values == "ulp":
+                # two values one ulp apart, their index bits clear: the
+                # truncated values are equal and the row must fall back
+                for row in block:
+                    i, j = rng.choice(length, size=2, replace=False)
+                    bits = row[i : i + 1].view(np.int64) & ~0xFFF
+                    row[i] = bits.view(np.float64)[0]
+                    row[j] = np.nextafter(row[i], np.copysign(np.inf, row[i]))
+        return block
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        length=st.sampled_from([2, 3, 17, 960, 1023, 1024, 1025, 2049]),
+        rows=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+        values=st.sampled_from(["normal", "wide", "ties", "zeros", "subnormal", "ulp"]),
+    )
+    def test_ranks_as_argsort(self, length, rows, seed, values):
+        block = self.make_block(values, rows, length, np.random.default_rng(seed))
+        before = block.copy()
+        order, peaks, gaps = _rank_rows(block)
+        assert block.tobytes() == before.tobytes()
+        np.testing.assert_array_equal(order, np.argsort(block, axis=1))
+
+        exact = np.sort(block, axis=1)
+        exact_peaks = np.maximum(-exact[:, 0], exact[:, -1])
+        exact_gaps = np.diff(exact, axis=1).min(axis=1)
+        scale = np.maximum(exact_peaks, np.finfo(np.float64).smallest_normal)
+        bound = 2.0 ** ((length - 1).bit_length() - 52) * scale
+        assert np.all(np.abs(peaks - exact_peaks) <= bound)
+        assert np.all(np.abs(gaps - exact_gaps) <= 2 * bound)
+        if values in ("ties", "zeros", "ulp"):
+            # tied truncated values: np.argsort and the exact values
+            np.testing.assert_array_equal(peaks, exact_peaks)
+            np.testing.assert_array_equal(gaps, exact_gaps)
+
+
 class TestIaaftBlock:
     def test_constant_row_is_exact(self, rng):
         block = rng.standard_normal((3, 64))
@@ -204,6 +280,20 @@ class TestIaaftBlock:
         # iterates whose values tie up to rounding: phases imposed by division
         # alone rank them differently and end far from the target spectrum
         assert_block_matches_oracle(np.array([row]), seed, 30, 1e-8)
+
+    def test_rows_above_1024_samples(self, rng):
+        # 1500 samples: the packed keys hold 11 index bits
+        assert_block_matches_oracle(rng.standard_normal((3, 1500)) * 4, 12, 8, 1e-8)
+
+    def test_a_row_ranked_through_argsort_in_a_block(self, rng, monkeypatch):
+        # the first row's iterates tie up to rounding (see above), so each
+        # ranks through np.argsort; the other rows share its block
+        near_tied = [-1.0, -1.0, -1.0, -1.0, 0.5, -1.0, 0.5, -1.0, 0.5, -1.0]
+        block = np.array([near_tied, rng.standard_normal(10), np.round(rng.standard_normal(10))])
+        rngs = [spawn_rng(3366514315, r) for r in range(len(block))]
+        _, calls = argsort_calls(monkeypatch, lambda: _iaaft_core(block, rngs, 30, 1e-8))
+        assert calls >= 2
+        assert_block_matches_oracle(block, 3366514315, 30, 1e-8)
 
     def test_rows_stop_for_different_reasons(self):
         block = np.random.default_rng(0).standard_normal((8, 64))
@@ -255,6 +345,15 @@ class TestIaaftBlock:
                 row, spawn_rng(1, r), config.iaaft_max_iters, config.iaaft_tolerance
             )
             assert out[r].tobytes() == expected.tobytes() and reports[r] == report
+
+    def test_bundled_channels_rank_without_argsort(self, monkeypatch):
+        # the fast path must not fall back silently on the augment traffic
+        dataset = generate_synthetic(bundled_spec(), 48, seed=1)
+        block = dataset.x.astype(np.float32).astype(np.float64).reshape(-1, dataset.x.shape[2])
+        rngs = [spawn_rng(1, r) for r in range(len(block))]
+        config = SurrogateConfig(kind="iaaft")
+        _, calls = argsort_calls(monkeypatch, lambda: _surrogate_rows(block, rngs, config))
+        assert calls == 0
 
     @settings(max_examples=200, deadline=None)
     @given(
