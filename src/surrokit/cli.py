@@ -12,14 +12,14 @@ import ctypes
 import os
 import sys
 from collections import Counter
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 from . import dataio
 from .balance import BalanceConfig, Dataset, augment, record_holdout_split, upsample
 from .classifiers import NetworkClassifier
 from .errors import InvalidInputError, NumericalError
 from .evaluation import CONDITIONAL_KINDS, alpha_sweep, conditional_confusion, evaluate
-from .network import ARCHITECTURES, count_parameters, infer_shapes
+from .network import ARCHITECTURES, DROPOUT_CONV, DROPOUT_DENSE, count_parameters, infer_shapes
 from .saliency import SaliencySpec, surrogate_saliency, zero_out_saliency
 from .seeding import NS_EPOCH_FILE, derive_seed
 from .surrogates import (
@@ -49,7 +49,7 @@ def _non_negative_seed(seed: int, source: str) -> int:
 
 
 def _resolve_seed(args) -> int:
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         return _non_negative_seed(args.seed, "--seed")
     env = os.environ.get("SURROKIT_SEED")
     if env is not None:
@@ -102,13 +102,12 @@ def _write_or_print(out, text, what) -> None:
 
 
 def _cmd_synth(args):
-    seed = _resolve_seed(args)
     if args.spec_file == "bundled":
         spec = bundled_spec()
     else:
         with open(args.spec_file, "r", encoding="utf-8") as handle:
             spec = spec_from_json(handle.read())
-    dataset = generate_synthetic(spec, args.n, seed)
+    dataset = generate_synthetic(spec, args.n, args.seed)
     dataio.save_dataset(args.out, dataset)
     counts = dataset.class_counts()
     print(f"wrote {len(dataset)} epochs to {args.out}")
@@ -118,12 +117,11 @@ def _cmd_synth(args):
 
 
 def _cmd_surrogate(args):
-    seed = _resolve_seed(args)
     dataset = dataio.load_dataset(args.infile)
     config = SurrogateConfig(
         kind=args.kind, iaaft_max_iters=args.iters, iaaft_tolerance=args.tol
     )
-    seeds = [derive_seed(seed, NS_EPOCH_FILE, i) for i in range(len(dataset))]
+    seeds = [derive_seed(args.seed, NS_EPOCH_FILE, i) for i in range(len(dataset))]
     x, reports = epoch_surrogate_with_reports(dataset.x, seeds, config)
     out = replace(dataset, x=x)
     dataio.save_dataset(args.out, out)  # before any output, so a failed write prints nothing else
@@ -139,10 +137,9 @@ def _cmd_surrogate(args):
 
 
 def _cmd_balance(args):
-    seed = _resolve_seed(args)
     dataset = dataio.load_dataset(args.infile)
     config = BalanceConfig(
-        beta=args.beta, alpha=args.alpha, seed=seed, surrogate=SurrogateConfig(kind=args.kind)
+        beta=args.beta, alpha=args.alpha, seed=args.seed, surrogate=SurrogateConfig(kind=args.kind)
     )
     before = dataset.class_counts()
     upsampled, flags = upsample(dataset, config)
@@ -182,16 +179,15 @@ def _cmd_split(args):
 
 
 def _cmd_train(args):
-    seed = _resolve_seed(args)
     dataset = dataio.load_dataset(args.infile)
     config = TrainConfig(
-        learning_rate=args.lr, batch_size=args.batch, steps=args.steps, seed=seed
+        learning_rate=args.lr, batch_size=args.batch, steps=args.steps, seed=args.seed
     )
     arch_config = {
         "n_classes": len(dataset.label_vocabulary),
         "input_len": dataset.n_samples,
-        "dropout_conv": config.dropout_conv,
-        "dropout_dense": config.dropout_dense,
+        "dropout_conv": DROPOUT_CONV,
+        "dropout_dense": DROPOUT_DENSE,
     }
     descriptor = ARCHITECTURES[args.arch](**arch_config)
     every = max(1, args.steps // 20)
@@ -206,14 +202,8 @@ def _cmd_train(args):
         descriptor,
         result.weights,
         arch_config=arch_config,
-        train_config={
-            "learning_rate": config.learning_rate,
-            "rms_decay": config.rms_decay,
-            "momentum": config.momentum,
-            "batch_size": config.batch_size,
-            "steps": config.steps,
-        },
-        seed=seed,
+        train_config={k: v for k, v in asdict(config).items() if k != "seed"},
+        seed=args.seed,
     )
     print(f"wrote weights to {args.out_weights}")
     return 0
@@ -252,10 +242,9 @@ def _cmd_evaluate(args):
 
 
 def _cmd_condconf(args):
-    seed = _resolve_seed(args)
     dataset = dataio.load_dataset(args.infile)
     classifier = _classifier_from_checkpoint(args.weights, dataset)
-    confusion = conditional_confusion(classifier, dataset, args.kind, seed)
+    confusion = conditional_confusion(classifier, dataset, args.kind, args.seed)
     if confusion is None:
         print("no correctly predicted epochs; nothing to condition on")
         return 0
@@ -266,7 +255,6 @@ def _cmd_condconf(args):
 
 
 def _cmd_sweep(args):
-    seed = _resolve_seed(args)
     dataset = dataio.load_dataset(args.infile)
     try:
         alphas = [float(a) for a in args.alphas.split(",") if a != ""]
@@ -279,7 +267,7 @@ def _cmd_sweep(args):
     else:
         groups = {rid: "all" for rid in set(dataset.record_ids)}
     config = TrainConfig(batch_size=args.batch, steps=args.steps, learning_rate=args.lr)
-    rows = alpha_sweep(dataset, groups, alphas, args.beta, args.folds, config, seed)
+    rows = alpha_sweep(dataset, groups, alphas, args.beta, args.folds, config, args.seed)
     columns = ["alpha", "fold", "macro_f1"] + [f"recall_{c}" for c in dataset.label_vocabulary]
     table_rows = [
         [row.alpha, row.fold, row.macro_f1] + list(row.per_class_recall) for row in rows
@@ -289,7 +277,6 @@ def _cmd_sweep(args):
 
 
 def _cmd_saliency(args):
-    seed = _resolve_seed(args)
     dataset = dataio.load_dataset(args.infile)
     if not 0 <= args.epoch_index < len(dataset):
         raise InvalidInputError(
@@ -304,7 +291,7 @@ def _cmd_saliency(args):
         crossfade_s=args.crossfade,
         n_replacements=args.reps,
         target_channels=channels,
-        seed=seed,
+        seed=args.seed,
     )
     if args.method == "surrogate":
         saliency_map = surrogate_saliency(classifier, epoch, spec)
@@ -356,19 +343,19 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("surrogate", help="per-epoch surrogates of a dataset")
     p.add_argument("infile")
     p.add_argument("out")
-    p.add_argument("--kind", choices=SURROGATE_KINDS, default="ft")
+    p.add_argument("--kind", choices=SURROGATE_KINDS, default=SurrogateConfig.kind)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--iters", type=int, default=100)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--iters", type=int, default=SurrogateConfig.iaaft_max_iters)
+    p.add_argument("--tol", type=float, default=SurrogateConfig.iaaft_tolerance)
     p.set_defaults(func=_cmd_surrogate)
 
     p = sub.add_parser("balance", help="up-sample and augment a dataset")
     p.add_argument("infile")
     p.add_argument("out")
-    p.add_argument("--alpha", type=float, default=0.0)
-    p.add_argument("--beta", type=float, default=0.0)
+    p.add_argument("--alpha", type=float, default=BalanceConfig.alpha)
+    p.add_argument("--beta", type=float, default=BalanceConfig.beta)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--kind", choices=SURROGATE_KINDS, default="ft")
+    p.add_argument("--kind", choices=SURROGATE_KINDS, default=SurrogateConfig.kind)
     p.set_defaults(func=_cmd_balance)
 
     p = sub.add_parser("split", help="record-holdout train/validation split")
@@ -383,9 +370,9 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("train", help="train a classifier")
     p.add_argument("infile")
     p.add_argument("out_weights")
-    p.add_argument("--steps", type=int, default=2000)
-    p.add_argument("--lr", type=float, default=0.0016)
-    p.add_argument("--batch", type=int, default=128)
+    p.add_argument("--steps", type=int, default=TrainConfig.steps)
+    p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
+    p.add_argument("--batch", type=int, default=TrainConfig.batch_size)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--arch", choices=sorted(ARCHITECTURES), default="reference")
     p.set_defaults(func=_cmd_train)
@@ -399,7 +386,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("condconf", help="conditional confusion on surrogates")
     p.add_argument("infile")
     p.add_argument("weights")
-    p.add_argument("--kind", choices=CONDITIONAL_KINDS, default="ft")
+    p.add_argument("--kind", choices=CONDITIONAL_KINDS, default=SurrogateConfig.kind)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_condconf)
@@ -414,18 +401,18 @@ def _build_parser() -> _Parser:
     p.add_argument("--groups-file", default=None)
     p.add_argument("--steps", type=int, default=300)
     p.add_argument("--batch", type=int, default=32)
-    p.add_argument("--lr", type=float, default=0.0016)
+    p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("saliency", help="moving-window saliency map for one epoch")
     p.add_argument("infile")
     p.add_argument("weights")
     p.add_argument("--epoch-index", type=int, default=0)
-    p.add_argument("--channels", default="EEG1,EEG2")
-    p.add_argument("--window", type=float, default=5.0)
-    p.add_argument("--step", type=float, default=0.5)
-    p.add_argument("--crossfade", type=float, default=0.5)
-    p.add_argument("--reps", type=int, default=500)
+    p.add_argument("--channels", default=",".join(SaliencySpec.target_channels))
+    p.add_argument("--window", type=float, default=SaliencySpec.window_len_s)
+    p.add_argument("--step", type=float, default=SaliencySpec.step_s)
+    p.add_argument("--crossfade", type=float, default=SaliencySpec.crossfade_s)
+    p.add_argument("--reps", type=int, default=SaliencySpec.n_replacements)
     p.add_argument("--method", choices=("surrogate", "zero"), default="surrogate")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)
@@ -446,10 +433,11 @@ def _cap_malloc_arenas():
     """Keep the process to one glibc malloc arena.
 
     glibc gives each thread that allocates concurrently an arena of its
-    own, and an arena keeps freed memory for reuse, so the channel-group
-    worker threads of ``network`` would grow the resident set by what each
-    of them ever held. One shared arena keeps the peak near the memory
-    actually in use. The cap holds for the whole process and for every
+    own, and an arena keeps freed memory for reuse, so the worker threads
+    of ``parallel`` (the network's channel-group pipes and the chunks of
+    a surrogate block) would grow the resident set by what each of them
+    ever held. One shared arena keeps the peak near the memory actually
+    in use. The cap holds for the whole process and for every
     thread, ours or not, that allocates after the call. Where the C
     library has no ``mallopt`` nothing happens.
     """
@@ -467,6 +455,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if hasattr(args, "seed"):
+            args.seed = _resolve_seed(args)
         return args.func(args)
     except _UsageError as exc:
         print(f"surrokit: usage error: {exc}", file=sys.stderr)

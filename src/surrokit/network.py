@@ -394,7 +394,7 @@ def _maxpool_padded(xp, width, stride, out_len, keep_arg):
     return y, arg
 
 
-def _maxpool_backward(dy, x_shape, width, stride, cache):
+def _maxpool_backward(dy, x_shape, stride, cache):
     xp_shape, pad_left, arg, out_len = cache
     batch, length, chans = x_shape
     # flat index ((b * padded_len + t * stride + arg) * chans + c), built in
@@ -424,7 +424,7 @@ def _conv2d_forward(x, kernel, bias):
     return z.reshape(batch, oh, ow, filters), (x, (oh, ow))
 
 
-def _conv2d_backward(dz, x_shape, kernel, cache):
+def _conv2d_backward(dz, kernel, cache):
     x, (oh, ow) = cache
     kh, kw, c_in, filters = kernel.shape
     d_bias = dz.sum(axis=(0, 1, 2))
@@ -516,7 +516,7 @@ def _pipe_backward(caches, weights, grads, dy):
             dy = weights[prefix + "scale"][0] * dy
         elif isinstance(layer, MaxPool1D):
             x_shape, pool_cache = cache
-            dy = _maxpool_backward(dy, x_shape, layer.width, layer.stride, pool_cache)
+            dy = _maxpool_backward(dy, x_shape, layer.stride, pool_cache)
         elif isinstance(layer, Dropout):
             if cache is not None:
                 dy *= cache
@@ -529,7 +529,7 @@ def _pipe_backward(caches, weights, grads, dy):
             if isinstance(layer, Conv1D):
                 dx, dk, db = _conv1d_backward(dy, kernel, inputs)
             elif isinstance(layer, Conv2D):
-                dx, dk, db = _conv2d_backward(dy, x_shape, kernel, inputs)
+                dx, dk, db = _conv2d_backward(dy, kernel, inputs)
             else:
                 dx, dk, db = (dy @ kernel.T).reshape(x_shape), inputs.T @ dy, dy.sum(axis=0)
             _acc(grads, prefix + "kernel", dk)
@@ -792,7 +792,14 @@ def loss_and_gradients(descriptor, weights, x, labels, training=True, rng=None):
 _WIDTHS = {"full": ((16, 19, 23, 27), 10, 85), "reference": ((8, 8, 8, 8), 8, 32)}
 
 
-def _build(name, n_classes=6, input_len=960, dropout_conv=0.33, dropout_dense=0.015):
+# dropout rates: after each Conv1D, and after the Conv2D and hidden Dense layers
+DROPOUT_CONV = 0.33
+DROPOUT_DENSE = 0.015
+
+
+def _build(
+    name, n_classes=6, input_len=960, dropout_conv=DROPOUT_CONV, dropout_dense=DROPOUT_DENSE
+):
     filters, conv2d_filters, units = _WIDTHS[name]
     channel = [Scale("scale", init=0.05)]
     for i, (width, n_filters) in enumerate(zip((16, 19, 23, 27), filters), start=1):

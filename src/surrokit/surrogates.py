@@ -13,16 +13,10 @@ the sorted surrogate samples equal the sorted originals bit for bit and
 the residual error lives in the amplitude spectrum. The loop stops when
 the spectral discrepancy stops improving or its relative change drops
 below the configured tolerance; the best iterate seen is returned, so
-the reported discrepancy sequence is strictly decreasing. Each spectral
-step imposes the target amplitudes by dividing the bins by their
-magnitudes, not through ``exp(i * angle)``; an iterate whose values tie
-up to rounding takes the exponential instead, so the surrogates are the
-same, bit for bit, as with the exponential alone. Each iterate is
-ranked by one in-place sort of keys that pack its values, truncated,
-with the sample indices in the low mantissa bits. The sort gives the
-permutation of ``np.argsort`` and, from the truncated values, the peaks
-and gaps of the near-tie test, off by less than 2**-41 of the peak at
-960 samples (``_rank_rows``). Channels run in chunks of
+the reported discrepancy sequence is strictly decreasing. How each
+iterate is ranked and its phases imposed, and why the surrogates are
+those of the textbook ``exp(i * angle)`` form bit for bit, is stated
+once, in ``_iaaft_core``. Channels run in chunks of
 ``SURROGATE_CHUNK`` rows that share each iteration's sort and FFTs, and
 the chunks of a block run on threads over the usable cores
 (``parallel``). Every row has its own generator, created before the
@@ -159,25 +153,15 @@ def ft_surrogate(samples, seed: int) -> np.ndarray:
 
 
 def _rank_rows(current):
-    """Rank every row of a (k, n) block with one float64 sort of packed keys.
-
-    Each key is a sample whose low b = ``(n - 1).bit_length()`` mantissa
-    bits hold its index instead: the value truncated toward zero, tagged.
-    One in-place sort of the keys orders the samples, and the low bits of
-    the sorted keys are the permutation. Cleared again, the keys are the
-    sorted truncated values, each within 2**(b - 52) of the row's peak
-    (2**-42 at n = 960; of the smallest normal float if the peak is
-    subnormal), so the peak and the smallest gap taken from them are
-    within 2**(b - 51). Where two truncated values differ, so do the
-    samples, and in the same order. A row in which two of them are equal
-    (-0.0 and 0.0 among them, which tie in ``np.argsort`` too) takes
-    ``np.argsort`` and the exact sorted values instead, as does every row
-    longer than ``_PACKED_MAX_N``. So ``order`` equals
-    ``np.argsort(current, axis=1)`` on every row.
+    """Rank every row of a (k, n) block with one sort of packed keys
+    (see ``_iaaft_core``); ``current`` is left as it is.
 
     Returns:
-        (order, peaks, gaps): the (k, n) permutation, and per row its
-        largest magnitude and the smallest gap between two of its values.
+        (order, peaks, gaps): ``order`` equals ``np.argsort(current,
+        axis=1)``; per row, the largest magnitude and the smallest gap
+        between two values, within 2**(b - 51) of the peak (of the
+        smallest normal float if the peak is subnormal), b =
+        ``(n - 1).bit_length()``, and exact on a row that falls back.
     """
     n = current.shape[1]
     low = (1 << (n - 1).bit_length()) - 1
@@ -192,7 +176,7 @@ def _rank_rows(current):
     gaps = np.diff(keys, axis=1).min(axis=1, initial=np.inf)
     for r in np.flatnonzero((gaps == 0) | (n > _PACKED_MAX_N)):
         order[r] = np.argsort(current[r])
-        exact = np.sort(current[r])
+        exact = current[r, order[r]]  # sorted; -0.0 and 0.0 may swap, which compare equal
         peaks[r] = max(-exact[0], exact[-1])
         gaps[r] = np.diff(exact).min(initial=np.inf)
     return order, peaks, gaps
@@ -208,19 +192,31 @@ def _iaaft_core(block, rngs, max_iters, tolerance):
     alone, so every row gets the same iterate, discrepancies and reason,
     bit for bit, as it would in a block of one.
 
-    The target amplitudes are imposed as ``target * bins / |bins|``,
-    reusing the ``|bins|`` of the discrepancy. That phasor differs from
-    ``exp(i * angle(bins))`` only in the last bits, and the iterate only
-    matters through its ranking, so the surrogates stay the same unless
-    two iterate values tie up to rounding. A row whose iterate has two
-    values within ``NEAR_TIE`` of its peak, or an exactly-zero bin, is
-    therefore recomputed from ``exp(i * angle(bins))`` and ranked again:
-    every surrogate and report equals the exponential form's, bit for
-    bit. The peaks and gaps of that test come from the sort's truncated
-    keys, off by less than 2**-41 of the peak at 960 samples (2**-35 at
-    ``_PACKED_MAX_N``). Like the phasor difference of about 1e-15,
-    that is far below ``NEAR_TIE`` (1e-9), so a row that the truncation
-    moves across the threshold ranks the same with either phasor.
+    Ranking. Each key is a sample whose low b = ``(n - 1).bit_length()``
+    mantissa bits hold its index instead: the value truncated toward
+    zero, tagged. One in-place float64 sort of the keys orders the
+    samples, and the low bits of the sorted keys are the permutation.
+    Where two truncated values differ, so do the samples, and in the same
+    order. A row in which two of them are equal (-0.0 and 0.0 among them,
+    which tie in ``np.argsort`` too) takes ``np.argsort`` and the exact
+    values it orders, as does every row longer than ``_PACKED_MAX_N``. So
+    every row ranks as ``np.argsort`` ranks it. Cleared again, the keys
+    are the sorted truncated values, each within 2**(b - 52) of the row's
+    peak, so the peak and the smallest gap taken from them are within
+    2**(b - 51): 2**-41 at 960 samples, 2**-35 at ``_PACKED_MAX_N``.
+
+    Phases. The target amplitudes are imposed as ``target * bins /
+    |bins|``, reusing the ``|bins|`` of the discrepancy. That phasor
+    differs from ``exp(i * angle(bins))`` only in the last bits, about
+    1e-15 of the peak, and the iterate only matters through its ranking,
+    so the surrogates stay the same unless two iterate values tie up to
+    rounding. A row whose iterate has two values within ``NEAR_TIE`` of
+    its peak, or an exactly-zero bin, is therefore recomputed from
+    ``exp(i * angle(bins))`` and ranked again: every surrogate and report
+    equals the exponential form's, bit for bit. The truncation of the
+    peaks and gaps, like the phasor difference, is far below ``NEAR_TIE``
+    (1e-9), so a row that it moves across the threshold ranks the same
+    with either phasor.
 
     Returns:
         ((k, n) surrogates, tuple of one IaaftReport per row).

@@ -42,6 +42,7 @@ import numpy as np
 from .balance import DEFAULT_VOCABULARY, Dataset, _check_one_epoch
 from .errors import InvalidInputError
 from .seeding import NS_SYNTH, spawn_rng
+from .signals import DEFAULT_ROLES
 
 
 def _refuse_bools(spec, *fields) -> None:
@@ -117,7 +118,7 @@ class SyntheticSpec:
     classes: tuple
     sample_rate_hz: float = 32.0
     epoch_len_s: float = 30.0
-    channel_roles: tuple = ("EEG1", "EEG2", "EOG", "EMG")
+    channel_roles: tuple = DEFAULT_ROLES
     n_records: int = 6
 
     def __post_init__(self):

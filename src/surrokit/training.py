@@ -37,8 +37,6 @@ class TrainConfig:
     momentum: float = 0.0
     batch_size: int = 128
     steps: int = 2000
-    dropout_conv: float = 0.33
-    dropout_dense: float = 0.015
     seed: int = 0
 
     def __post_init__(self):
@@ -52,9 +50,6 @@ class TrainConfig:
             raise InvalidInputError("batch_size must be >= 1")
         if self.steps < 0:
             raise InvalidInputError("steps must be >= 0")
-        for rate in (self.dropout_conv, self.dropout_dense):
-            if not 0.0 <= rate < 1.0:
-                raise InvalidInputError("dropout rates must lie in [0, 1)")
 
 
 @dataclass
@@ -144,10 +139,7 @@ def train_network(
 def train_reference_classifier(dataset: Dataset, config: TrainConfig) -> TrainResult:
     """Train the width-reduced reference classifier on a dataset."""
     descriptor = reference_architecture(
-        n_classes=len(dataset.label_vocabulary),
-        input_len=dataset.n_samples,
-        dropout_conv=config.dropout_conv,
-        dropout_dense=config.dropout_dense,
+        n_classes=len(dataset.label_vocabulary), input_len=dataset.n_samples
     )
     roles = dataset.channel_roles
     if roles != descriptor.channel_roles:

@@ -208,7 +208,7 @@ def conv2d_per_tap(x, kernel, bias):
     return z + bias, (x, (oh, ow))
 
 
-def conv2d_backward_per_tap(dz, x_shape, kernel, cache):
+def conv2d_backward_per_tap(dz, kernel, cache):
     x, (oh, ow) = cache
     kh, kw, _, _ = kernel.shape
     d_kernel = np.empty_like(kernel)
@@ -415,7 +415,7 @@ def _serial_pipe_backward(caches, weights, grads, dy):
             dy = weights[prefix + "scale"][0] * dy
         elif isinstance(layer, MaxPool1D):
             x_shape, pool_cache = cache
-            dy = network._maxpool_backward(dy, x_shape, layer.width, layer.stride, pool_cache)
+            dy = network._maxpool_backward(dy, x_shape, layer.stride, pool_cache)
         elif isinstance(layer, Dropout):
             if cache is not None:
                 dy = dy * cache * (1.0 / (1.0 - layer.rate))
@@ -429,7 +429,7 @@ def _serial_pipe_backward(caches, weights, grads, dy):
                 )
             elif isinstance(layer, Conv2D):
                 dy, grads[prefix + "kernel"], grads[prefix + "bias"] = network._conv2d_backward(
-                    dz, x_shape, kernel, inputs
+                    dz, kernel, inputs
                 )
             else:
                 grads[prefix + "kernel"] = inputs.T @ dz

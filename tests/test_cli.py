@@ -99,6 +99,25 @@ class TestImport:
         assert result.returncode == 0, result.stderr
         assert result.stdout.split() == ["[]", "1"]
 
+    def test_cli_loads_every_module_the_benchmark_traces(self):
+        # the traced benchmark looks each target module up in sys.modules
+        # after importing surrokit.cli, and a missing one raises KeyError
+        package_root = str(Path(surrokit.__file__).resolve().parent.parent)
+        bench = str(Path(__file__).resolve().parent.parent / "bench")
+        pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+        code = (
+            "import sys, surrokit.cli; "
+            f"sys.path.insert(0, {bench!r}); import tracing; "
+            "print(sorted({m for _, m, _, _ in tracing.TARGETS} - "
+            "{n.split('.', 1)[1] for n in sys.modules if n.startswith('surrokit.')}))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": pythonpath},
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
+
     def test_c_library_without_mallopt_is_skipped(self, monkeypatch, capsys):
         monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: object())
         assert main(["shapes", "--arch", "reference"]) == 0

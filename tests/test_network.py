@@ -348,7 +348,7 @@ class TestKernels:
         np.testing.assert_array_equal(y, y_ref)
         np.testing.assert_array_equal(cache[2], cache_ref[2])
         dy = rng.standard_normal(y.shape)
-        dx = _maxpool_backward(dy, x.shape, 3, 2, cache)
+        dx = _maxpool_backward(dy, x.shape, 2, cache)
         for b in range(3):
             np.testing.assert_allclose(
                 dx[b], maxpool_backward_oracle(x[b], dy[b], 3, 2), rtol=0, atol=1e-15
@@ -390,8 +390,8 @@ class TestKernels:
         kernel = rng.standard_normal((layer.height, layer.width, c_in, layer.filters))
         z, cache = _conv2d_forward(x, kernel, np.zeros(layer.filters))
         dz = rng.standard_normal(z.shape)
-        got = _conv2d_backward(dz, x.shape, kernel, cache)
-        expected = oracles.conv2d_backward_per_tap(dz, x.shape, kernel, cache)
+        got = _conv2d_backward(dz, kernel, cache)
+        expected = oracles.conv2d_backward_per_tap(dz, kernel, cache)
         for name, a, b in zip(("dx", "d_kernel", "d_bias"), got, expected, strict=True):
             assert a.shape == b.shape
             if build is reference_architecture and name != "dx":
@@ -407,7 +407,7 @@ class TestKernels:
         z, cache = _conv2d_forward(x, kernel, bias)
         assert z.shape == (3, 6, 1, 5)
         dz = rng.standard_normal(z.shape)
-        dx, d_kernel, d_bias = _conv2d_backward(dz, x.shape, kernel, cache)
+        dx, d_kernel, d_bias = _conv2d_backward(dz, kernel, cache)
         dk_sum = np.zeros_like(kernel)
         db_sum = np.zeros_like(bias)
         for b in range(3):

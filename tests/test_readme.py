@@ -9,7 +9,13 @@ from pathlib import Path
 import pytest
 
 import surrokit
-from surrokit import Dataset, NetworkClassifier, full_architecture, reference_architecture
+from surrokit import (
+    Dataset,
+    NetworkClassifier,
+    TrainConfig,
+    full_architecture,
+    reference_architecture,
+)
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 BLOCKS = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"), re.M | re.S)
@@ -48,3 +54,7 @@ def test_removed_members_stay_removed():
     for build in (full_architecture, reference_architecture):
         with pytest.raises(TypeError):
             build(dropout_after_conv2d=True)
+    with pytest.raises(TypeError):
+        TrainConfig(dropout_conv=0.33)
+    with pytest.raises(TypeError):
+        TrainConfig(dropout_dense=0.015)

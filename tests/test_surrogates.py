@@ -295,6 +295,17 @@ class TestIaaftBlock:
         assert calls >= 2
         assert_block_matches_oracle(block, 3366514315, 30, 1e-8)
 
+    def test_a_row_that_falls_back_sorts_no_more(self, monkeypatch):
+        # the core sorts the values once; a row that _rank_rows ranks
+        # through np.argsort takes its exact values from that order
+        row = [-1.0, -1.0, -1.0, -1.0, 0.5, -1.0, 0.5, -1.0, 0.5, -1.0]
+        sorts, real_sort = [], np.sort
+        monkeypatch.setattr(np, "sort", lambda *a, **k: sorts.append(1) or real_sort(*a, **k))
+        _, calls = argsort_calls(
+            monkeypatch, lambda: _iaaft_core(np.array([row]), [spawn_rng(3366514315, 0)], 30, 1e-8)
+        )
+        assert calls >= 2 and len(sorts) == 1
+
     def test_rows_stop_for_different_reasons(self):
         block = np.random.default_rng(0).standard_normal((8, 64))
         block[0] = 2.0

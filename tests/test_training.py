@@ -40,8 +40,6 @@ class TestTrainConfig:
         assert cfg.rms_decay == 0.9
         assert cfg.momentum == 0.0
         assert cfg.batch_size == 128
-        assert cfg.dropout_conv == 0.33
-        assert cfg.dropout_dense == 0.015
 
     def test_validation(self):
         with pytest.raises(InvalidInputError):
