@@ -16,14 +16,16 @@ Weight checkpoint container (one file):
 * line 1: UTF-8 JSON header with keys ``format`` ("surrokit-weights"),
   ``version`` (1), ``arch`` (registered architecture name),
   ``arch_config`` (builder keyword arguments), ``fingerprint`` (sha256
-  of the canonical descriptor JSON), ``seed``, ``train_config``, and
-  ``tensors``, an ordered list of {"key", "shape"} entries.
+  of the canonical descriptor JSON), ``seed``, ``train_config``,
+  ``tensors``, an ordered list of {"key", "shape"} entries, and
+  ``payload_sha256``, the sha256 hex digest of the payload.
 * payload: the tensors' float64 little-endian bytes, concatenated in
   header order.
 
 Loading a checkpoint rebuilds the descriptor from ``arch``/
 ``arch_config`` and refuses to proceed if its fingerprint does not match
-the stored one.
+the stored one, or if the payload does not match ``payload_sha256``. A
+file without ``payload_sha256`` (written before it existed) still loads.
 
 All writes are atomic: content goes to a temporary file in the target
 directory which is then renamed over the destination, so an interrupted
@@ -205,6 +207,7 @@ def save_weights(
         "tensors": [{"key": k, "shape": list(weights[k].shape)} for k in keys],
     }
     payload = b"".join(np.ascontiguousarray(weights[k], dtype="<f8").tobytes() for k in keys)
+    header["payload_sha256"] = hashlib.sha256(payload).hexdigest()
     atomic_write_bytes(path, json.dumps(header, sort_keys=True).encode("utf-8") + b"\n" + payload)
 
 
@@ -212,7 +215,8 @@ def load_weights(path):
     """Load a checkpoint; returns (descriptor, weights, header).
 
     The descriptor is rebuilt from the stored architecture name and
-    builder arguments; a fingerprint mismatch raises InvalidInputError.
+    builder arguments; a fingerprint or payload checksum mismatch raises
+    InvalidInputError.
     """
     with open(path, "rb") as handle:
         header_line = handle.readline()
@@ -223,6 +227,14 @@ def load_weights(path):
         raise InvalidInputError(f"{path}: malformed checkpoint header: {exc}") from exc
     if not isinstance(header, dict) or header.get("format") != WEIGHTS_FORMAT:
         raise InvalidInputError(f"{path}: not a {WEIGHTS_FORMAT} file")
+    if "payload_sha256" in header:
+        checksum = header["payload_sha256"]
+        if not isinstance(checksum, str):
+            raise InvalidInputError(
+                f"{path}: payload_sha256 must be a string, got a {type(checksum).__name__}"
+            )
+        if checksum != hashlib.sha256(payload).hexdigest():
+            raise InvalidInputError(f"{path}: payload does not match its payload_sha256")
     arch = header.get("arch")
     if not isinstance(arch, str) or arch not in ARCHITECTURES:
         raise InvalidInputError(f"{path}: unknown architecture {arch!r}")
@@ -233,7 +245,7 @@ def load_weights(path):
         )
     try:
         descriptor = ARCHITECTURES[arch](**arch_config)
-    except TypeError as exc:
+    except (TypeError, InvalidInputError) as exc:
         raise InvalidInputError(f"{path}: arch_config does not fit {arch!r}: {exc}") from exc
     fingerprint = descriptor_fingerprint(descriptor)
     if fingerprint != header.get("fingerprint"):

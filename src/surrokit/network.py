@@ -86,6 +86,14 @@ class Dropout:
     name: str
     rate: float
 
+    def __post_init__(self):
+        # the inverted scaling divides by 1 - rate
+        rate = self.rate
+        if isinstance(rate, bool) or not isinstance(rate, (int, float)) or not 0 <= rate < 1:
+            raise InvalidInputError(
+                f"{self.name}: dropout rate must be a number in [0, 1), got {rate!r}"
+            )
+
 
 @dataclass(frozen=True)
 class ArchitectureDescriptor:

@@ -2,16 +2,13 @@
 
 The update rule per tensor is
 
-    acc  <- decay * acc + (1 - decay) * g^2
-    step <- lr * g / (sqrt(acc) + eps)
-    vel  <- momentum * vel + step
-    w    <- w - vel
+    acc <- 0.9 * acc + 0.1 * g^2
+    w   <- w - lr * g / (sqrt(acc) + 1e-10)
 
-with eps = 1e-10 added to the square root in the denominator. With zero
-momentum (the default) vel reduces to the bare step.
+with decay ``RMSPROP_DECAY`` and eps ``RMSPROP_EPS``.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,14 +24,13 @@ from .network import (
 )
 from .seeding import NS_BATCH, NS_DROPOUT, NS_INIT, spawn_rng
 
+RMSPROP_DECAY = 0.9
 RMSPROP_EPS = 1e-10
 
 
 @dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 0.0016
-    rms_decay: float = 0.9
-    momentum: float = 0.0
     batch_size: int = 128
     steps: int = 2000
     seed: int = 0
@@ -42,34 +38,16 @@ class TrainConfig:
     def __post_init__(self):
         if not (self.learning_rate > 0 and np.isfinite(self.learning_rate)):
             raise InvalidInputError("learning rate must be positive and finite")
-        if not 0.0 <= self.rms_decay < 1.0:
-            raise InvalidInputError("rms_decay must lie in [0, 1)")
-        if not 0.0 <= self.momentum < 1.0:
-            raise InvalidInputError("momentum must lie in [0, 1)")
         if self.batch_size < 1:
             raise InvalidInputError("batch_size must be >= 1")
         if self.steps < 0:
             raise InvalidInputError("steps must be >= 0")
 
 
-@dataclass
-class RmspropState:
-    accumulator: dict = field(default_factory=dict)
-    velocity: dict = field(default_factory=dict)
-
-
-def init_rmsprop_state(weights: dict) -> RmspropState:
-    return RmspropState(
-        accumulator={k: np.zeros_like(v) for k, v in weights.items()},
-        velocity={k: np.zeros_like(v) for k, v in weights.items()},
-    )
-
-
-def rmsprop_step(weights: dict, grads: dict, state: RmspropState, config: TrainConfig):
-    """One RMSProp update; returns new (weights, state), inputs untouched."""
+def rmsprop_step(weights: dict, grads: dict, accumulators: dict, learning_rate: float):
+    """One RMSProp update; returns new (weights, accumulators), inputs untouched."""
     new_weights = {}
     new_acc = {}
-    new_vel = {}
     for key, w in weights.items():
         g = grads.get(key)
         if g is None:
@@ -77,16 +55,13 @@ def rmsprop_step(weights: dict, grads: dict, state: RmspropState, config: TrainC
         if not np.all(np.isfinite(g)):
             raise NumericalError(f"non-finite gradient for {key!r}")
         with np.errstate(over="ignore"):
-            acc = config.rms_decay * state.accumulator[key] + (1.0 - config.rms_decay) * g * g
+            acc = RMSPROP_DECAY * accumulators[key] + (1.0 - RMSPROP_DECAY) * g * g
         if not np.all(np.isfinite(acc)):
             # an infinite accumulator makes every later step 0: the weights freeze
             raise NumericalError(f"non-finite RMSProp accumulator for {key!r}")
-        step = config.learning_rate * g / (np.sqrt(acc) + RMSPROP_EPS)
-        vel = config.momentum * state.velocity[key] + step
-        new_weights[key] = w - vel
+        new_weights[key] = w - learning_rate * g / (np.sqrt(acc) + RMSPROP_EPS)
         new_acc[key] = acc
-        new_vel[key] = vel
-    return new_weights, RmspropState(new_acc, new_vel)
+    return new_weights, new_acc
 
 
 @dataclass
@@ -114,7 +89,7 @@ def train_network(
     x, y = dataset.x, dataset.labels
     weights = init_weights(descriptor, spawn_rng(config.seed, NS_INIT))
     validate_weights(descriptor, weights)
-    state = init_rmsprop_state(weights)
+    accumulators = {k: np.zeros_like(v) for k, v in weights.items()}
     rng_batch = spawn_rng(config.seed, NS_BATCH)
     rng_dropout = spawn_rng(config.seed, NS_DROPOUT)
 
@@ -129,7 +104,9 @@ def train_network(
             )
             if not np.isfinite(loss):
                 raise NumericalError(f"training diverged at step {step}: loss={loss}")
-            weights, state = rmsprop_step(weights, grads, state, config)
+            weights, accumulators = rmsprop_step(
+                weights, grads, accumulators, config.learning_rate
+            )
         losses.append(loss)
         if log is not None:
             log(step, loss)

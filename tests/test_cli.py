@@ -6,6 +6,7 @@ import sys
 import warnings
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,7 +16,8 @@ from oracles import iaaft_per_channel, phase_randomize_per_channel
 from surrokit import cli, synthetic
 from surrokit.classifiers import NetworkClassifier
 from surrokit.cli import main
-from surrokit.dataio import load_dataset, save_dataset
+from surrokit.dataio import descriptor_fingerprint, load_dataset, load_weights, save_dataset
+from surrokit.network import Dropout, reference_architecture
 from surrokit.seeding import NS_EPOCH_FILE, derive_seed, spawn_rng
 from surrokit.synthetic import (
     ClassSpec,
@@ -101,7 +103,8 @@ class TestImport:
 
     def test_cli_loads_every_module_the_benchmark_traces(self):
         # the traced benchmark looks each target module up in sys.modules
-        # after importing surrokit.cli, and a missing one raises KeyError
+        # after importing surrokit.cli, and a missing one raises KeyError;
+        # a target attribute it cannot find reads 0 with only a stderr note
         package_root = str(Path(surrokit.__file__).resolve().parent.parent)
         bench = str(Path(__file__).resolve().parent.parent / "bench")
         pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
@@ -109,14 +112,21 @@ class TestImport:
             "import sys, surrokit.cli; "
             f"sys.path.insert(0, {bench!r}); import tracing; "
             "print(sorted({m for _, m, _, _ in tracing.TARGETS} - "
-            "{n.split('.', 1)[1] for n in sys.modules if n.startswith('surrokit.')}))"
+            "{n.split('.', 1)[1] for n in sys.modules if n.startswith('surrokit.')})); "
+            "print(sorted(f'{m}.{a}' for _, m, a, _ in tracing.TARGETS "
+            "if tracing._lookup(sys.modules[f'surrokit.{m}'], a) is None))"
         )
         result = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
             env={**os.environ, "PYTHONPATH": pythonpath},
         )
         assert result.returncode == 0, result.stderr
-        assert result.stdout.strip() == "[]"
+        missing_modules, missing_targets = result.stdout.splitlines()
+        assert missing_modules == "[]"
+        # targets whose code was deleted, left for the benchmark to retire
+        dead = ["classifiers.NetworkClassifier.predict", "network.forward",
+                "signals.epoch_from_array", "surrogates._channel_surrogate"]
+        assert missing_targets == str(dead)
 
     def test_c_library_without_mallopt_is_skipped(self, monkeypatch, capsys):
         monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: object())
@@ -272,6 +282,17 @@ class TestTrainEvaluate:
         assert "macro_f1" in text
         assert "macro F1:" in capsys.readouterr().out
 
+    def test_checkpoint_from_before_the_checksum_still_loads(self, tmp_path):
+        # its train_config holds the removed momentum and rms_decay, and its
+        # header has no payload_sha256
+        checkpoint = Path(__file__).resolve().parent.parent / "bench" / "reference.swt"
+        _, _, header = load_weights(checkpoint)
+        assert "payload_sha256" not in header
+        assert {"momentum", "rms_decay"} <= set(header["train_config"])
+        data = str(tmp_path / "data.sdat")
+        assert main(["synth", "bundled", data, "--n", "12", "--seed", "3"]) == 0
+        assert main(["evaluate", data, str(checkpoint)]) == 0
+
     def test_condconf_runs(self, tmp_path, dataset_file, weights_file, capsys):
         out = tmp_path / "cc.tsv"
         code = main(
@@ -337,6 +358,19 @@ def _rewrite_header(src, dst, edit):
         handle.write(json.dumps(header).encode() + b"\n" + payload)
 
 
+def _dropout_rate(key, rate):
+    """A header edit that sets a dropout rate and the fingerprint that goes
+    with it, as a file written before rates were checked could hold."""
+
+    def edit(header):
+        header["arch_config"][key] = rate
+        with mock.patch.object(Dropout, "__post_init__", lambda self: None, create=True):
+            descriptor = reference_architecture(**header["arch_config"])
+        header["fingerprint"] = descriptor_fingerprint(descriptor)
+
+    return edit
+
+
 class TestMalformedHeaders:
     @pytest.mark.parametrize(
         "edit",
@@ -368,9 +402,18 @@ class TestMalformedHeaders:
             lambda h: h.update(tensors={"key": "x"}),
             lambda h: h["tensors"][0].pop("shape"),
             lambda h: h["tensors"][0].update(shape=["3"]),
+            _dropout_rate("dropout_conv", 1.0),
+            _dropout_rate("dropout_dense", 1.5),
+            _dropout_rate("dropout_conv", -0.5),
+            _dropout_rate("dropout_dense", float("nan")),
+            _dropout_rate("dropout_conv", True),
+            lambda h: h.update(payload_sha256=h["payload_sha256"][::-1]),
+            lambda h: h.update(payload_sha256=None),
         ],
         ids=["unknown-arch-key", "list-arch-config", "no-tensors", "dict-tensors",
-             "tensor-without-shape", "str-shape"],
+             "tensor-without-shape", "str-shape", "dropout-1", "dropout-1.5",
+             "dropout-negative", "dropout-nan", "dropout-bool", "wrong-checksum",
+             "null-checksum"],
     )
     def test_checkpoint_header_exit_2(self, tmp_path, dataset_file, weights_file, edit, capsys):
         bad = str(tmp_path / "bad.swt")
@@ -378,7 +421,7 @@ class TestMalformedHeaders:
         capsys.readouterr()
         assert main(["evaluate", dataset_file, bad]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("surrokit: ") and err.count("\n") == 1
+        assert err.startswith(f"surrokit: {bad}: ") and err.count("\n") == 1
 
 
 def _exits_2_with_one_line(argv, capsys, *outputs):

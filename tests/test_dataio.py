@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -109,6 +110,26 @@ class TestWeightCheckpoints:
         )
         with pytest.raises(InvalidInputError, match="fingerprint"):
             load_weights(tmp_path / "tampered.swt")
+
+    def test_payload_checksum(self, tmp_path):
+        desc = reference_architecture()
+        path = tmp_path / "w.swt"
+        save_weights(path, desc, init_weights(desc, 3))
+        header_line, payload = path.read_bytes().split(b"\n", 1)
+        header = json.loads(header_line)
+        assert header["payload_sha256"] == hashlib.sha256(payload).hexdigest()
+        flipped = bytearray(payload)
+        flipped[len(payload) // 2] ^= 1
+        path.write_bytes(header_line + b"\n" + bytes(flipped))
+        with pytest.raises(InvalidInputError, match="payload_sha256"):
+            load_weights(path)
+        header["payload_sha256"] = 7
+        path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+        with pytest.raises(InvalidInputError, match="must be a string"):
+            load_weights(path)
+        del header["payload_sha256"]  # a file written before the field existed
+        path.write_bytes(json.dumps(header).encode() + b"\n" + bytes(flipped))
+        load_weights(path)
 
     def test_fingerprint_distinguishes_architectures(self):
         assert descriptor_fingerprint(full_architecture()) != descriptor_fingerprint(

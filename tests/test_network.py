@@ -116,6 +116,22 @@ class TestShapes:
         with pytest.raises(ShapeError, match="conv2d"):
             infer_shapes(desc)
 
+    @pytest.mark.parametrize("rate", [1.0, 1.5, -0.5, float("nan"), float("inf"), True, "0.3"])
+    def test_dropout_rate_outside_unit_interval_is_refused(self, rate):
+        # a rate of 1 divided by zero in training; 1.5 and -0.5 trained silently
+        with pytest.raises(InvalidInputError, match="dropout rate"):
+            Dropout("drop", rate=rate)
+        for build in (full_architecture, reference_architecture):
+            with pytest.raises(InvalidInputError, match="drop1"):
+                build(dropout_conv=rate)
+            with pytest.raises(InvalidInputError, match="drop_conv2d"):
+                build(dropout_dense=rate)
+
+    def test_dropout_rate_zero_is_accepted(self):
+        desc = reference_architecture(dropout_conv=0, dropout_dense=0.0)
+        layers = desc.channel_pipe + desc.joined_pipe
+        assert [l.rate for l in layers if isinstance(l, Dropout)] == [0] * 7
+
 
 class TestParameterCounts:
     def test_published_counts(self):

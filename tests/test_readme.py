@@ -34,7 +34,7 @@ def test_readme_block_runs(index):
 REMOVED_NAMES = (
     "Spectrum", "forward_dft", "inverse_dft", "butterworth_lowpass", "resample",
     "epoch_from_array", "Signal", "PartialSurrogateSpec", "epoch_surrogate", "Classifier",
-    "Epoch", "forward",
+    "Epoch", "forward", "RmspropState", "init_rmsprop_state",
 )
 MODULES = [surrokit] + [
     importlib.import_module(f"surrokit.{info.name}")
@@ -58,3 +58,7 @@ def test_removed_members_stay_removed():
         TrainConfig(dropout_conv=0.33)
     with pytest.raises(TypeError):
         TrainConfig(dropout_dense=0.015)
+    with pytest.raises(TypeError):
+        TrainConfig(momentum=0.0)
+    with pytest.raises(TypeError):
+        TrainConfig(rms_decay=0.9)

@@ -13,9 +13,9 @@ from surrokit.synthetic import (
     generate_synthetic,
 )
 from surrokit.training import (
+    RMSPROP_DECAY,
     RMSPROP_EPS,
     TrainConfig,
-    init_rmsprop_state,
     rmsprop_step,
     train_reference_classifier,
 )
@@ -37,80 +37,65 @@ class TestTrainConfig:
     def test_defaults_match_published_settings(self):
         cfg = TrainConfig()
         assert cfg.learning_rate == 0.0016
-        assert cfg.rms_decay == 0.9
-        assert cfg.momentum == 0.0
+        assert RMSPROP_DECAY == 0.9
         assert cfg.batch_size == 128
 
     def test_validation(self):
         with pytest.raises(InvalidInputError):
             TrainConfig(learning_rate=0.0)
         with pytest.raises(InvalidInputError):
-            TrainConfig(rms_decay=1.0)
-        with pytest.raises(InvalidInputError):
             TrainConfig(batch_size=0)
+
+
+def zeros_like(weights):
+    return {k: np.zeros_like(v) for k, v in weights.items()}
 
 
 class TestRmsprop:
     def test_zero_gradient_leaves_weights_unchanged(self):
         weights = {"w": np.array([1.0, -2.0, 3.0])}
-        state = init_rmsprop_state(weights)
-        new_weights, _ = rmsprop_step(weights, {"w": np.zeros(3)}, state, TrainConfig())
+        new_weights, _ = rmsprop_step(weights, {"w": np.zeros(3)}, zeros_like(weights), 0.0016)
         np.testing.assert_array_equal(new_weights["w"], weights["w"])
 
     def test_scalar_hand_oracle(self):
         # w=1, g=1, lr=0.1, decay=0.9: acc=0.1, w' = 1 - 0.1/(sqrt(0.1)+eps)
         weights = {"w": np.array([1.0])}
-        state = init_rmsprop_state(weights)
-        cfg = TrainConfig(learning_rate=0.1, rms_decay=0.9)
-        new_weights, new_state = rmsprop_step(weights, {"w": np.array([1.0])}, state, cfg)
-        assert new_state.accumulator["w"][0] == pytest.approx(0.1, rel=1e-15)
+        new_weights, new_acc = rmsprop_step(
+            weights, {"w": np.array([1.0])}, zeros_like(weights), 0.1
+        )
+        assert new_acc["w"][0] == pytest.approx(0.1, rel=1e-15)
         expected = 1.0 - 0.1 / (np.sqrt(0.1) + RMSPROP_EPS)
         assert new_weights["w"][0] == pytest.approx(expected, rel=1e-15)
         assert new_weights["w"][0] == pytest.approx(0.6837722341, abs=1e-9)
 
-    def test_zero_decay_reduces_to_sign_gradient(self):
-        weights = {"w": np.array([5.0, -5.0])}
-        state = init_rmsprop_state(weights)
-        cfg = TrainConfig(learning_rate=0.01, rms_decay=0.0)
-        grads = {"w": np.array([2.5, -0.3])}
-        for _ in range(2):
-            new_weights, state = rmsprop_step(weights, grads, state, cfg)
-            np.testing.assert_allclose(
-                weights["w"] - new_weights["w"], 0.01 * np.sign(grads["w"]), rtol=1e-6
-            )
-            weights = new_weights
-
-    def test_momentum_accumulates(self):
-        weights = {"w": np.array([0.0])}
-        state = init_rmsprop_state(weights)
-        cfg = TrainConfig(learning_rate=0.1, rms_decay=0.0, momentum=0.5)
-        grads = {"w": np.array([1.0])}
-        w1, state = rmsprop_step(weights, grads, state, cfg)
-        w2, state = rmsprop_step(w1, grads, state, cfg)
-        step1 = weights["w"][0] - w1["w"][0]
-        step2 = w1["w"][0] - w2["w"][0]
-        assert step2 == pytest.approx(1.5 * step1, rel=1e-9)
+    def test_first_step_is_scaled_sign_gradient(self):
+        # from a zero accumulator, acc = 0.1 g^2, so the step is lr sign(g) / sqrt(0.1)
+        weights = {"w": np.array([5.0, -5.0, 0.5])}
+        grads = {"w": np.array([2.5, -0.3, 1e-3])}
+        new_weights, _ = rmsprop_step(weights, grads, zeros_like(weights), 0.01)
+        np.testing.assert_allclose(
+            weights["w"] - new_weights["w"], 0.01 * np.sign(grads["w"]) / np.sqrt(0.1),
+            rtol=1e-6,
+        )
 
     def test_non_finite_gradient_raises(self):
         weights = {"w": np.array([1.0])}
-        state = init_rmsprop_state(weights)
         with pytest.raises(NumericalError):
-            rmsprop_step(weights, {"w": np.array([np.nan])}, state, TrainConfig())
+            rmsprop_step(weights, {"w": np.array([np.nan])}, zeros_like(weights), 0.0016)
 
     def test_overflowing_accumulator_raises_without_a_warning(self):
         # g * g overflows; an infinite accumulator would make every later step 0
         weights = {"w": np.array([1.0]), "v": np.array([1.0, 2.0])}
-        state = init_rmsprop_state(weights)
         grads = {"w": np.array([1.0]), "v": np.array([1.0, 1e200])}
         with pytest.raises(NumericalError, match="accumulator for 'v'"):
-            rmsprop_step(weights, grads, state, TrainConfig())
+            rmsprop_step(weights, grads, zeros_like(weights), 0.0016)
 
     def test_inputs_not_mutated(self):
         weights = {"w": np.array([1.0])}
-        state = init_rmsprop_state(weights)
-        rmsprop_step(weights, {"w": np.array([2.0])}, state, TrainConfig())
+        accumulators = zeros_like(weights)
+        rmsprop_step(weights, {"w": np.array([2.0])}, accumulators, 0.0016)
         assert weights["w"][0] == 1.0
-        assert state.accumulator["w"][0] == 0.0
+        assert accumulators["w"][0] == 0.0
 
 
 class TestTrainNetwork:
