@@ -15,9 +15,17 @@ inference pass for copies of one epoch that differ in one sample range:
 from the epoch's cached channel-pipe activations it recomputes only the
 output ranges those samples reach, by the same padding rules.
 
-The channel-pipe kernels work on rows (channel copies of epochs) in
-chunks of ``IM2COL_CHUNK``, so that a convolution's per-tap products and
-sums can stay in cache; every row gets the bits it would get alone. The pool
+In ``forward_batch`` and ``loss_and_gradients`` a channel pipe runs its
+rows (channel copies of epochs) end to end in chunks of ``_pipe_rows``
+rows, forward and backward: the widest layer output of a chunk fits
+``PIPE_BYTES``, so a convolution's per-tap products stay in cache, and
+a training step holds its backward caches plus one chunk's working set,
+not whole-batch activations. Rows are independent, so every
+row gets the bits it gets alone. Each parameter gradient keeps the bits of one whole-batch pass:
+a convolution's kernel and bias gradients are numpy's outer-axis sums
+over rows, which run in sequence, so the next chunk continues them from
+the running value; the Scale's sum over all of a group's rows is
+pairwise, so it runs once over the products of every chunk. The pool
 finds each window's winning tap only when a backward pass will read it.
 The input-gradient products of the backward pass multiply by a contiguous
 copy of the transposed kernel, which OpenBLAS runs about twice as fast as
@@ -38,10 +46,10 @@ from .signals import DEFAULT_ROLES
 
 DEFAULT_SHARING = {"EEG1": "eeg", "EEG2": "eeg", "EOG": "eog", "EMG": "emg"}
 JOINED_GROUP = "joined"
-# rows per chunk of a 1-D convolution, forward and backward: at 480
-# samples and 8 filters a chunk's output is about 1 MB, so it and the
-# per-tap product stay in a 2 MB L2 cache
-IM2COL_CHUNK = 32
+# bytes of a channel-pipe chunk's widest layer output: 32 rows of 960
+# samples x 8 filters, so it and a convolution's per-tap product stay
+# near a 2 MB L2 cache (32 rows for the reference network, 16 for the full)
+PIPE_BYTES = 32 * 960 * 8 * 8
 
 
 @dataclass(frozen=True)
@@ -207,6 +215,23 @@ def _walk(descriptor):
     )
 
 
+def _pipe_rows(descriptor):
+    """Rows per channel-pipe chunk: as many as keep the widest layer
+    output of the pipe within ``PIPE_BYTES``, and at least one. Only the
+    reference network's 32 rows are timed by a benchmark; the full
+    network's 16 are not (README "Threads and memory")."""
+    steps = _walk_pipe(
+        None, descriptor.channel_pipe, (descriptor.input_len,), _CHANNEL_LAYERS, "channel"
+    )
+    widest = max((math.prod(shape) for _, _, shape, _ in steps), default=descriptor.input_len)
+    return max(1, PIPE_BYTES // (8 * widest))
+
+
+def _chunks(n_rows, rows):
+    """Slices of ``rows`` rows, the last one shorter, covering ``n_rows``."""
+    return [slice(start, start + rows) for start in range(0, n_rows, rows)]
+
+
 def infer_shapes(descriptor: ArchitectureDescriptor) -> ShapeReport:
     """Walk the descriptor and report every layer's output shape."""
     steps = list(_walk(descriptor))
@@ -321,53 +346,52 @@ def _conv1d_forward(x, kernel, bias):
     pad_left = (width - 1) // 2
     xp = _padded(x, pad_left, width - 1 - pad_left, 0.0)
     z = np.empty((batch, length, filters))
-    # single input channel: im2col (L, W) windows, one GEMM per chunk.
-    # Else one matmul per kernel tap into a chunk-sized buffer, added to
-    # the chunk's output: 31-37 ms at 240 rows x 480 samples x 8 channels
-    # x 19 taps x 8 filters with one BLAS thread, against 54-58 ms for one
-    # 2-D GEMM per tap over the flattened padded rows, 89-97 ms for a
-    # W-fold im2col and 160-240 ms for one all-taps GEMM and W strided adds.
-    windows = sliding_window_view(xp[:, :, 0], width, axis=1) if c_in == 1 else None
-    tap = None if c_in == 1 else np.empty((min(batch, IM2COL_CHUNK), length, filters))
-    for start in range(0, batch, IM2COL_CHUNK):
-        stop = min(start + IM2COL_CHUNK, batch)
-        out = z[start:stop]
-        if c_in == 1:
-            cols = np.ascontiguousarray(windows[start:stop]).reshape(-1, width)
-            np.matmul(cols, kernel[:, 0, :], out=out.reshape(-1, filters))
-        else:
-            out.fill(0.0)
-            buf = tap[: stop - start]
-            for w in range(width):
-                np.matmul(xp[start:stop, w : w + length], kernel[w], out=buf)
-                out += buf
+    # single input channel: im2col (L, W) windows, one GEMM. Else one
+    # matmul per kernel tap into a buffer, added to the output: 31-37 ms at
+    # 240 rows x 480 samples x 8 channels x 19 taps x 8 filters in chunks of
+    # 32 rows with one BLAS thread, against 54-58 ms for one 2-D GEMM per
+    # tap over the flattened padded rows, 89-97 ms for a W-fold im2col and
+    # 160-240 ms for one all-taps GEMM and W strided adds.
+    if c_in == 1:
+        cols = sliding_window_view(xp[:, :, 0], width, axis=1).reshape(-1, width)
+        np.matmul(cols, kernel[:, 0, :], out=z.reshape(-1, filters))
+    else:
+        z.fill(0.0)
+        tap = np.empty_like(z)
+        for w in range(width):
+            np.matmul(xp[:, w : w + length], kernel[w], out=tap)
+            z += tap
     z += bias
     return z, (xp, pad_left)
 
 
-def _conv1d_backward(dz, kernel, cache):
+def _conv1d_backward(dz, kernel, cache, kernel_head=None, bias_head=None):
+    """Input, kernel and bias gradients; ``dz`` may be overwritten. The
+    kernel and bias sums over rows continue from the heads, the running
+    gradients of the chunks before (module docstring)."""
     xp, pad_left = cache
     width, c_in, filters = kernel.shape
     batch, length, _ = dz.shape
-    d_bias = dz.sum(axis=(0, 1))
     d_kernel = np.empty_like(kernel)
     products = np.empty((batch, c_in, filters))
     for w in range(width):
-        d_kernel[w] = np.matmul(xp[:, w : w + length].transpose(0, 2, 1), dz, out=products).sum(0)
+        np.matmul(xp[:, w : w + length].transpose(0, 2, 1), dz, out=products)
+        if kernel_head is not None:
+            products[0] += kernel_head[w]  # the sum [head, p0, p1, ...] begins head + p0
+        d_kernel[w] = products.sum(0)
     dxp = np.zeros_like(xp)
-    tap = np.empty((min(batch, IM2COL_CHUNK), length, c_in))
+    tap = np.empty((batch, length, c_in))
     # a contiguous (W, F, C) copy: OpenBLAS takes 0.07-0.10 ms per tap on it
     # against 0.13-0.24 ms on the transposed view kernel[w].T (32 rows x 480
     # samples x 8 -> 8 channels, one BLAS thread); the bits are the view's
     # at the reference widths, and within 4e-16 at the full layer 3 (F = 23)
     kernel_t = np.ascontiguousarray(kernel.transpose(0, 2, 1))
-    for start in range(0, batch, IM2COL_CHUNK):
-        stop = min(start + IM2COL_CHUNK, batch)
-        buf = tap[: stop - start]
-        for w in range(width):
-            np.matmul(dz[start:stop], kernel_t[w], out=buf)
-            dxp[start:stop, w : w + length] += buf
-    return dxp[:, pad_left : pad_left + length], d_kernel, d_bias
+    for w in range(width):
+        np.matmul(dz, kernel_t[w], out=tap)
+        dxp[:, w : w + length] += tap
+    if bias_head is not None:
+        dz[0, 0] += bias_head
+    return dxp[:, pad_left : pad_left + length], d_kernel, dz.sum(axis=(0, 1))
 
 
 def _maxpool_forward(x, width, stride, keep_arg):
@@ -496,9 +520,8 @@ def _run_pipe(layers, group, weights, x, keeps=None, caches=None):
 
 
 def _draw_keeps(layers, shape, rng):
-    """An iterator over the dropout keep-masks of one training pass of a
-    pipe over inputs of ``shape`` (batch first), in layer order; None for
-    a zero rate. All are drawn before it returns."""
+    """The dropout keep-masks of one training pass of a pipe over inputs
+    of ``shape`` (batch first), in layer order; None for a zero rate."""
     keeps = []
     for layer in layers:
         if not isinstance(layer, Dropout):
@@ -509,18 +532,20 @@ def _draw_keeps(layers, shape, rng):
             raise InvalidInputError("training-mode forward needs an rng for dropout")
         else:
             keeps.append(rng.random(shape) >= layer.rate)
-    return iter(keeps)
+    return keeps
 
 
-def _pipe_backward(caches, weights, grads, dy):
-    """Pop the cached layers last to first, accumulating parameter
-    gradients; each layer's state is released once it is used. ``dy``
-    may be overwritten."""
+def _pipe_backward(caches, weights, grads, dy, scale_products=None):
+    """Pop the cached layers last to first, writing parameter gradients
+    to ``grads``; each layer's state is released once it is used. ``dy``
+    may be overwritten. A Conv1D continues the gradients in ``grads``,
+    and a Scale appends its products to ``scale_products[key]`` for the
+    caller to sum (module docstring)."""
     while caches:
         layer, group, cache = caches.pop()
         prefix = f"{group}/{layer.name}/"
         if isinstance(layer, Scale):
-            _acc(grads, prefix + "scale", np.array([np.sum(dy * cache)]))
+            scale_products.setdefault(prefix + "scale", []).append(dy * cache)
             dy = weights[prefix + "scale"][0] * dy
         elif isinstance(layer, MaxPool1D):
             x_shape, pool_cache = cache
@@ -535,22 +560,16 @@ def _pipe_backward(caches, weights, grads, dy):
                 dy *= mask
             kernel = weights[prefix + "kernel"]
             if isinstance(layer, Conv1D):
-                dx, dk, db = _conv1d_backward(dy, kernel, inputs)
+                dx, dk, db = _conv1d_backward(
+                    dy, kernel, inputs, grads.get(prefix + "kernel"), grads.get(prefix + "bias")
+                )
             elif isinstance(layer, Conv2D):
                 dx, dk, db = _conv2d_backward(dy, kernel, inputs)
             else:
                 dx, dk, db = (dy @ kernel.T).reshape(x_shape), inputs.T @ dy, dy.sum(axis=0)
-            _acc(grads, prefix + "kernel", dk)
-            _acc(grads, prefix + "bias", db)
+            grads[prefix + "kernel"], grads[prefix + "bias"] = dk, db
             dy = dx
     return dy
-
-
-def _acc(grads, key, value):
-    if key in grads:
-        grads[key] = grads[key] + value
-    else:
-        grads[key] = value
 
 
 def _group_channels(descriptor):
@@ -577,6 +596,12 @@ def _checked_input(descriptor, x):
     return x
 
 
+def _stacked_rows(x, idxs):
+    """Channels ``idxs`` of a (batch, n_channels, length) input as pipe
+    rows, channel after channel: (len(idxs) * batch, length, 1)."""
+    return x[:, idxs].transpose(1, 0, 2).reshape(len(idxs) * x.shape[0], x.shape[2], 1)
+
+
 def _check_roles(descriptor, roles):
     if tuple(roles) != tuple(descriptor.channel_roles):
         raise InvalidInputError(
@@ -597,19 +622,22 @@ def forward_batch(descriptor, weights, x, training=False, rng=None, return_cache
     ``train_network``), not on every forward.
 
     Channels sharing a parameter group run through the pipe as one
-    stacked batch, so shared gradients accumulate in a single pass. The
+    stacked batch, so shared gradients accumulate in a single pass; its
+    rows run in chunks of ``_pipe_rows``, each through the whole pipe. The
     groups' pipes run in parallel (``_map_partitioned``). Every dropout
     keep-mask is drawn from ``rng`` before they start, group by group and
-    layer by layer, then the joined pipe's, so the draws do not depend on
-    which pipe finishes first.
+    layer by layer over all of a group's rows, then the joined pipe's, so
+    the draws do not depend on the chunks or on which pipe finishes first.
 
     Returns:
         (probabilities, logits) or, with ``return_caches``, a third
-        element holding per-channel and joined layer caches.
+        element holding per-group lists of per-chunk channel-pipe caches
+        and the joined pipe's caches.
     """
     x = _checked_input(descriptor, x)
     batch = x.shape[0]
     group_channels = _group_channels(descriptor)
+    rows = _pipe_rows(descriptor)
     pipe_keeps = [
         _draw_keeps(descriptor.channel_pipe, (len(idxs) * batch, descriptor.input_len, 1), rng)
         if training
@@ -619,10 +647,18 @@ def forward_batch(descriptor, weights, x, training=False, rng=None, return_cache
 
     def run_group(g):
         group, idxs = group_channels[g]
-        stacked = x[:, idxs].transpose(1, 0, 2).reshape(len(idxs) * batch, descriptor.input_len, 1)
-        caches = [] if return_caches else None
-        h = _run_pipe(descriptor.channel_pipe, group, weights, stacked, pipe_keeps[g], caches)
-        return h.reshape(len(idxs), batch, h.shape[1], h.shape[2]), caches
+        stacked = _stacked_rows(x, idxs)
+        outs, chunk_caches = [], []
+        for part in _chunks(len(stacked), rows):
+            keeps = None
+            if pipe_keeps[g] is not None:
+                keeps = iter([None if keep is None else keep[part] for keep in pipe_keeps[g]])
+            caches = [] if return_caches else None
+            h = _run_pipe(descriptor.channel_pipe, group, weights, stacked[part], keeps, caches)
+            outs.append(h)
+            chunk_caches.append(caches)
+        h = np.concatenate(outs)
+        return h.reshape(len(idxs), batch, h.shape[1], h.shape[2]), chunk_caches
 
     results = _map_partitioned(run_group, [len(idxs) for _, idxs in group_channels])
     outputs = [None] * len(descriptor.channel_roles)
@@ -631,7 +667,7 @@ def forward_batch(descriptor, weights, x, training=False, rng=None, return_cache
             outputs[idx] = h[j]
     joined = np.stack(outputs, axis=2)  # (B, L, n_channels, F)
 
-    keeps = _draw_keeps(descriptor.joined_pipe, joined.shape, rng) if training else None
+    keeps = iter(_draw_keeps(descriptor.joined_pipe, joined.shape, rng)) if training else None
     joined_caches = [] if return_caches else None
     logits = _run_pipe(descriptor.joined_pipe, JOINED_GROUP, weights, joined, keeps, joined_caches)
     probs = _softmax(logits)
@@ -650,14 +686,15 @@ def channel_activations(descriptor, weights, x) -> list:
         One list per channel: the pipe input (batch, input_len, 1), then
         each non-dropout layer's (batch, length, filters) output. Channels
         of one parameter group run as one stacked batch, as in
-        ``forward_batch``, so the arithmetic is the same.
+        ``forward_batch``; every row gets the bits it gets alone, so the
+        arithmetic is that of ``forward_batch``'s row chunks.
     """
     x = _checked_input(descriptor, x)
     layers = [layer for layer in descriptor.channel_pipe if not isinstance(layer, Dropout)]
     batch = x.shape[0]
     activations = [None] * x.shape[1]
     for group, idxs in _group_channels(descriptor):
-        outs = [x[:, idxs].transpose(1, 0, 2).reshape(len(idxs) * batch, -1, 1)]
+        outs = [_stacked_rows(x, idxs)]
         for layer in layers:
             outs.append(_run_pipe((layer,), group, weights, outs[-1]))
         for j, idx in enumerate(idxs):
@@ -683,37 +720,53 @@ def _layer_reach(layer, length, lo, hi):
     return olo, ohi, olo * stride - pad, (ohi - 1) * stride - pad + width
 
 
-def spliced_layers(descriptor, weights, activations, channel, rows, lo, hi):
+def spliced_layers(descriptor, weights, activations, channels, rows, lo, hi):
     """Yield ``(segment, olo, ohi)`` per non-dropout channel-pipe layer.
 
-    ``rows`` (R, input_len) equal input ``channel`` of the epoch whose
-    ``channel_activations`` are ``activations`` (a batch of one)
-    everywhere outside samples [lo, hi). Each layer is recomputed only
-    over the output range [olo, ohi) those samples reach; ``segment``
-    (R, ohi - olo, filters) holds it, and outside it the layer's output
-    equals the cached one. A convolution runs the network's kernel on the
-    input range it reads, clipped to the signal, so its own zero padding
-    is the full forward's; a max-pool pads that range with -inf itself.
+    ``channels`` are input channels of one parameter group, and ``rows``
+    stacks R replacements per channel, channel after channel, as
+    (len(channels) * R, input_len). Each block of R rows equals its
+    channel of the epoch whose ``channel_activations`` are ``activations``
+    (a batch of one) everywhere outside samples [lo, hi). Each layer is
+    recomputed only over the output range [olo, ohi) those samples reach;
+    ``segment`` (len(rows), ohi - olo, filters) holds it, each row over
+    its own channel's cached activations, and outside it the layer's
+    output equals the cached one. A convolution runs the network's kernel
+    on the input range it reads, clipped to the signal, so its own zero
+    padding is the full forward's; a max-pool pads that range with -inf
+    itself.
     """
-    group = descriptor.sharing_map()[descriptor.channel_roles[channel]]
-    layers = [layer for layer in descriptor.channel_pipe if not isinstance(layer, Dropout)]
-    acts = activations[channel]
+    sharing = descriptor.sharing_map()
+    groups = {sharing[descriptor.channel_roles[c]] for c in channels}
+    if len(groups) != 1:
+        raise InvalidInputError(
+            f"spliced channels {list(channels)} must share one parameter group, "
+            f"not {sorted(groups)}"
+        )
+    (group,) = groups
     n_rows = len(rows)
+    if n_rows % len(channels):
+        raise InvalidInputError(f"{n_rows} rows do not split over {len(channels)} channels")
+    per_channel = n_rows // len(channels)
+    layers = [layer for layer in descriptor.channel_pipe if not isinstance(layer, Dropout)]
+    acts = [activations[c] for c in channels]
     segment = rows[:, lo:hi, None]
-    for layer, base, cached in zip(layers, acts, acts[1:]):
-        length = base.shape[1]
+    for k, layer in enumerate(layers):
+        _, length, c_in = acts[0][k].shape
         olo, ohi, a, b = _layer_reach(layer, length, lo, hi)
         if ohi == olo:
-            segment = np.empty((n_rows, 0, cached.shape[2]))
+            segment = np.empty((n_rows, 0, acts[0][k + 1].shape[2]))
         else:
             if not isinstance(layer, MaxPool1D):
                 a, b = max(a, 0), min(b, length)
-            # the input over [a, b): the cached samples with the recomputed
-            # range written over them, and -inf where a pool's range
-            # crosses the signal edge
-            x = np.full((n_rows, b - a, base.shape[2]), -np.inf)
+            # the input over [a, b): each channel's cached samples with the
+            # recomputed range written over them, and -inf where a pool's
+            # range crosses the signal edge
+            x = np.full((n_rows, b - a, c_in), -np.inf)
             a_in, b_in = max(a, 0), min(b, length)
-            x[:, a_in - a : b_in - a] = base[:, a_in:b_in]
+            for j, channel_acts in enumerate(acts):
+                block = slice(j * per_channel, (j + 1) * per_channel)
+                x[block, a_in - a : b_in - a] = channel_acts[k][:, a_in:b_in]
             s_lo, s_hi = max(lo, a), min(hi, b)
             x[:, s_lo - a : s_hi - a] = segment[:, s_lo - lo : s_hi - lo]
             if isinstance(layer, MaxPool1D):
@@ -731,20 +784,24 @@ def spliced_forward(descriptor, weights, activations, rows, lo, hi) -> np.ndarra
     ``activations`` are the epoch's ``channel_activations``; ``rows`` maps
     channel indices to (R, input_len) replacements that equal the epoch
     outside samples [lo, hi). Only what those samples reach is recomputed
-    in the channel pipes (``spliced_layers``); the joined pipe runs in
-    full. With no rows this is the epoch's own prediction, shape (1, K).
+    in the channel pipes (``spliced_layers``), in one pass per parameter
+    group over the replaced channels' rows stacked; the joined pipe runs
+    in full. With no rows this is the epoch's own prediction, shape (1, K).
     """
     n_rows = max((len(r) for r in rows.values()), default=1)
-    outputs = []
-    for channel, acts in enumerate(activations):
-        out = acts[-1]
-        if channel in rows:
-            *_, (segment, olo, ohi) = spliced_layers(
-                descriptor, weights, activations, channel, rows[channel], lo, hi
-            )
-            out = np.repeat(out, n_rows, axis=0)
-            out[:, olo:ohi] = segment
-        outputs.append(np.broadcast_to(out, (n_rows,) + out.shape[1:]))
+    outputs = [np.broadcast_to(acts[-1], (n_rows,) + acts[-1].shape[1:]) for acts in activations]
+    for _, idxs in _group_channels(descriptor):
+        channels = [c for c in idxs if c in rows]
+        if not channels:
+            continue
+        stacked = np.concatenate([rows[c] for c in channels])
+        *_, (segment, olo, ohi) = spliced_layers(
+            descriptor, weights, activations, channels, stacked, lo, hi
+        )
+        for j, c in enumerate(channels):
+            out = np.repeat(activations[c][-1], n_rows, axis=0)
+            out[:, olo:ohi] = segment[j * n_rows : (j + 1) * n_rows]
+            outputs[c] = out
     joined = np.stack(outputs, axis=2)
     logits = _run_pipe(descriptor.joined_pipe, JOINED_GROUP, weights, joined)
     return _softmax(logits)
@@ -775,19 +832,23 @@ def loss_and_gradients(descriptor, weights, x, labels, training=True, rng=None):
 
     grads = {}
     d_joined = _pipe_backward(joined_caches, weights, grads, d_logits)
+    rows = _pipe_rows(descriptor)
 
     def backward_group(g):
-        group_grads = {}
+        group_grads, scale_products = {}, {}
         d_stacked = np.concatenate([d_joined[:, :, i, :] for i in group_channels[g][1]], axis=0)
-        _pipe_backward(group_caches[g], weights, group_grads, d_stacked)
+        # the chunks in row order, each continuing the running gradients
+        for part, caches in zip(_chunks(len(d_stacked), rows), group_caches[g]):
+            _pipe_backward(caches, weights, group_grads, d_stacked[part], scale_products)
+        for key, products in scale_products.items():
+            group_grads[key] = np.array([np.sum(np.concatenate(products))])
         return group_grads
 
     # the groups' pipes run in parallel as in the forward pass; their
     # gradients merge here in group order
     sizes = [len(idxs) for _, idxs in group_channels]
     for group_grads in _map_partitioned(backward_group, sizes):
-        for key, value in group_grads.items():
-            _acc(grads, key, value)
+        grads.update(group_grads)
     return loss, grads
 
 

@@ -38,6 +38,20 @@ def set_usable_cores(monkeypatch):
 
 
 @pytest.fixture
+def one_blas_thread():
+    """numpy's OpenBLAS runs one thread until the test ends, where its
+    thread-count symbols are present."""
+    blas = parallel._openblas_threads()
+    if blas is None:
+        yield
+        return
+    before = blas[0]()
+    blas[1](1)
+    yield
+    blas[1](before)
+
+
+@pytest.fixture
 def rng():
     return np.random.default_rng(20240917)
 

@@ -3,6 +3,7 @@ import hashlib
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,6 @@ from surrokit.classifiers import NetworkClassifier
 from surrokit.dataio import descriptor_fingerprint
 from surrokit.errors import InvalidInputError, ShapeError
 from surrokit.network import (
-    IM2COL_CHUNK,
     ArchitectureDescriptor,
     Conv1D,
     Conv2D,
@@ -31,11 +31,13 @@ from surrokit.network import (
     Dropout,
     MaxPool1D,
     Scale,
+    _chunks,
     _conv1d_forward,
     _conv2d_backward,
     _conv2d_forward,
     _maxpool_backward,
     _maxpool_forward,
+    _pipe_rows,
     _softmax,
     channel_activations,
     count_parameters,
@@ -51,6 +53,9 @@ from surrokit.network import (
     weight_shapes,
 )
 from surrokit.training import TrainConfig, train_network
+
+# rows per channel-pipe chunk of the reference network
+PIPE_ROWS = 32
 
 TABLE_CHANNEL_SHAPES = [
     ("scale", (960,)),
@@ -278,26 +283,28 @@ class TestLayerOracles:
 
 class TestKernels:
     def test_single_channel_conv1d_across_chunks(self, rng):
-        batch = IM2COL_CHUNK + 3
+        batch = PIPE_ROWS + 3
         for width in (16, 27):
             x = rng.standard_normal((batch, 40, 1))
             kernel = rng.standard_normal((width, 1, 8))
             bias = rng.standard_normal(8)
             z, (xp, pad_left) = _conv1d_forward(x, kernel, bias)
             assert xp.shape == (batch, 40 + width - 1, 1) and pad_left == (width - 1) // 2
-            for b in (0, IM2COL_CHUNK - 1, IM2COL_CHUNK, batch - 1):
+            for b in (0, PIPE_ROWS - 1, PIPE_ROWS, batch - 1):
                 np.testing.assert_allclose(
                     z[b], conv1d_same_oracle(x[b], kernel, bias), rtol=0, atol=1e-12
                 )
 
     @pytest.mark.parametrize(
-        "rows", [1, IM2COL_CHUNK - 1, IM2COL_CHUNK, IM2COL_CHUNK + 1, 2 * IM2COL_CHUNK + 3]
+        "rows", [1, PIPE_ROWS - 1, PIPE_ROWS, PIPE_ROWS + 1, 2 * PIPE_ROWS + 3]
     )
     def test_conv1d_chunks_keep_every_bit(self, rows, rng):
-        # rows run in chunks of IM2COL_CHUNK; per tap the products and their
-        # order are the per-tap oracle's. The single-channel im2col GEMM
-        # reorders a row's tap sum (1e-12 tests above), but gives each row
-        # the bits it has alone.
+        # per tap the products and their order are the per-tap oracle's. The
+        # single-channel im2col GEMM reorders a row's tap sum (1e-12 tests
+        # above), but gives each row the bits it has alone. Run in chunks of
+        # PIPE_ROWS rows, as the pipe runs them, the forward gives the whole
+        # call's bits, and the backward, continuing the kernel and bias sums
+        # of the chunks before, gives every gradient the whole call's bits.
         for c_in, width, filters in ((1, 16, 8), (8, 19, 8), (16, 27, 19), (19, 23, 23)):
             x = np.maximum(rng.standard_normal((rows, 60, c_in)), 0.0)  # ReLU zeros
             kernel = rng.standard_normal((width, c_in, filters))
@@ -311,9 +318,22 @@ class TestKernels:
                     assert np.array_equal(z[b], _conv1d_forward(x[b : b + 1], kernel, bias)[0][0])
             else:
                 assert np.array_equal(z, z_ref)
+            parts = _chunks(rows, PIPE_ROWS)
+            chunk_caches = []
+            for part in parts:
+                z_part, chunk_cache = _conv1d_forward(x[part], kernel, bias)
+                assert np.array_equal(z_part, z[part])
+                chunk_caches.append(chunk_cache)
             dz = rng.standard_normal(z.shape)
-            got = network._conv1d_backward(dz, kernel, cache)
+            got = network._conv1d_backward(dz.copy(), kernel, cache)
             expected = oracles.conv1d_backward_per_tap(dz, kernel, cache_ref)
+            d_kernel = d_bias = None
+            for part, chunk_cache in zip(parts, chunk_caches, strict=True):
+                dx, d_kernel, d_bias = network._conv1d_backward(
+                    dz[part].copy(), kernel, chunk_cache, d_kernel, d_bias
+                )
+                assert np.array_equal(dx, got[0][part])
+            assert np.array_equal(d_kernel, got[1]) and np.array_equal(d_bias, got[2])
             if filters == 23:
                 # the full architecture's layer 3: OpenBLAS sums the input
                 # gradient's 23-term contraction in another order on the
@@ -326,18 +346,30 @@ class TestKernels:
                 assert a.shape == b.shape and np.array_equal(a, b)
 
     @pytest.mark.parametrize("build", [full_architecture, reference_architecture])
-    def test_channel_pipes_are_batch_invariant(self, build, rng):
-        # each epoch gets the same bits at every channel-pipe layer, alone
-        # or anywhere in a batch whose stacked rows cross chunk boundaries
+    def test_channel_pipes_are_batch_invariant(self, build, rng, one_blas_thread):
+        # each epoch gets the same bits at every channel-pipe layer alone as
+        # in a batch where one of its rows sits just before, on or after a
+        # chunk boundary, so the chunks of forward_batch, which must give
+        # the serial oracle's bits, cannot change a row's. The EEG group
+        # stacks EEG1's rows, then EEG2's: epoch b is rows b and batch + b,
+        # the other groups' row b.
         desc = build()
         weights = init_weights(desc, 13)
-        x = rng.standard_normal((2 * IM2COL_CHUNK + 3, 4, 960)) * 20
+        rows = _pipe_rows(desc)
+        batch = 2 * rows + 3
+        x = rng.standard_normal((batch, 4, 960)) * 20
         acts = channel_activations(desc, weights, x)
-        for b in (0, IM2COL_CHUNK - 1, IM2COL_CHUNK, IM2COL_CHUNK + 1, len(x) - 1):
+        first = [rows - 1, rows, rows + 1]  # EEG1 rows, and every other group's
+        second = [3 * rows - 1 - batch, 3 * rows - batch, 3 * rows + 1 - batch]  # EEG2 rows
+        for b in [0] + second + first + [batch - 1]:
             alone = channel_activations(desc, weights, x[b : b + 1])
             for per_channel, per_channel_alone in zip(acts, alone, strict=True):
                 for layer, layer_alone in zip(per_channel, per_channel_alone, strict=True):
                     assert np.array_equal(layer[b : b + 1], layer_alone)
+        probs, logits = forward_batch(desc, weights, x)
+        probs_ref, logits_ref = oracles.serial_forward_batch(desc, weights, x)
+        assert probs.tobytes() == probs_ref.tobytes()
+        assert logits.tobytes() == logits_ref.tobytes()
 
     @pytest.mark.parametrize("length", [9, 10, 960])
     def test_inference_pool_gives_the_training_bits(self, length, rng):
@@ -687,6 +719,21 @@ class TestThreadedPipes:
         assert probs.tobytes() == probs_ref.tobytes()
         assert logits.tobytes() == logits_ref.tobytes()
 
+    @pytest.mark.parametrize("build", [reference_architecture, full_architecture])
+    def test_chunked_pipes_bit_equal_to_serial_loop_with_dropout(self, build, rng):
+        # every group's rows span at least 3 chunks; the serial loop runs
+        # each layer over all of a group's rows at once
+        desc = build()
+        weights = init_weights(desc, 27)
+        batch = 2 * _pipe_rows(desc) + 1
+        assert len(_chunks(batch, _pipe_rows(desc))) == 3
+        x = rng.standard_normal((batch, 4, 960)) * 20
+        labels = np.arange(batch) % 6
+        expected = oracles.serial_loss_and_gradients(
+            desc, weights, x, labels, rng=np.random.default_rng(8)
+        )
+        assert_same_pass(threaded_pass(desc, weights, x, labels), expected)
+
     def test_more_partitions_than_cores_give_the_same_bits(self, rng, set_usable_cores):
         # four groups on four partitions: three worker threads, and the
         # switch interval shortened so the threads interleave finely
@@ -811,6 +858,29 @@ class TestThreadedPipes:
             loss_and_gradients(desc, weights, x, np.array([0, 1]), training=True, rng=None)
 
 
+class TestMemory:
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_batch_128_step_holds_caches_plus_one_chunk(
+        self, cores, rng, set_usable_cores, one_blas_thread
+    ):
+        # a reference step at the paper's batch peaked at 79-88 MiB with
+        # each layer run over a whole group's rows, and at 60-63 MiB with
+        # the pipe run end to end in row chunks
+        desc = reference_architecture()
+        assert _pipe_rows(desc) == PIPE_ROWS
+        weights = init_weights(desc, 28)
+        x = rng.standard_normal((128, 4, 960)) * 20
+        labels = np.arange(128) % 6
+        set_usable_cores(cores)
+        tracemalloc.start()
+        try:
+            loss_and_gradients(desc, weights, x, labels, rng=np.random.default_rng(0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 75 * 2**20, f"{peak / 2**20:.1f} MiB"
+
+
 @st.composite
 def splices(draw):
     """A network, an epoch, and rows replacing one channel's samples [lo, hi)
@@ -844,7 +914,7 @@ class TestSplicedForward:
         replaced[:, channel] = rows
         cached = channel_activations(desc, weights, x[None])
         full = channel_activations(desc, weights, replaced)[channel]
-        layers = spliced_layers(desc, weights, cached, channel, rows, lo, hi)
+        layers = spliced_layers(desc, weights, cached, [channel], rows, lo, hi)
         for k, (segment, olo, ohi) in enumerate(layers, start=1):
             outside = np.ones(full[k].shape[1], dtype=bool)
             outside[olo:ohi] = False
@@ -856,3 +926,40 @@ class TestSplicedForward:
         probs = spliced_forward(desc, weights, cached, {channel: rows}, lo, hi)
         probs_ref, _ = forward_batch(desc, weights, replaced)
         assert np.max(np.abs(probs - probs_ref)) <= 1e-12 * np.max(probs_ref)
+
+    @pytest.mark.parametrize("build", [reference_architecture, full_architecture])
+    def test_one_pass_per_group_gives_each_channels_bits(self, build, rng, one_blas_thread):
+        # EEG1 and EEG2 share the eeg group: spliced as one stacked block,
+        # each row gets the bits of its channel spliced alone
+        desc = build()
+        weights = init_weights(desc, 29)
+        x = rng.standard_normal((1, 4, 960)) * 20
+        cached = channel_activations(desc, weights, x)
+        lo, hi = 300, 470
+        rows = {}
+        for c in (0, 1, 2):
+            rows[c] = np.repeat(x[0, c][None], 5, axis=0)
+            rows[c][:, lo:hi] = rng.standard_normal((5, hi - lo)) * 20
+        both = np.concatenate([rows[0], rows[1]])
+        stacked = spliced_layers(desc, weights, cached, [0, 1], both, lo, hi)
+        alone = [spliced_layers(desc, weights, cached, [c], rows[c], lo, hi) for c in (0, 1)]
+        for (segment, olo, ohi), (seg0, *range0), (seg1, *range1) in zip(stacked, *alone):
+            assert [olo, ohi] == range0 == range1
+            assert segment.tobytes() == np.concatenate([seg0, seg1]).tobytes()
+        probs = spliced_forward(desc, weights, cached, rows, lo, hi)
+        replaced = np.repeat(x, 5, axis=0)
+        for c, block in rows.items():
+            replaced[:, c] = block
+        probs_ref, _ = forward_batch(desc, weights, replaced)
+        assert np.max(np.abs(probs - probs_ref)) <= 1e-12 * np.max(probs_ref)
+
+    def test_spliced_channels_must_share_a_group_and_split_the_rows(self, rng):
+        desc = reference_architecture()
+        weights = init_weights(desc, 30)
+        x = rng.standard_normal((1, 4, 960)) * 20
+        cached = channel_activations(desc, weights, x)
+        rows = np.repeat(x[0, 0][None], 6, axis=0)
+        with pytest.raises(InvalidInputError, match="one parameter group"):
+            next(spliced_layers(desc, weights, cached, [0, 2], rows, 10, 20))
+        with pytest.raises(InvalidInputError, match="do not split"):
+            next(spliced_layers(desc, weights, cached, [0, 1], rows[:5], 10, 20))

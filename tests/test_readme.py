@@ -34,7 +34,7 @@ def test_readme_block_runs(index):
 REMOVED_NAMES = (
     "Spectrum", "forward_dft", "inverse_dft", "butterworth_lowpass", "resample",
     "epoch_from_array", "Signal", "PartialSurrogateSpec", "epoch_surrogate", "Classifier",
-    "Epoch", "forward", "RmspropState", "init_rmsprop_state",
+    "Epoch", "forward", "RmspropState", "init_rmsprop_state", "IM2COL_CHUNK",
 )
 MODULES = [surrokit] + [
     importlib.import_module(f"surrokit.{info.name}")
