@@ -178,11 +178,14 @@ def augment(dataset: Dataset, repeated_flags, config: BalanceConfig, log=None) -
             rng = spawn_rng(config.seed, NS_AUGMENT, int(i), j)
             if rng.uniform() < config.alpha:
                 picks.append((i, j, rng))
-    x = dataset.x.copy()
+    x = dataset.x  # read-only, so the output may share it when nothing changes
     reports = ()
     if picks:
         rows, channels, rngs = zip(*picks)
-        x[rows, channels], reports = _surrogate_rows(x[rows, channels], rngs, config.surrogate)
+        # surrogated before the copy, so no second whole copy is held meanwhile
+        surrogates, reports = _surrogate_rows(x[rows, channels], rngs, config.surrogate)
+        x = x.copy()
+        x[rows, channels] = surrogates
     if log is not None:
         log(reports)
     return replace(dataset, x=x)

@@ -32,7 +32,13 @@ directory which is then renamed over the destination, so an interrupted
 run never leaves a truncated file under the target name.
 
 Storage is float32 to halve file sizes; every computation after loading
-runs in float64.
+runs in float64. A dataset payload is written and read in blocks of
+``BLOCK_BYTES``: a save converts one block of epochs to float32 at a
+time and writes it straight to the temporary file, and a load checks
+the data byte count against the file size before it allocates
+anything, then reads one reused float32 block at a time into the
+float64 array that the ``Dataset`` keeps. Neither holds a second whole
+copy of the payload.
 """
 
 import hashlib
@@ -52,15 +58,27 @@ DATASET_FORMAT = "surrokit-epochs"
 WEIGHTS_FORMAT = "surrokit-weights"
 
 
-def atomic_write_bytes(path, data: bytes) -> None:
-    """Write ``data`` to ``path`` through a temporary file in the same
-    directory; an OSError names ``path``, never the temporary file."""
+# bytes of a dataset payload converted, written or read at a time; a
+# multiple of 4, the size of one float32 sample
+BLOCK_BYTES = 1 << 20
+
+
+def atomic_write_bytes(path, data: bytes, parts=()) -> None:
+    """Write ``data``, then each buffer of ``parts`` as it is drawn, to
+    ``path`` through a temporary file in the same directory.
+
+    An exception, in a write or raised by ``parts``, removes the temporary
+    file and leaves ``path`` as it was; an OSError names ``path``, never
+    the temporary file.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
         with os.fdopen(fd, "wb") as handle:
             handle.write(data)
+            for part in parts:
+                handle.write(part)
         os.replace(tmp, path)
     except BaseException as exc:
         if tmp is not None and os.path.exists(tmp):
@@ -92,18 +110,25 @@ def save_dataset(path, dataset: Dataset) -> None:
         "label_vocabulary": list(dataset.label_vocabulary),
         "record_ids": list(dataset.record_ids),
     }
-    with np.errstate(over="ignore"):
-        samples = dataset.x.astype("<f4")
-    if not np.all(np.isfinite(samples)):
-        # a cast to inf would write a file that load_dataset rejects
-        raise InvalidInputError(
-            f"dataset holds samples beyond the float32 maximum "
-            f"({np.finfo(np.float32).max:.7g}) that a dataset file cannot store"
-        )
-    payload = samples.tobytes()
-    labels = dataset.labels.astype("<i4").tobytes()
-    blob = json.dumps(header, sort_keys=True).encode("utf-8") + b"\n" + payload + labels
-    atomic_write_bytes(path, blob)
+    header_line = json.dumps(header, sort_keys=True).encode("utf-8") + b"\n"
+    atomic_write_bytes(path, header_line, _dataset_blocks(dataset))
+
+
+def _dataset_blocks(dataset: Dataset):
+    """The float32 payload, one block of epochs at a time, then the labels."""
+    epoch_bytes = dataset.x[0].size * 4
+    step = max(1, BLOCK_BYTES // epoch_bytes)
+    for lo in range(0, len(dataset), step):
+        with np.errstate(over="ignore"):
+            block = dataset.x[lo : lo + step].astype("<f4", order="C")
+        if not np.all(np.isfinite(block)):
+            # a cast to inf would write a file that load_dataset rejects
+            raise InvalidInputError(
+                f"dataset holds samples beyond the float32 maximum "
+                f"({np.finfo(np.float32).max:.7g}) that a dataset file cannot store"
+            )
+        yield block
+    yield dataset.labels.astype("<i4")
 
 
 def _is_count(value) -> bool:
@@ -134,28 +159,38 @@ def _check_dataset_header(path, header) -> None:
             raise InvalidInputError(f"{path}: header field {key!r} must be a list of strings")
 
 
+def _read_exact(handle, buffer, path) -> None:
+    if handle.readinto(buffer) != buffer.nbytes:
+        raise InvalidInputError(f"{path}: file ended before its {buffer.nbytes}-byte block")
+
+
 def load_dataset(path) -> Dataset:
     with open(path, "rb") as handle:
         header_line = handle.readline()
-        rest = handle.read()
-    try:
-        header = json.loads(header_line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise InvalidInputError(f"{path}: malformed dataset header: {exc}") from exc
-    _check_dataset_header(path, header)
-    n_epochs = header["n_epochs"]
-    n_channels = header["n_channels"]
-    n_samples = header["epoch_len_samples"]
-    payload_bytes = n_epochs * n_channels * n_samples * 4
-    label_bytes = n_epochs * 4
-    if len(rest) != payload_bytes + label_bytes:
-        raise InvalidInputError(
-            f"{path}: expected {payload_bytes + label_bytes} data bytes, found {len(rest)}"
-        )
-    samples = np.frombuffer(rest[:payload_bytes], dtype="<f4").reshape(
-        n_epochs, n_channels, n_samples
-    )
-    labels = np.frombuffer(rest[payload_bytes:], dtype="<i4")
+        try:
+            header = json.loads(header_line.decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise InvalidInputError(f"{path}: malformed dataset header: {exc}") from exc
+        _check_dataset_header(path, header)
+        n_epochs = header["n_epochs"]
+        n_channels = header["n_channels"]
+        n_samples = header["epoch_len_samples"]
+        n_values = n_epochs * n_channels * n_samples
+        expected = (n_values + n_epochs) * 4
+        # checked before anything of the header's size is allocated
+        found = os.fstat(handle.fileno()).st_size - handle.tell()
+        if found != expected:
+            raise InvalidInputError(f"{path}: expected {expected} data bytes, found {found}")
+        samples = np.empty((n_epochs, n_channels, n_samples))
+        flat = samples.reshape(-1)
+        step = BLOCK_BYTES // 4
+        block = np.empty(min(step, n_values), dtype="<f4")
+        for lo in range(0, n_values, step):
+            part = block[: n_values - lo]
+            _read_exact(handle, part, path)
+            flat[lo : lo + part.size] = part
+        labels = np.empty(n_epochs, dtype="<i4")
+        _read_exact(handle, labels, path)
     try:
         return Dataset(
             samples, labels, header["record_ids"], header["sample_rate_hz"],
@@ -206,9 +241,12 @@ def save_weights(
         "train_config": train_config,
         "tensors": [{"key": k, "shape": list(weights[k].shape)} for k in keys],
     }
-    payload = b"".join(np.ascontiguousarray(weights[k], dtype="<f8").tobytes() for k in keys)
-    header["payload_sha256"] = hashlib.sha256(payload).hexdigest()
-    atomic_write_bytes(path, json.dumps(header, sort_keys=True).encode("utf-8") + b"\n" + payload)
+    tensors = [np.ascontiguousarray(weights[k], dtype="<f8") for k in keys]
+    digest = hashlib.sha256()
+    for tensor in tensors:
+        digest.update(tensor)
+    header["payload_sha256"] = digest.hexdigest()
+    atomic_write_bytes(path, json.dumps(header, sort_keys=True).encode("utf-8") + b"\n", tensors)
 
 
 def load_weights(path):

@@ -171,15 +171,20 @@ def transient_waveform(spec: TransientSpec, sample_rate_hz: float) -> np.ndarray
     return spec.amplitude * np.exp(-0.5 * (t / sigma) ** 2) * np.cos(2.0 * np.pi * spec.freq_hz * t)
 
 
-def _ar_path(coeffs, noise_scale, n, rng):
+def _ar_paths(coeffs, noise_scale, n_channels, n, rng):
+    """One epoch's (n_channels, n) AR paths from one draw and one filter call.
+
+    The draw fills the rows in order, so it gives the values of one draw
+    of n + burn per channel, and the filter runs along each row alone.
+    """
     burn = 256
-    noise = rng.standard_normal(n + burn) * noise_scale
+    noise = rng.standard_normal((n_channels, n + burn)) * noise_scale
     if not coeffs:
-        return noise[burn:]
+        return noise[:, burn:]
     from scipy import signal as sps  # imported here: it takes over a second
 
     denominator = np.concatenate([[1.0], -np.asarray(coeffs)])
-    return sps.lfilter([1.0], denominator, noise)[burn:]
+    return sps.lfilter([1.0], denominator, noise, axis=-1)[:, burn:]
 
 
 def _inject(samples_block, roles, transient, waveform, centers):
@@ -228,8 +233,7 @@ def generate_synthetic(spec: SyntheticSpec, n_epochs: int, seed: int) -> Dataset
         factor = 1.0
         if cls.scale_jitter > 0.0:
             factor = rng.uniform(1.0 - cls.scale_jitter, 1.0 + cls.scale_jitter)
-        for c in range(len(roles)):
-            x[e, c] = _ar_path(cls.ar_coeffs, factor * cls.noise_scale, n, rng)
+        x[e] = _ar_paths(cls.ar_coeffs, factor * cls.noise_scale, len(roles), n, rng)
         if cls.transient is not None and cls.transient.count > 0:
             waveform = factor * transient_waveform(cls.transient, spec.sample_rate_hz)
             half = (waveform.size - 1) // 2

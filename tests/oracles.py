@@ -11,7 +11,9 @@ per-row splice is the partial-surrogate patch as it was before the
 patches of a block were made in one call, on the per-channel phase
 randomization; the block splice must reproduce it bit for bit. The
 saliency loops run one full forward per replacement, with per-row
-splices. The serial network
+splices. The per-channel synthetic generator is ``generate_synthetic``
+as it was before each epoch's channels were drawn and filtered in one
+call; the generator must reproduce it byte for byte. The serial network
 pass at the very end is the forward and backward as they were before
 the channel-group pipes ran on threads: one group after another, each
 dropout keep-mask drawn as its layer is reached; the threaded pass must
@@ -26,8 +28,9 @@ from surrokit import network
 from surrokit.errors import InvalidInputError
 from surrokit.network import Conv1D, Conv2D, Dense, Dropout, MaxPool1D, Scale
 from surrokit.saliency import _validate, _window_geometry, window_positions
-from surrokit.seeding import NS_SALIENCY, spawn_rng
+from surrokit.seeding import NS_SALIENCY, NS_SYNTH, spawn_rng
 from surrokit.surrogates import IaaftReport, crossfade_weights
+from surrokit.synthetic import _inject, transient_waveform
 
 
 def dft_oracle(x):
@@ -119,6 +122,45 @@ def ar2_path(a1, a2, noise_scale, n, rng, burn=300):
     for t in range(2, n + burn):
         x[t] = a1 * x[t - 1] + a2 * x[t - 2] + noise[t]
     return x[burn:]
+
+
+def _ar_path(coeffs, noise_scale, n, rng):
+    burn = 256
+    noise = rng.standard_normal(n + burn) * noise_scale
+    if not coeffs:
+        return noise[burn:]
+    from scipy import signal as sps
+
+    denominator = np.concatenate([[1.0], -np.asarray(coeffs)])
+    return sps.lfilter([1.0], denominator, noise)[burn:]
+
+
+def synthetic_per_channel(spec, n_epochs, seed):
+    """The samples and labels of ``generate_synthetic``, one draw and one
+    filter call per channel."""
+    n = spec.epoch_len_samples
+    roles = spec.channel_roles
+    rng = spawn_rng(seed, NS_SYNTH)
+    vocab = spec.label_vocabulary()
+    prevalence = np.array([c.prevalence for c in spec.classes], dtype=np.float64)
+    prevalence = prevalence / prevalence.sum()
+
+    class_idx = rng.choice(len(spec.classes), size=n_epochs, p=prevalence)
+    x = np.empty((n_epochs, len(roles), n))
+    for e in range(n_epochs):
+        cls = spec.classes[class_idx[e]]
+        factor = 1.0
+        if cls.scale_jitter > 0.0:
+            factor = rng.uniform(1.0 - cls.scale_jitter, 1.0 + cls.scale_jitter)
+        for c in range(len(roles)):
+            x[e, c] = _ar_path(cls.ar_coeffs, factor * cls.noise_scale, n, rng)
+        if cls.transient is not None and cls.transient.count > 0:
+            waveform = factor * transient_waveform(cls.transient, spec.sample_rate_hz)
+            half = (waveform.size - 1) // 2
+            centers = rng.integers(half, n - half, size=cls.transient.count)
+            _inject(x[e], roles, cls.transient, waveform, centers)
+    labels = np.array([vocab.index(c.name) for c in spec.classes])[class_idx]
+    return x, labels
 
 
 def maxpool_backward_oracle(x, dy, width, stride):

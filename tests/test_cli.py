@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -516,6 +517,26 @@ class TestMalformedInputFiles:
         bad.write_bytes(json.dumps(header).encode() + b"\n" + labels)
         err = _exits_2_with_one_line(["surrogate", bad, out], capsys, out)
         assert ">= 1 channel" in err
+
+    @pytest.mark.parametrize("case", ["huge_n_epochs", "trailing_byte"])
+    def test_data_bytes_not_matching_header_exit_2(self, tmp_path, dataset_file, case, capsys):
+        header_line, data = Path(dataset_file).read_bytes().split(b"\n", 1)
+        header = json.loads(header_line)
+        if case == "huge_n_epochs":
+            header["n_epochs"] = 10**12
+        else:
+            data += b"\0"
+        per_epoch = (header["n_channels"] * header["epoch_len_samples"] + 1) * 4
+        bad, out = tmp_path / "bad.sdat", tmp_path / "out.sdat"
+        bad.write_bytes(json.dumps(header).encode() + b"\n" + data)
+        tracemalloc.start()
+        try:
+            err = _exits_2_with_one_line(["surrogate", bad, out], capsys, out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert f"expected {header['n_epochs'] * per_epoch} data bytes, found {len(data)}" in err
+        assert peak < 2**20  # refused before anything the size of the header's claim
 
     @pytest.mark.parametrize("folds", ["0", "-1"])
     def test_sweep_without_folds_exit_2(self, tmp_path, dataset_file, folds, capsys):

@@ -1,12 +1,16 @@
 import hashlib
 import json
 import os
+import tracemalloc
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from surrokit.balance import Dataset
+from surrokit.balance import BalanceConfig, Dataset, augment, upsample
 from surrokit.dataio import (
+    BLOCK_BYTES,
     atomic_write_bytes,
     confusion_text,
     descriptor_fingerprint,
@@ -19,6 +23,7 @@ from surrokit.dataio import (
 from surrokit.errors import InvalidInputError
 from surrokit.evaluation import ConfusionMatrix
 from surrokit.network import full_architecture, init_weights, reference_architecture
+from surrokit.surrogates import SurrogateConfig
 
 
 def small_dataset(n=6, n_samples=32, seed=0):
@@ -81,6 +86,39 @@ class TestDatasetFile:
         with pytest.raises(InvalidInputError, match="float32"):
             save_dataset(tmp_path / "x.sdat", ds)
         assert list(tmp_path.iterdir()) == []
+        # in the last epoch of several blocks, found after the first blocks are written
+        epochs_per_block = BLOCK_BYTES // (4 * 16 * 4)
+        ds = small_dataset(n=3 * epochs_per_block + 1, n_samples=16)
+        data = ds.x.copy()
+        data[-1, 3, 15] = -1e39
+        with pytest.raises(InvalidInputError, match="float32"):
+            save_dataset(tmp_path / "x.sdat", replace(ds, x=data))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_spans_blocks_bit_identical(self, tmp_path):
+        # an epoch count that ends part-way through a block, on reading and writing
+        values_per_block = BLOCK_BYTES // 4
+        n = 2 * values_per_block // (4 * 24) + 3
+        ds = small_dataset(n=n, n_samples=24)
+        path = tmp_path / "data.sdat"
+        save_dataset(path, ds)
+        _, data = path.read_bytes().split(b"\n", 1)
+        assert data == ds.x.astype("<f4").tobytes() + ds.labels.astype("<i4").tobytes()
+        loaded = load_dataset(path)
+        assert loaded.x.tobytes() == ds.x.astype(np.float32).astype(np.float64).tobytes()
+        np.testing.assert_array_equal(loaded.labels, ds.labels)
+
+    def test_short_read_refused(self, tmp_path, monkeypatch):
+        # a file that ends before the size it reported when it was opened
+        path = tmp_path / "data.sdat"
+        save_dataset(path, small_dataset(n=3))
+        path.write_bytes(path.read_bytes()[:-6])
+        real_fstat = os.fstat
+        monkeypatch.setattr(
+            os, "fstat", lambda fd: SimpleNamespace(st_size=real_fstat(fd).st_size + 6)
+        )
+        with pytest.raises(InvalidInputError, match="file ended before its 12-byte block"):
+            load_dataset(path)
 
 
 class TestWeightCheckpoints:
@@ -176,6 +214,47 @@ class TestAtomicWrites:
         monkeypatch.undo()
         assert calls["hit"]
         assert list(tmp_path.iterdir()) == []
+
+
+def traced_peak(fn, *args):
+    """``fn(*args)`` and the peak bytes it allocated on top of what was held."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    """The data path holds no second whole copy of a dataset (``tracemalloc``)."""
+
+    @pytest.fixture(scope="class")
+    def pool(self):
+        # the benchmark's synthesized pool: 960 epochs of 4 x 960 samples
+        return small_dataset(n=960, n_samples=960)
+
+    def test_save_streams_blocks(self, tmp_path, pool):
+        _, peak = traced_peak(save_dataset, tmp_path / "pool.sdat", pool)
+        assert peak < pool.x.nbytes / 3, peak / 2**20
+
+    def test_load_reads_into_the_kept_array(self, tmp_path, pool):
+        save_dataset(tmp_path / "pool.sdat", pool)
+        loaded, peak = traced_peak(load_dataset, tmp_path / "pool.sdat")
+        assert loaded.x.dtype == np.float64 and loaded.x.shape == pool.x.shape
+        assert peak < pool.x.nbytes + 8 * 2**20, peak / 2**20
+
+    def test_augment_surrogates_before_it_copies(self):
+        # 400 epochs up-sampled to 1200: two thirds repeated, every channel replaced
+        labels = np.repeat(np.arange(6), [200, 40, 40, 40, 40, 40])
+        x = np.random.default_rng(4).standard_normal((400, 4, 960))
+        ds = Dataset(x, labels, tuple(f"rec{i % 4}" for i in range(400)), 32.0)
+        config = BalanceConfig(beta=1.0, alpha=1.0, seed=2, surrogate=SurrogateConfig("ft"))
+        upsampled, flags = upsample(ds, config)
+        assert len(upsampled) == 1200 and flags.sum() == 800
+        out, peak = traced_peak(augment, upsampled, flags, config)
+        assert out.x[~flags].tobytes() == upsampled.x[~flags].tobytes()
+        assert peak < 70 * 2**20, peak / 2**20
 
 
 class TestTables:

@@ -34,7 +34,40 @@ def two_class_spec(prev_a=0.9, prev_b=0.1):
     )
 
 
+def _oracle_specs():
+    burst = TransientSpec(amplitude=50.0, width_s=0.5, freq_hz=6.0, count=3, channels=("EEG1",))
+    mixed = (
+        ClassSpec("A", 0.5, (), noise_scale=3.0),
+        ClassSpec("B", 0.3, ar_resonance_coeffs(4.0, 0.9, 32.0), noise_scale=2.0,
+                  scale_jitter=0.3),
+        ClassSpec("C", 0.2, (0.5,), noise_scale=1.5, transient=burst),
+    )
+    roles = ("EEG1", "EEG2", "EOG", "EMG")
+    specs = {
+        "bundled": bundled_spec(),
+        "no_ar": SyntheticSpec(classes=(ClassSpec("A", 1.0, (), noise_scale=4.0),),
+                               epoch_len_s=4.0, n_records=2),
+        "jitter": SyntheticSpec(classes=(replace(two_class_spec().classes[0], scale_jitter=0.5),),
+                                epoch_len_s=4.0, n_records=2),
+        "transients": SyntheticSpec(classes=mixed[2:], epoch_len_s=6.0, n_records=2),
+    }
+    for k in range(1, 5):
+        specs[f"{k}_channels"] = SyntheticSpec(
+            classes=mixed, epoch_len_s=6.0, channel_roles=roles[:k], n_records=2
+        )
+    return specs
+
+
 class TestGenerate:
+    @pytest.mark.parametrize("spec", _oracle_specs().values(), ids=_oracle_specs().keys())
+    def test_one_draw_per_epoch_matches_per_channel_oracle(self, spec):
+        from oracles import synthetic_per_channel
+
+        ds = generate_synthetic(spec, 30, seed=7)
+        x, labels = synthetic_per_channel(spec, 30, seed=7)
+        assert ds.x.tobytes() == x.tobytes()
+        assert ds.labels.tolist() == labels.tolist()
+
     def test_prevalence_within_binomial_interval(self):
         ds = generate_synthetic(two_class_spec(), 1000, seed=1)
         counts = ds.class_counts()
