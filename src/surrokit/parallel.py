@@ -2,15 +2,20 @@
 
 Two maps share the cores. ``_map_partitioned`` runs items on threads:
 numpy releases the interpreter lock inside BLAS, FFT, sort and ufunc
-loops, so threads overlap there. The network runs its channel-group
-pipes this way and the surrogates their chunks of rows. While a call's
-workers run, numpy's OpenBLAS runs one thread, so that BLAS threads do
-not compete with them for the same cores. ``_map_processes`` runs items
-in forked worker processes, each pinned to one core with one BLAS
-thread, so that items with serial Python between their numpy calls (the
-cells of the alpha sweep) keep every core busy; inside a worker the
-thread map sees one core and runs inline. No thread or process starts at
-import, and a call with one partition or one worker runs inline.
+loops, so threads overlap where an item spends its time in a few long
+numpy calls. The network runs its channel-group pipes this way and the
+FT surrogates their chunks of rows, which take about 2.5 ms each, less
+than a fork. While a call's workers run, numpy's OpenBLAS runs one
+thread, so that BLAS threads do not compete with them for the same
+cores. ``_map_processes`` runs items in forked worker processes, each
+pinned to one core with one BLAS thread, so that items with serial
+Python between many short numpy calls keep every core busy: the cells
+of the alpha sweep, the IAAFT chunks of a surrogate block and the
+positions of a saliency map. On threads such items hold each other up
+on the interpreter lock (README, "Threads and memory"). Inside a worker
+the thread map sees one core and runs inline. No thread or process
+starts at import, and a call with one partition or one worker runs
+inline.
 """
 
 import contextvars
@@ -154,7 +159,7 @@ def _map_processes(fn, n_items):
         or threading.active_count() > 1
     ):
         return [fn(i) for i in range(n_items)]
-    # imported here: they add about 15 ms to the start of every command
+    # imported here: they add about 10 ms to the start of every command
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 

@@ -25,8 +25,12 @@ channel-pipe activations are computed once, and only the output ranges
 the changed samples reach are recomputed, so maps agree with one full
 forward per replacement to rounding. Any other classifier gets one
 ``predict_batch`` call per block, on a dataset of the block's replaced
-epochs. README gives the time of the default CLI map (51 positions x 500
-replacements).
+epochs. The positions run in forked worker processes
+(``parallel._map_processes``), one item each: the baseline and the
+epoch's activations are computed before the fork, so any classifier
+reaches the workers through it, and only each position's mean and std
+come back. README gives the time of the default CLI map (51 positions x
+500 replacements).
 """
 
 import math
@@ -37,6 +41,7 @@ import numpy as np
 from .balance import Dataset, _check_one_epoch
 from .classifiers import NetworkClassifier
 from .errors import InvalidInputError
+from .parallel import _map_processes
 from .seeding import NS_SALIENCY, spawn_rng
 from .surrogates import _splice_surrogate, crossfade_weights, window_samples
 
@@ -150,10 +155,9 @@ def _saliency(classifier, epoch: Dataset, spec: SaliencySpec, n_replacements, ma
         epoch.n_samples, epoch.sample_rate_hz, spec.window_len_s, spec.step_s
     )
     targets = [c for c, role in enumerate(epoch.channel_roles) if role in spec.target_channels]
-    means = np.empty((positions.size, baseline.size))
-    stds = np.empty((positions.size, baseline.size))
-    for p_idx, pos in enumerate(positions):
-        geometry = _window_geometry(epoch, pos, spec)
+
+    def position_stats(p_idx):
+        geometry = _window_geometry(epoch, positions[p_idx], spec)
         start, window_len, cf_left, cf_right = geometry
         lo, hi = start - cf_left, start + window_len + cf_right
         probs = np.empty((n_replacements, baseline.size))
@@ -161,9 +165,11 @@ def _saliency(classifier, epoch: Dataset, spec: SaliencySpec, n_replacements, ma
             block = range(first, min(first + SALIENCY_CHUNK, n_replacements))
             rows = {c: make_rows(p_idx, block, c, geometry) for c in targets}
             probs[block.start : block.stop] = predict_rows(rows, lo, hi)
-        means[p_idx] = probs.mean(axis=0)
-        stds[p_idx] = probs.std(axis=0, ddof=1) if n_replacements > 1 else 0.0
-    return positions, baseline, means, stds
+        std = probs.std(axis=0, ddof=1) if n_replacements > 1 else np.zeros(baseline.size)
+        return probs.mean(axis=0), std
+
+    means, stds = zip(*_map_processes(position_stats, positions.size))
+    return positions, baseline, np.array(means), np.array(stds)
 
 
 def surrogate_saliency(classifier, epoch: Dataset, spec: SaliencySpec) -> SaliencyMap:

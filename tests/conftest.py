@@ -1,5 +1,6 @@
 import multiprocessing
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,33 @@ def no_child_process_left():
     yield
     left = multiprocessing.active_children()
     assert not left, f"child processes still alive after the test: {left}"
+
+
+@pytest.fixture(autouse=True)
+def no_thread_left():
+    """Fail a test that ends with a Python thread alive that it did not
+    start with: while one runs, every later fork map runs inline."""
+    before = set(threading.enumerate())
+    yield
+    left = [thread for thread in threading.enumerate() if thread not in before]
+    assert not left, f"threads still alive after the test: {left}"
+
+
+@pytest.fixture
+def forked_workers(monkeypatch):
+    """The number of ``_map_processes`` workers started until the test
+    ends, as ``forked_workers.value``; each worker counts itself in memory
+    shared through the fork."""
+    count = multiprocessing.Value("q", 0)
+    start_worker = parallel._start_worker
+
+    def counting_start(*args):
+        with count.get_lock():
+            count.value += 1
+        start_worker(*args)
+
+    monkeypatch.setattr(parallel, "_start_worker", counting_start)
+    return count
 
 
 @pytest.fixture

@@ -87,12 +87,14 @@ class TestSynth:
 
 class TestImport:
     def test_import_loads_no_scipy_and_starts_no_thread(self):
-        # a fresh interpreter, so modules other tests imported do not count
+        # a fresh interpreter, so modules other tests imported do not count;
+        # multiprocessing is imported by the first fork map, not at start-up
         package_root = str(Path(surrokit.__file__).resolve().parent.parent)
         pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
         code = (
             "import sys, threading, surrokit.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('scipy', 'multiprocessing')), "
             "threading.active_count())"
         )
         result = subprocess.run(

@@ -4,7 +4,7 @@ import pytest
 import oracles
 from surrokit import saliency
 from surrokit.balance import Dataset
-from surrokit.classifiers import NetworkClassifier
+from surrokit.classifiers import BandPowerClassifier, NetworkClassifier
 from surrokit.errors import InvalidInputError
 from surrokit.network import full_architecture, init_weights, reference_architecture
 from surrokit.saliency import (
@@ -101,7 +101,10 @@ class TestSurrogateSaliency:
         np.testing.assert_allclose(smap.mean_probabilities.sum(axis=1), 1.0, atol=1e-6)
         np.testing.assert_allclose(smap.baseline_probabilities.sum(), 1.0, atol=1e-6)
 
-    def test_non_target_channels_untouched(self, rng):
+    def test_non_target_channels_untouched(self, rng, set_usable_cores):
+        # one process, so the recorder sees the calls that forked positions
+        # would make in workers
+        set_usable_cores(1)
         epoch = flat_epoch(rng)
         recorder = RecordingClassifier()
         spec = SaliencySpec(
@@ -110,6 +113,7 @@ class TestSurrogateSaliency:
         )
         surrogate_saliency(recorder, epoch, spec)
         originals = epoch.x[0]
+        assert len(recorder.seen) > 1
         for _, arr in recorder.seen[1:]:  # first call is the baseline
             np.testing.assert_array_equal(arr[1], originals[1])
             np.testing.assert_array_equal(arr[2], originals[2])
@@ -231,7 +235,12 @@ class TestIncrementalInference:
 
 class TestBlackBoxPath:
     @pytest.mark.parametrize("method", ["surrogate", "zero"])
-    def test_predict_sees_every_replacement_in_order(self, method, rng, monkeypatch):
+    def test_predict_sees_every_replacement_in_order(
+        self, method, rng, monkeypatch, set_usable_cores
+    ):
+        # one process, so the recorder sees every call; TestForkedPositions
+        # checks that forked positions give the same map
+        set_usable_cores(1)
         monkeypatch.setattr(saliency, "SALIENCY_CHUNK", 2)
         epoch = flat_epoch(rng)
         spec = SaliencySpec(
@@ -249,6 +258,46 @@ class TestBlackBoxPath:
         for (roles, seen), (expected_roles, expected) in zip(recorder.seen, reference.seen):
             assert roles == expected_roles
             np.testing.assert_array_equal(seen, expected)
+
+
+def band_power_setup(rng):
+    bands = ((0.5, 4.0), (4.0, 8.0), (8.0, 15.0))
+    x = rng.standard_normal((4, 4, 960)) * 20
+    x[1::2] = np.cumsum(x[1::2], axis=-1) / 10  # the second class: more low-band power
+    training = Dataset(x, [0, 1, 0, 1], ("r0", "r1", "r2", "r3"), 32.0, ("a", "b"))
+    return BandPowerClassifier.fit(training, bands, temperature=10.0), one_epoch(x[0] + x[1])
+
+
+class TestForkedPositions:
+    """The positions of a map run in forked workers; the same map in one
+    process (one usable core) is the byte-level reference. Workers run
+    OpenBLAS at one thread, and so does the reference here."""
+
+    @pytest.mark.parametrize("method", [surrogate_saliency, zero_out_saliency])
+    @pytest.mark.parametrize("setup", [
+        pytest.param(lambda rng: network_setup(reference_architecture, rng), id="network"),
+        pytest.param(band_power_setup, id="band-power"),
+    ])
+    def test_forked_map_equals_one_process(
+        self, method, setup, rng, set_usable_cores, forked_workers, one_blas_thread
+    ):
+        classifier, epoch = setup(rng)
+        spec = SaliencySpec(window_len_s=5.0, step_s=5.0, n_replacements=3, seed=6)
+        set_usable_cores(1)
+        inline = method(classifier, epoch, spec)
+        assert forked_workers.value == 0
+        set_usable_cores(2)
+        forked = method(classifier, epoch, spec)
+        assert forked_workers.value == 2
+        assert forked.positions_s.size == 6
+        assert np.ptp(inline.mean_probabilities, axis=0).max() > 1e-6  # the map is not flat
+        for name in ("baseline_probabilities", "mean_probabilities", "std_probabilities"):
+            new, reference = getattr(forked, name), getattr(inline, name)
+            if method is zero_out_saliency and name == "std_probabilities":
+                assert new is reference is None
+            else:
+                assert new.shape == reference.shape
+                assert new.tobytes() == reference.tobytes()
 
 
 class TestHostileSpec:

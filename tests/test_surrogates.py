@@ -1,3 +1,5 @@
+import multiprocessing
+import os
 import sys
 import threading
 import time
@@ -168,18 +170,20 @@ def assert_block_matches_oracle(block, seed, max_iters, tolerance):
 
 def argsort_calls(monkeypatch, run):
     """``run()`` and the number of ``np.argsort`` calls it made, on any
-    thread: the rows that ``_rank_rows`` could not rank from packed keys."""
-    calls = []
+    thread or forked worker: the rows that ``_rank_rows`` could not rank
+    from packed keys. The count lives in memory shared through the fork."""
+    calls = multiprocessing.Value("q", 0)
     real = np.argsort
 
     def counting(*args, **kwargs):
-        calls.append(1)
+        with calls.get_lock():
+            calls.value += 1
         return real(*args, **kwargs)
 
     with monkeypatch.context() as patch:
         patch.setattr(np, "argsort", counting)
         result = run()
-    return result, len(calls)
+    return result, calls.value
 
 
 class TestRankRows:
@@ -393,8 +397,9 @@ class TestIaaftBlock:
 
 
 class TestThreadedChunks:
-    """The chunks of a block run on threads; one row at a time through the
-    per-channel reference (``oracles``) is the byte-level reference."""
+    """FT chunks of a block run on threads and IAAFT chunks in forked
+    workers; one row at a time through the per-channel reference
+    (``oracles``) is the byte-level reference."""
 
     N_ROWS = 3 * SURROGATE_CHUNK + 5  # four chunks, the last one short
 
@@ -433,34 +438,75 @@ class TestThreadedChunks:
         assert max(counts) - before + 1 <= parallel._usable_cores()
         return results, idents
 
-    # four chunks on four partitions; on three, the caller runs chunks 0
-    # and 3, so the results arrive out of chunk order
+    # four chunks on four threads or workers; on three threads, the caller
+    # runs chunks 0 and 3, so the results arrive out of chunk order
     CORES = pytest.mark.parametrize("cores", [4, 3])
 
-    @CORES
-    def test_iaaft_equals_one_row_at_a_time(self, block, cores, set_usable_cores, monkeypatch):
-        config = SurrogateConfig(kind="iaaft", iaaft_max_iters=10, iaaft_tolerance=1e-3)
+    def run_forked(self, block, config, monkeypatch):
+        """``_surrogate_rows`` once: its result, the item count of each
+        ``_map_processes`` call and the processes that ran its items."""
+        calls, pids = [], set()
+
+        def recording(fn, n_items):
+            calls.append(n_items)
+            ran = parallel._map_processes(lambda i: (os.getpid(), fn(i)), n_items)
+            pids.update(pid for pid, _ in ran)
+            return [result for _, result in ran]
+
+        monkeypatch.setattr(surrogates, "_map_processes", recording)
+        rngs = [spawn_rng(11, r) for r in range(len(block))]
+        return _surrogate_rows(block, rngs, config), calls, pids
+
+    @pytest.fixture
+    def iaaft_expected(self, block):
         expected = [
             iaaft_per_channel(row.copy(), spawn_rng(11, r), 10, 1e-3)
             for r, row in enumerate(block)
         ]
         assert {report.reason for _, report in expected} == set(IAAFT_STOP_REASONS)
-        set_usable_cores(cores)
-        results, idents = self.run_threaded(block, config, 1.0, monkeypatch)
-        assert len(idents) > 1  # chunks ran on worker threads
-        rows = np.array([row for row, _ in expected])
-        for out, reports in results:
-            assert out.tobytes() == rows.tobytes()
-            assert reports == tuple(report for _, report in expected)
+        return np.array([row for row, _ in expected]), tuple(report for _, report in expected)
+
+    IAAFT = SurrogateConfig(kind="iaaft", iaaft_max_iters=10, iaaft_tolerance=1e-3)
 
     @CORES
-    def test_ft_equals_one_row_at_a_time(self, block, cores, set_usable_cores, monkeypatch):
+    def test_iaaft_forked_chunks_equal_one_row_at_a_time(
+        self, block, iaaft_expected, cores, set_usable_cores, forked_workers, monkeypatch
+    ):
+        set_usable_cores(cores)
+        (out, reports), calls, pids = self.run_forked(block, self.IAAFT, monkeypatch)
+        assert calls == [4]  # one item per chunk
+        assert forked_workers.value == cores and pids and os.getpid() not in pids
+        assert out.tobytes() == iaaft_expected[0].tobytes()
+        assert reports == iaaft_expected[1]
+
+    def test_iaaft_under_a_threaded_caller_runs_inline(
+        self, block, iaaft_expected, set_usable_cores, forked_workers, monkeypatch
+    ):
+        # a fork while another thread runs could leave a lock held in the child
+        set_usable_cores(4)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            (out, reports), calls, pids = self.run_forked(block, self.IAAFT, monkeypatch)
+        finally:
+            release.set()
+            other.join(timeout=10)
+        assert not other.is_alive()
+        assert calls == [4] and pids == {os.getpid()} and forked_workers.value == 0
+        assert out.tobytes() == iaaft_expected[0].tobytes()
+        assert reports == iaaft_expected[1]
+
+    @CORES
+    def test_ft_equals_one_row_at_a_time(
+        self, block, cores, set_usable_cores, forked_workers, monkeypatch
+    ):
         expected = np.array(
             [phase_randomize_per_channel(row, spawn_rng(11, r)) for r, row in enumerate(block)]
         )
         set_usable_cores(cores)
         results, idents = self.run_threaded(block, SurrogateConfig(kind="ft"), 0.5, monkeypatch)
-        assert len(idents) > 1  # chunks ran on worker threads
+        assert len(idents) > 1 and forked_workers.value == 0  # chunks ran on worker threads
         for out, reports in results:
             assert out.tobytes() == expected.tobytes()
             assert reports == (None,) * self.N_ROWS
