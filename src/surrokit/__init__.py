@@ -4,6 +4,7 @@ from .balance import (
     BalanceConfig,
     Dataset,
     augment,
+    balance,
     record_holdout_split,
     repetition_counts,
     upsample,

@@ -5,6 +5,9 @@ random repetitions drawn with replacement from that class, where
 max_count is the most frequent class's count. Rounding is half-to-even.
 Augmentation then replaces each channel of a repeated epoch by its
 surrogate with probability alpha; original epochs are never touched.
+``balance`` does both in one output array: one gather of the up-sampled
+epochs, into which each chunk of surrogates is written as it is made,
+the same bytes as ``augment(*upsample(...))`` without its two copies.
 ``Dataset`` is the one data type: one epoch is a one-epoch dataset.
 """
 
@@ -129,13 +132,10 @@ def repetition_counts(class_counts, beta: float) -> dict:
     return {label: round(beta * (top - count)) for label, count in class_counts.items()}
 
 
-def upsample(dataset: Dataset, config: BalanceConfig):
-    """Add beta-controlled random repetitions and shuffle deterministically.
-
-    Returns:
-        (upsampled_dataset, repeated_flags) where ``repeated_flags`` is a
-        boolean array aligned with the output marking the added epochs.
-    """
+def _upsample_index(dataset: Dataset, config: BalanceConfig):
+    """The epochs of the up-sampled set as indices into ``dataset``: every
+    epoch, then each class's repetitions, in one deterministic shuffle.
+    Returns the indices and the flags that mark the repetitions."""
     if len(dataset) == 0:
         raise InvalidInputError("dataset is empty")
     needed = repetition_counts(dataset.class_counts(), config.beta)
@@ -154,7 +154,43 @@ def upsample(dataset: Dataset, config: BalanceConfig):
         index.append(source[rng.integers(0, source.size, size=count)])
     index = np.concatenate(index)
     order = rng.permutation(index.size)
-    return dataset.take(index[order]), order >= len(dataset)
+    return index[order], order >= len(dataset)
+
+
+def _augment_in_place(x, flags, config: BalanceConfig, log) -> None:
+    """Replace each channel of the flagged epochs of the writable
+    (n_epochs, n_channels, n_samples) array ``x`` by its surrogate with
+    probability alpha. Channel j of epoch i is picked when the first draw
+    of the stream keyed (seed, augment, i, j) falls below alpha, and its
+    surrogate continues that stream; at alpha 0 no draw can, so no
+    generator is made. The picks run in chunks of rows, each gathered
+    from ``x`` and written back (``_surrogate_rows``), which gives the
+    same samples as one channel at a time. ``log`` receives the reports
+    of the replaced channels (None for FT surrogates)."""
+    epochs, channels, rngs = [], [], []
+    if config.alpha > 0:
+        for i in np.flatnonzero(flags):
+            for j in range(x.shape[1]):
+                rng = spawn_rng(config.seed, NS_AUGMENT, int(i), j)
+                if rng.uniform() < config.alpha:
+                    epochs.append(i)
+                    channels.append(j)
+                    rngs.append(rng)
+    cells = (np.array(epochs, dtype=np.int64), np.array(channels, dtype=np.int64))
+    reports = _surrogate_rows(x, cells, rngs, config.surrogate)
+    if log is not None:
+        log(reports)
+
+
+def upsample(dataset: Dataset, config: BalanceConfig):
+    """Add beta-controlled random repetitions and shuffle deterministically.
+
+    Returns:
+        (upsampled_dataset, repeated_flags) where ``repeated_flags`` is a
+        boolean array aligned with the output marking the added epochs.
+    """
+    index, flags = _upsample_index(dataset, config)
+    return dataset.take(index), flags
 
 
 def augment(dataset: Dataset, repeated_flags, config: BalanceConfig, log=None) -> Dataset:
@@ -162,33 +198,36 @@ def augment(dataset: Dataset, repeated_flags, config: BalanceConfig, log=None) -
 
     Epochs not marked in ``repeated_flags`` are passed through untouched.
     Deterministic given the config seed: epoch i, channel j draws from
-    the stream keyed (seed, augment, i, j). The chosen channels are
-    surrogated as one block of rows, which gives the same samples as one
-    channel at a time. ``log`` is an optional callable that receives the
-    reports of the replaced channels (None for FT surrogates).
+    the stream keyed (seed, augment, i, j). The surrogates are written
+    into one copy of the dataset's array. ``log`` is an optional callable
+    that receives the reports of the replaced channels (None for FT
+    surrogates).
     """
     flags = np.asarray(repeated_flags, dtype=bool)
     if flags.shape != (len(dataset),):
         raise InvalidInputError(
             f"repeated_flags has shape {flags.shape}, expected ({len(dataset)},)"
         )
-    picks = []
-    for i in np.flatnonzero(flags):
-        for j in range(len(dataset.channel_roles)):
-            rng = spawn_rng(config.seed, NS_AUGMENT, int(i), j)
-            if rng.uniform() < config.alpha:
-                picks.append((i, j, rng))
-    x = dataset.x  # read-only, so the output may share it when nothing changes
-    reports = ()
-    if picks:
-        rows, channels, rngs = zip(*picks)
-        # surrogated before the copy, so no second whole copy is held meanwhile
-        surrogates, reports = _surrogate_rows(x[rows, channels], rngs, config.surrogate)
-        x = x.copy()
-        x[rows, channels] = surrogates
-    if log is not None:
-        log(reports)
+    x = dataset.x.copy()
+    _augment_in_place(x, flags, config, log)
     return replace(dataset, x=x)
+
+
+def balance(dataset: Dataset, config: BalanceConfig, log=None):
+    """``upsample`` then ``augment`` in one array: the same epochs, draws
+    and bytes, holding only the input, the output and the chunks of
+    surrogates being made. The up-sampled epochs are gathered once into
+    the array that the returned dataset keeps, and the surrogates are
+    written into it. ``log`` is as for ``augment``.
+
+    Returns:
+        (balanced_dataset, repeated_flags), as ``upsample`` returns.
+    """
+    index, flags = _upsample_index(dataset, config)
+    x = dataset.x[index]
+    _augment_in_place(x, flags, config, log)
+    record_ids = tuple(dataset.record_ids[i] for i in index)
+    return replace(dataset, x=x, labels=dataset.labels[index], record_ids=record_ids), flags
 
 
 def record_holdout_split(dataset: Dataset, fold: int, n_folds: int, group_labels):

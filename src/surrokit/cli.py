@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import asdict, replace
 
 from . import dataio
-from .balance import BalanceConfig, Dataset, augment, record_holdout_split, upsample
+from .balance import BalanceConfig, Dataset, balance, record_holdout_split
 from .classifiers import NetworkClassifier
 from .errors import InvalidInputError, NumericalError
 from .evaluation import CONDITIONAL_KINDS, alpha_sweep, conditional_confusion, evaluate
@@ -142,9 +142,8 @@ def _cmd_balance(args):
         beta=args.beta, alpha=args.alpha, seed=args.seed, surrogate=SurrogateConfig(kind=args.kind)
     )
     before = dataset.class_counts()
-    upsampled, flags = upsample(dataset, config)
     reports = []
-    augmented = augment(upsampled, flags, config, log=reports.extend)
+    augmented, _ = balance(dataset, config, log=reports.extend)
     dataio.save_dataset(args.out, augmented)  # before any output, as in _cmd_surrogate
     if args.kind == KIND_IAAFT:
         # diagnostics go to stderr so that stdout and the file stay reproducible

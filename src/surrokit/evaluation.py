@@ -19,7 +19,7 @@ from functools import partial
 
 import numpy as np
 
-from .balance import BalanceConfig, Dataset, augment, record_holdout_split, upsample
+from .balance import BalanceConfig, Dataset, balance, record_holdout_split
 from .classifiers import NetworkClassifier
 from .errors import InvalidInputError
 from .parallel import _map_processes
@@ -162,8 +162,7 @@ def _sweep_cell(dataset, group_labels, alphas, beta, folds, train_config, seed, 
     balance_cfg = BalanceConfig(
         beta=beta, alpha=alpha, seed=derive_seed(seed, NS_SWEEP, ai, fold, 0)
     )
-    upsampled, flags = upsample(train_ds, balance_cfg)
-    augmented = augment(upsampled, flags, balance_cfg)
+    augmented, _ = balance(train_ds, balance_cfg)
     cfg = replace(train_config, seed=derive_seed(seed, NS_SWEEP, ai, fold, 1))
     result = train_reference_classifier(augmented, cfg)
     clf = NetworkClassifier(result.descriptor, result.weights, dataset.label_vocabulary)
@@ -195,4 +194,4 @@ def alpha_sweep(
     cell = partial(
         _sweep_cell, dataset, group_labels, list(alphas), beta, folds, train_config, seed
     )
-    return _map_processes(cell, len(alphas) * folds)
+    return list(_map_processes(cell, len(alphas) * folds))

@@ -12,7 +12,9 @@ pinned to one core with one BLAS thread, so that items with serial
 Python between many short numpy calls keep every core busy: the cells
 of the alpha sweep, the IAAFT chunks of a surrogate block and the
 positions of a saliency map. On threads such items hold each other up
-on the interpreter lock (README, "Threads and memory"). Inside a worker
+on the interpreter lock (README, "Threads and memory"). It is a
+generator that hands each result on as it arrives, in item order, so a
+caller can store one result before the next comes. Inside a worker
 the thread map sees one core and runs inline. No thread or process
 starts at import, and a call with one partition or one worker runs
 inline.
@@ -133,20 +135,23 @@ def _run_in_worker(i):
 
 
 def _map_processes(fn, n_items):
-    """``[fn(i) for i in range(n_items)]`` in forked worker processes.
+    """``fn(i)`` for ``i in range(n_items)``, in forked worker processes.
 
-    ``min(n_items, _usable_cores())`` workers start, each pinned to its
-    own core of this process's affinity mask (round robin when the count
-    exceeds the mask) and running OpenBLAS at one thread. ``fn`` reaches
-    them through the fork, unpickled, and may close over any state; only
-    the index goes to a worker and only ``fn(i)`` comes back, pickled, so
-    the result must pickle. Results come back in item order. A worker's
-    exception is raised here with its type and message; the items not yet
-    handed to a worker are cancelled, and every worker has exited before
-    this returns or raises.
+    A generator: each result is handed on as soon as it and every earlier
+    one have come back, so the caller holds no list of results.
+    ``min(n_items, _usable_cores())`` workers start at the first result,
+    each pinned to its own core of this process's affinity mask (round
+    robin when the count exceeds the mask) and running OpenBLAS at one
+    thread. ``fn`` reaches them through the fork, unpickled, and may close
+    over any state; only the index goes to a worker and only ``fn(i)``
+    comes back, pickled, so the result must pickle. Results come in item
+    order. A worker's exception is raised here with its type and message.
+    Once the results end, the generator raises, or it is closed (as it is
+    when a caller that stops early drops it), the items not yet handed to
+    a worker are cancelled and every worker has exited.
 
-    The items run inline, as ``[fn(i) ...]``, when there would be fewer
-    than two workers, where the platform lacks ``fork`` or
+    The items run inline, one per result, when there would be fewer than
+    two workers, where the platform lacks ``fork`` or
     ``sched_setaffinity``, and when the process already runs more than one
     thread, because a thread holding a lock at the fork would leave that
     lock held forever in the child.
@@ -158,7 +163,9 @@ def _map_processes(fn, n_items):
         or not hasattr(os, "sched_setaffinity")
         or threading.active_count() > 1
     ):
-        return [fn(i) for i in range(n_items)]
+        for i in range(n_items):
+            yield fn(i)
+        return
     # imported here: they add about 10 ms to the start of every command
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
@@ -171,4 +178,4 @@ def _map_processes(fn, n_items):
         with ProcessPoolExecutor(
             n_workers, mp_context=context, initializer=_start_worker, initargs=(fn, cores)
         ) as pool:
-            return list(pool.map(_run_in_worker, range(n_items)))
+            yield from pool.map(_run_in_worker, range(n_items))

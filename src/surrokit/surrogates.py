@@ -288,42 +288,51 @@ def _iaaft_core(block, rngs, max_iters, tolerance):
     return best, reports
 
 
-def _surrogate_rows(block, rngs, config: SurrogateConfig):
-    """Surrogates of the rows of a (k, n) block; row r draws from ``rngs[r]``.
+def _surrogate_rows(x, cells, rngs, config: SurrogateConfig):
+    """Replace rows of the writable array ``x`` by their surrogates, in
+    place: ``cells`` holds one index array per leading axis of ``x``, and
+    row ``x[tuple(a[r] for a in cells)]`` draws from ``rngs[r]``.
 
     The rows run in chunks of ``SURROGATE_CHUNK``, which gives the same
-    samples as one row at a time. The chunks share no generator, so they
+    samples as one row at a time. Each chunk gathers its own rows from
+    ``x`` and its surrogates are written back there, so no block of all
+    the rows is held. The chunks share no generator and no row, so they
     run in parallel (``parallel``). FT chunks run on threads, each writing
-    its rows into the output: a chunk takes about 2.5 ms, less than a fork.
-    IAAFT chunks, whose Python between numpy calls holds the interpreter
-    lock, run in forked workers that send their rows and reports back in
-    chunk order. A generator advances in the caller only where its chunk
-    runs inline; none of the callers (``balance.augment``,
+    its own rows: a chunk takes about 2.5 ms, less than a fork. IAAFT
+    chunks, whose Python between numpy calls holds the interpreter lock,
+    run in forked workers, and the caller writes each chunk's rows and
+    keeps its reports as they come back, in chunk order. A worker reads
+    only its own chunk's rows, which no write reaches before that chunk
+    has come back, so it reads the rows as given whenever it was forked.
+    A generator advances in the caller only where its chunk runs inline;
+    none of the callers (``balance._augment_in_place``,
     ``epoch_surrogate_with_reports``, ``iaaft_surrogate``) reads one
-    afterwards. Returns the (k, n) surrogates and one report per row,
-    None for FT.
+    afterwards. Returns one report per row, None for FT.
     """
-    out = np.empty_like(block)
-    starts = range(0, len(block), SURROGATE_CHUNK)
+    starts = range(0, len(rngs), SURROGATE_CHUNK)
     chunks = [slice(start, start + SURROGATE_CHUNK) for start in starts]
+
+    def rows(c):
+        return tuple(axis[chunks[c]] for axis in cells)
+
     if config.kind == KIND_FT:
 
         def run_ft(c):
-            out[chunks[c]] = _phase_randomize(block[chunks[c]], rngs[chunks[c]])
+            x[rows(c)] = _phase_randomize(x[rows(c)], rngs[chunks[c]])
 
         _map_partitioned(run_ft, [len(rngs[chunk]) for chunk in chunks])
-        return out, (None,) * len(block)
+        return (None,) * len(rngs)
 
     def run_iaaft(c):
         return _iaaft_core(
-            block[chunks[c]], rngs[chunks[c]], config.iaaft_max_iters, config.iaaft_tolerance
+            x[rows(c)], rngs[chunks[c]], config.iaaft_max_iters, config.iaaft_tolerance
         )
 
     reports = ()
-    for chunk, (rows, chunk_reports) in zip(chunks, _map_processes(run_iaaft, len(chunks))):
-        out[chunk] = rows
+    for c, (surrogates, chunk_reports) in enumerate(_map_processes(run_iaaft, len(chunks))):
+        x[rows(c)] = surrogates
         reports += chunk_reports
-    return out, reports
+    return reports
 
 
 def iaaft_surrogate(samples, config: SurrogateConfig, seed: int):
@@ -338,7 +347,8 @@ def iaaft_surrogate(samples, config: SurrogateConfig, seed: int):
     """
     if config.kind != KIND_IAAFT:
         raise InvalidInputError(f"config.kind must be {KIND_IAAFT!r}, got {config.kind!r}")
-    out, (report,) = _surrogate_rows(_as_channel(samples)[None], [spawn_rng(seed)], config)
+    out = _as_channel(samples)[None].copy()
+    (report,) = _surrogate_rows(out, (np.arange(1),), [spawn_rng(seed)], config)
     return out[0], report
 
 
@@ -425,6 +435,7 @@ def epoch_surrogate_with_reports(x, seeds, config: SurrogateConfig):
     if len(seeds) != n_epochs:
         raise InvalidInputError(f"{len(seeds)} seeds for {n_epochs} epochs")
     rngs = [spawn_rng(seed, c) for seed in seeds for c in range(n_channels)]
-    rows, reports = _surrogate_rows(x.reshape(-1, length), rngs, config)
-    return rows.reshape(x.shape), reports
+    out = x.copy()
+    reports = _surrogate_rows(out, np.divmod(np.arange(len(rngs)), n_channels), rngs, config)
+    return out, reports
 

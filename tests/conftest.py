@@ -1,6 +1,7 @@
 import multiprocessing
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -77,6 +78,22 @@ def one_blas_thread():
     blas[1](1)
     yield
     blas[1](before)
+
+
+@pytest.fixture
+def traced_peak():
+    """``traced_peak(fn, *args)``: ``fn(*args)`` and the peak bytes it
+    allocated on top of what was held (``tracemalloc``)."""
+
+    def run(fn, *args):
+        tracemalloc.start()
+        try:
+            result = fn(*args)
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    return run
 
 
 @pytest.fixture

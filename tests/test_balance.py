@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -6,13 +8,17 @@ from surrokit.balance import (
     BalanceConfig,
     Dataset,
     augment,
+    balance,
     record_holdout_split,
     repetition_counts,
     upsample,
 )
 from surrokit.errors import InvalidInputError
-from surrokit.seeding import NS_AUGMENT, spawn_rng
+from surrokit.seeding import NS_AUGMENT, NS_UPSAMPLE, spawn_rng
 from surrokit.surrogates import SURROGATE_CHUNK, SurrogateConfig
+
+# the package attribute ``surrokit.balance`` is the function
+balance_module = importlib.import_module("surrokit.balance")
 
 
 def make_dataset(counts, n_samples=16, n_records=4, vocabulary=None, seed=0):
@@ -209,6 +215,83 @@ class TestPipelineIdentity:
         assert sorted(row.tobytes() for row in out.x) == sorted(row.tobytes() for row in ds.x)
 
 
+class TestBalance:
+    """``balance`` builds ``augment(*upsample(...))`` in one output array."""
+
+    @staticmethod
+    def two_step(ds, cfg):
+        logged = []
+        up, flags = upsample(ds, cfg)
+        return augment(up, flags, cfg, log=logged.append), flags, logged
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("kind", ["iaaft", "ft"])
+    def test_equals_augment_of_upsample(
+        self, kind, alpha, cores, set_usable_cores, forked_workers
+    ):
+        # 80 repeated epochs of 4 channels: at alpha 0.5 and 1 the picks
+        # fill several chunks, the last one short
+        ds = make_dataset({"A": 96, "B": 16}, n_samples=48, seed=3)
+        surrogate = SurrogateConfig(kind=kind, iaaft_max_iters=20)
+        cfg = BalanceConfig(beta=1.0, alpha=alpha, seed=17, surrogate=surrogate)
+        set_usable_cores(1)
+        expected, expected_flags, expected_log = self.two_step(ds, cfg)
+        set_usable_cores(cores)
+        logged = []
+        out, flags = balance(ds, cfg, log=logged.append)
+        assert out.x.tobytes() == expected.x.tobytes()
+        assert np.array_equal(out.labels, expected.labels)
+        assert out.record_ids == expected.record_ids
+        assert np.array_equal(flags, expected_flags)
+        assert logged == expected_log
+        (reports,) = logged
+        if alpha:
+            assert len(reports) > SURROGATE_CHUNK + 3
+        else:
+            assert reports == ()
+        # IAAFT chunks run in forked workers when two cores are usable
+        assert forked_workers.value == (2 if kind == "iaaft" and alpha and cores == 2 else 0)
+
+    def test_keeps_the_array_it_fills(self):
+        ds = make_dataset({"A": 6, "B": 2})
+        out, _ = balance(ds, BalanceConfig(beta=1.0, alpha=1.0, seed=2))
+        assert out.x.base is None and not out.x.flags.writeable
+        assert not np.shares_memory(out.x, ds.x)
+
+    @pytest.mark.parametrize("kind", ["iaaft", "ft"])
+    def test_alpha_zero_makes_no_augment_generator(self, kind, monkeypatch):
+        ds = make_dataset({"A": 12, "B": 3})
+        cfg = BalanceConfig(beta=1.0, alpha=0.0, seed=5, surrogate=SurrogateConfig(kind=kind))
+        up, flags = upsample(ds, cfg)
+        keys = []
+
+        def counting(seed, *key):
+            keys.append(key)
+            return spawn_rng(seed, *key)
+
+        monkeypatch.setattr(balance_module, "spawn_rng", counting)
+        out = augment(up, flags, cfg)
+        assert keys == [] and out.x.tobytes() == up.x.tobytes()
+        balanced, balanced_flags = balance(ds, cfg)
+        assert keys == [(NS_UPSAMPLE,)]
+        assert balanced.x.tobytes() == up.x.tobytes()
+        assert np.array_equal(balanced_flags, flags)
+
+    def test_holds_one_output_array(self, traced_peak):
+        # the TestMemory set of test_dataio: 400 epochs up-sampled to 1200,
+        # every channel of the 800 repeated ones replaced. upsample then
+        # augment peaked at 101 MiB, and at 78 MiB with augment copying
+        # before it writes; the one array measured 43 MiB
+        labels = np.repeat(np.arange(6), [200, 40, 40, 40, 40, 40])
+        x = np.random.default_rng(4).standard_normal((400, 4, 960))
+        ds = Dataset(x, labels, tuple(f"rec{i % 4}" for i in range(400)), 32.0)
+        config = BalanceConfig(beta=1.0, alpha=1.0, seed=2, surrogate=SurrogateConfig("ft"))
+        (out, flags), peak = traced_peak(balance, ds, config)
+        assert len(out) == 1200 and flags.sum() == 800
+        assert peak < out.x.nbytes + 12 * 2**20, peak / 2**20
+
+
 class TestRecordHoldoutSplit:
     @staticmethod
     def grouped_dataset():
@@ -292,6 +375,19 @@ class TestDataset:
     def test_invalid_fields_rejected(self, field, value, message):
         with pytest.raises(InvalidInputError, match=message):
             Dataset(**{**self.FIELDS, field: value})
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [(0, 0, 0), (1, 2, 5), (1, 3, 7)])
+    def test_one_non_finite_sample_rejected(self, value, where):
+        x = np.random.default_rng(0).standard_normal((2, 4, 8))
+        x[where] = value
+        with pytest.raises(InvalidInputError, match="signal contains non-finite samples"):
+            Dataset(**{**self.FIELDS, "x": x})
+
+    def test_huge_finite_samples_accepted(self):
+        x = np.full((2, 4, 8), np.finfo(np.float64).max)
+        x[:, :, ::2] *= -1
+        assert Dataset(**{**self.FIELDS, "x": x}).x is x
 
     def test_epoch_view(self):
         ds = make_dataset({"A": 2, "B": 3})

@@ -1,7 +1,6 @@
 import hashlib
 import json
 import os
-import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -216,16 +215,6 @@ class TestAtomicWrites:
         assert list(tmp_path.iterdir()) == []
 
 
-def traced_peak(fn, *args):
-    """``fn(*args)`` and the peak bytes it allocated on top of what was held."""
-    tracemalloc.start()
-    try:
-        result = fn(*args)
-        return result, tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 class TestMemory:
     """The data path holds no second whole copy of a dataset (``tracemalloc``)."""
 
@@ -234,17 +223,17 @@ class TestMemory:
         # the benchmark's synthesized pool: 960 epochs of 4 x 960 samples
         return small_dataset(n=960, n_samples=960)
 
-    def test_save_streams_blocks(self, tmp_path, pool):
+    def test_save_streams_blocks(self, tmp_path, pool, traced_peak):
         _, peak = traced_peak(save_dataset, tmp_path / "pool.sdat", pool)
         assert peak < pool.x.nbytes / 3, peak / 2**20
 
-    def test_load_reads_into_the_kept_array(self, tmp_path, pool):
+    def test_load_reads_into_the_kept_array(self, tmp_path, pool, traced_peak):
         save_dataset(tmp_path / "pool.sdat", pool)
         loaded, peak = traced_peak(load_dataset, tmp_path / "pool.sdat")
         assert loaded.x.dtype == np.float64 and loaded.x.shape == pool.x.shape
         assert peak < pool.x.nbytes + 8 * 2**20, peak / 2**20
 
-    def test_augment_surrogates_before_it_copies(self):
+    def test_augment_surrogates_before_it_copies(self, traced_peak):
         # 400 epochs up-sampled to 1200: two thirds repeated, every channel replaced
         labels = np.repeat(np.arange(6), [200, 40, 40, 40, 40, 40])
         x = np.random.default_rng(4).standard_normal((400, 4, 960))
@@ -255,6 +244,13 @@ class TestMemory:
         out, peak = traced_peak(augment, upsampled, flags, config)
         assert out.x[~flags].tobytes() == upsampled.x[~flags].tobytes()
         assert peak < 70 * 2**20, peak / 2**20
+
+    def test_dataset_checks_finiteness_without_a_whole_size_temporary(self, pool, traced_peak):
+        # np.isfinite over the whole array took one byte per sample, 3.5 MiB here
+        fields = (pool.x, pool.labels, pool.record_ids, pool.sample_rate_hz)
+        dataset, peak = traced_peak(Dataset, *fields)
+        assert dataset.x is pool.x
+        assert peak < 2**20, peak / 2**20
 
 
 class TestTables:

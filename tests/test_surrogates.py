@@ -154,6 +154,13 @@ class TestIaaft:
         assert ra == rb
 
 
+def surrogate_rows(block, rngs, config):
+    """``_surrogate_rows`` on a copy of every row of ``block``: the
+    surrogates and the reports."""
+    out = block.copy()
+    return out, _surrogate_rows(out, (np.arange(len(out)),), rngs, config)
+
+
 def assert_block_matches_oracle(block, seed, max_iters, tolerance):
     """The block core equals the per-channel reference row by row, bit for
     bit; returns the core's surrogates and reports."""
@@ -353,7 +360,7 @@ class TestIaaftBlock:
         block = dataset.x.astype(np.float32).astype(np.float64).reshape(-1, dataset.x.shape[2])
         assert len(block) > 2 * SURROGATE_CHUNK
         config = SurrogateConfig(kind="iaaft")
-        out, reports = _surrogate_rows(block, [spawn_rng(1, r) for r in range(len(block))], config)
+        out, reports = surrogate_rows(block, [spawn_rng(1, r) for r in range(len(block))], config)
         assert {r.reason for r in reports} == {"stalled", "tolerance", "max_iters"}
         for r, row in enumerate(block):
             expected, report = iaaft_per_channel(
@@ -367,7 +374,7 @@ class TestIaaftBlock:
         block = dataset.x.astype(np.float32).astype(np.float64).reshape(-1, dataset.x.shape[2])
         rngs = [spawn_rng(1, r) for r in range(len(block))]
         config = SurrogateConfig(kind="iaaft")
-        _, calls = argsort_calls(monkeypatch, lambda: _surrogate_rows(block, rngs, config))
+        _, calls = argsort_calls(monkeypatch, lambda: surrogate_rows(block, rngs, config))
         assert calls == 0
 
     @settings(max_examples=200, deadline=None)
@@ -431,7 +438,7 @@ class TestThreadedChunks:
             deadline = time.monotonic() + seconds
             while not results or time.monotonic() < deadline:
                 rngs = [spawn_rng(11, r) for r in range(len(block))]
-                results.append(_surrogate_rows(block, rngs, config))
+                results.append(surrogate_rows(block, rngs, config))
         finally:
             sys.setswitchinterval(interval)
         assert threading.active_count() == before
@@ -449,13 +456,13 @@ class TestThreadedChunks:
 
         def recording(fn, n_items):
             calls.append(n_items)
-            ran = parallel._map_processes(lambda i: (os.getpid(), fn(i)), n_items)
+            ran = list(parallel._map_processes(lambda i: (os.getpid(), fn(i)), n_items))
             pids.update(pid for pid, _ in ran)
             return [result for _, result in ran]
 
         monkeypatch.setattr(surrogates, "_map_processes", recording)
         rngs = [spawn_rng(11, r) for r in range(len(block))]
-        return _surrogate_rows(block, rngs, config), calls, pids
+        return surrogate_rows(block, rngs, config), calls, pids
 
     @pytest.fixture
     def iaaft_expected(self, block):
