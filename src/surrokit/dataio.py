@@ -17,15 +17,18 @@ Weight checkpoint container (one file):
   ``version`` (1), ``arch`` (registered architecture name),
   ``arch_config`` (builder keyword arguments), ``fingerprint`` (sha256
   of the canonical descriptor JSON), ``seed``, ``train_config``,
-  ``tensors``, an ordered list of {"key", "shape"} entries, and
-  ``payload_sha256``, the sha256 hex digest of the payload.
+  ``tensors``, an ordered list of {"key", "shape"} entries,
+  ``payload_sha256``, the sha256 hex digest of the payload, and
+  ``header_sha256``, the sha256 hex digest of the canonical JSON
+  (``sort_keys=True``) of the header without its two checksums.
 * payload: the tensors' float64 little-endian bytes, concatenated in
   header order.
 
 Loading a checkpoint rebuilds the descriptor from ``arch``/
 ``arch_config`` and refuses to proceed if its fingerprint does not match
-the stored one, or if the payload does not match ``payload_sha256``. A
-file without ``payload_sha256`` (written before it existed) still loads.
+the stored one, if the payload does not match ``payload_sha256``, or if
+the header does not match ``header_sha256``. A file without either
+checksum (written before it existed) still loads.
 
 All writes are atomic: content goes to a temporary file in the target
 directory which is then renamed over the destination, so an interrupted
@@ -246,15 +249,23 @@ def save_weights(
     for tensor in tensors:
         digest.update(tensor)
     header["payload_sha256"] = digest.hexdigest()
+    header["header_sha256"] = _header_digest(header)
     atomic_write_bytes(path, json.dumps(header, sort_keys=True).encode("utf-8") + b"\n", tensors)
+
+
+def _header_digest(header) -> str:
+    """sha256 of the canonical JSON of every header field but the two
+    checksums; ``payload_sha256`` is checked against the payload itself."""
+    fields = {k: v for k, v in header.items() if k not in ("header_sha256", "payload_sha256")}
+    return hashlib.sha256(json.dumps(fields, sort_keys=True).encode("utf-8")).hexdigest()
 
 
 def load_weights(path):
     """Load a checkpoint; returns (descriptor, weights, header).
 
     The descriptor is rebuilt from the stored architecture name and
-    builder arguments; a fingerprint or payload checksum mismatch raises
-    InvalidInputError.
+    builder arguments; a fingerprint, payload checksum or header checksum
+    mismatch raises InvalidInputError.
     """
     with open(path, "rb") as handle:
         header_line = handle.readline()
@@ -265,14 +276,7 @@ def load_weights(path):
         raise InvalidInputError(f"{path}: malformed checkpoint header: {exc}") from exc
     if not isinstance(header, dict) or header.get("format") != WEIGHTS_FORMAT:
         raise InvalidInputError(f"{path}: not a {WEIGHTS_FORMAT} file")
-    if "payload_sha256" in header:
-        checksum = header["payload_sha256"]
-        if not isinstance(checksum, str):
-            raise InvalidInputError(
-                f"{path}: payload_sha256 must be a string, got a {type(checksum).__name__}"
-            )
-        if checksum != hashlib.sha256(payload).hexdigest():
-            raise InvalidInputError(f"{path}: payload does not match its payload_sha256")
+    _check_checksum(path, header, "payload", hashlib.sha256(payload).hexdigest())
     arch = header.get("arch")
     if not isinstance(arch, str) or arch not in ARCHITECTURES:
         raise InvalidInputError(f"{path}: unknown architecture {arch!r}")
@@ -315,7 +319,21 @@ def load_weights(path):
     if offset != len(payload):
         raise InvalidInputError(f"{path}: {len(payload) - offset} trailing payload bytes")
     validate_weights(descriptor, weights)
+    _check_checksum(path, header, "header", _header_digest(header))
     return descriptor, weights, header
+
+
+def _check_checksum(path, header, part, digest) -> None:
+    """Refuse a checkpoint whose ``{part}_sha256`` is not a string or not
+    ``digest``; a header without that field passes."""
+    key = f"{part}_sha256"
+    if key in header:
+        if not isinstance(header[key], str):
+            raise InvalidInputError(
+                f"{path}: {key} must be a string, got a {type(header[key]).__name__}"
+            )
+        if header[key] != digest:
+            raise InvalidInputError(f"{path}: {part} does not match its {key}")
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,20 @@ The input-gradient products of the backward pass multiply by a contiguous
 copy of the transposed kernel, which OpenBLAS runs about twice as fast as
 a transposed view, with the same bits at the reference network's widths.
 
+A training step caches only what its backward pass reads: the Scale's
+input, each convolution's padded input, each pool's winning taps, and
+ReLU and dropout masks only where no pool stands in for them. A relu
+Conv1D whose next non-dropout layer is a MaxPool1D caches no ReLU mask,
+and the Dropouts between the two cache no keep-mask, only whether they
+scaled; the pool caches, per window, whether its maximum is positive,
+and its backward zeroes the gradient of the other windows before the
+scatter. No bit moves: the pool's input is relu(z) * keep / (1 - rate)
+>= 0, so a window's winner passed the ReLU and every dropout exactly when
+the window's maximum is positive. Where it did, those masks multiplied
+its gradient by one; where it did not, they zeroed it. A Conv1D right
+after the Scale caches no padded copy of the scaled input: its backward
+rebuilds it from the Scale's input, with the same multiply.
+
 Weights are a flat dict keyed "group/layer/param" of float64 arrays.
 """
 
@@ -158,10 +172,9 @@ def _layer_rule(layer, shape):
         params = {"kernel": (layer.width, c_in, layer.filters), "bias": (layer.filters,)}
         return (shape[0], layer.filters), params
     if isinstance(layer, MaxPool1D):
-        if len(shape) != 2:
-            raise ShapeError(f"{layer.name}: max-pool expects (length, channels), got {shape}")
+        # a (length,) pipe input is one channel, as for Conv1D
         out_len, _, _ = _pool_geometry(shape[0], layer.width, layer.stride)
-        return (out_len, shape[1]), {}
+        return (out_len,) + shape[1:], {}
     if isinstance(layer, Conv2D):
         if len(shape) != 3:
             raise ShapeError(f"{layer.name}: 2-D convolution expects a rank-3 input, got {shape}")
@@ -479,9 +492,11 @@ def _run_pipe(layers, group, weights, x, keeps=None, caches=None):
 
     ``keeps`` iterates the pipe's dropout keep-masks (``_draw_keeps``);
     without it dropout is off. A ``caches`` list receives each layer's
-    state for the backward pass; without one none is kept.
+    state for the backward pass, only what that pass reads (module
+    docstring); without one none is kept.
     """
-    for layer in layers:
+    folded = False  # from a relu Conv1D to the MaxPool1D that masks for it
+    for i, layer in enumerate(layers):
         if isinstance(layer, Scale):
             if caches is not None:
                 caches.append((layer, group, x))
@@ -489,7 +504,8 @@ def _run_pipe(layers, group, weights, x, keeps=None, caches=None):
         elif isinstance(layer, MaxPool1D):
             y, cache = _maxpool_forward(x, layer.width, layer.stride, caches is not None)
             if caches is not None:
-                caches.append((layer, group, (x.shape, cache)))
+                caches.append((layer, group, (x.shape, cache, y > 0 if folded else None)))
+            folded = False
             x = y
         elif isinstance(layer, Dropout):
             keep = next(keeps) if keeps is not None else None
@@ -497,7 +513,7 @@ def _run_pipe(layers, group, weights, x, keeps=None, caches=None):
                 x *= keep
                 x *= 1.0 / (1.0 - layer.rate)
             if caches is not None:
-                caches.append((layer, group, keep))
+                caches.append((layer, group, (None if folded else keep, keep is not None)))
         elif isinstance(layer, (Conv1D, Conv2D, Dense)):
             kernel = weights[f"{group}/{layer.name}/kernel"]
             bias = weights[f"{group}/{layer.name}/bias"]
@@ -510,7 +526,11 @@ def _run_pipe(layers, group, weights, x, keeps=None, caches=None):
                 z = cache @ kernel + bias
             relu = layer.activation == "relu"  # a softmax output stays logits here
             if caches is not None:
-                caches.append((layer, group, (x.shape, cache, z > 0 if relu else None)))
+                if isinstance(layer, Conv1D) and i > 0 and isinstance(layers[i - 1], Scale):
+                    cache = (None, cache[1])  # the backward rebuilds the padded input
+                folded = relu and isinstance(layer, Conv1D) and _pool_follows(layers, i)
+                mask = z > 0 if relu and not folded else None
+                caches.append((layer, group, (x.shape, cache, mask)))
             if relu:
                 np.maximum(z, 0.0, out=z)
             x = z
@@ -519,19 +539,30 @@ def _run_pipe(layers, group, weights, x, keeps=None, caches=None):
     return x
 
 
-def _draw_keeps(layers, shape, rng):
+def _pool_follows(layers, i):
+    """Whether the next layer after ``layers[i]`` that is not a Dropout
+    is a MaxPool1D."""
+    after = (layer for layer in layers[i + 1 :] if not isinstance(layer, Dropout))
+    return isinstance(next(after, None), MaxPool1D)
+
+
+def _draw_keeps(layers, shape, rng, rows):
     """The dropout keep-masks of one training pass of a pipe over inputs
-    of ``shape`` (batch first), in layer order; None for a zero rate."""
-    keeps = []
+    of ``shape`` (batch first), one list per chunk of ``rows`` rows
+    (``_chunks``), in layer order; None for a zero rate. They are drawn
+    layer by layer, and within a layer chunk by chunk in row order: the
+    stream of one draw over all the rows, with no whole-batch temporary."""
+    parts = _chunks(shape[0], rows)
+    keeps = [[] for _ in parts]
     for layer in layers:
         if not isinstance(layer, Dropout):
             shape = shape[:1] + _layer_rule(layer, shape[1:])[0]
-        elif layer.rate == 0.0:
-            keeps.append(None)
-        elif rng is None:
+            continue
+        if layer.rate != 0.0 and rng is None:
             raise InvalidInputError("training-mode forward needs an rng for dropout")
-        else:
-            keeps.append(rng.random(shape) >= layer.rate)
+        for part, chunk in zip(parts, keeps):
+            size = (min(part.stop, shape[0]) - part.start,) + shape[1:]
+            chunk.append(None if layer.rate == 0.0 else rng.random(size) >= layer.rate)
     return keeps
 
 
@@ -548,11 +579,15 @@ def _pipe_backward(caches, weights, grads, dy, scale_products=None):
             scale_products.setdefault(prefix + "scale", []).append(dy * cache)
             dy = weights[prefix + "scale"][0] * dy
         elif isinstance(layer, MaxPool1D):
-            x_shape, pool_cache = cache
+            x_shape, pool_cache, positive = cache
+            if positive is not None:
+                dy *= positive  # the ReLU or a dropout zeroed the other windows' winners
             dy = _maxpool_backward(dy, x_shape, layer.stride, pool_cache)
         elif isinstance(layer, Dropout):
-            if cache is not None:
-                dy *= cache
+            keep, scaled = cache
+            if keep is not None:
+                dy *= keep
+            if scaled:
                 dy *= 1.0 / (1.0 - layer.rate)
         else:
             x_shape, inputs, mask = cache
@@ -560,6 +595,12 @@ def _pipe_backward(caches, weights, grads, dy, scale_products=None):
                 dy *= mask
             kernel = weights[prefix + "kernel"]
             if isinstance(layer, Conv1D):
+                xp, pad_left = inputs
+                if xp is None:  # the Scale's output: its input is the next cache
+                    scale, _, scale_input = caches[-1]
+                    scaled = weights[f"{group}/{scale.name}/scale"][0] * scale_input
+                    xp = _padded(scaled, pad_left, kernel.shape[0] - 1 - pad_left, 0.0)
+                    inputs = (xp, pad_left)
                 dx, dk, db = _conv1d_backward(
                     dy, kernel, inputs, grads.get(prefix + "kernel"), grads.get(prefix + "bias")
                 )
@@ -625,9 +666,11 @@ def forward_batch(descriptor, weights, x, training=False, rng=None, return_cache
     stacked batch, so shared gradients accumulate in a single pass; its
     rows run in chunks of ``_pipe_rows``, each through the whole pipe. The
     groups' pipes run in parallel (``_map_partitioned``). Every dropout
-    keep-mask is drawn from ``rng`` before they start, group by group and
-    layer by layer over all of a group's rows, then the joined pipe's, so
-    the draws do not depend on the chunks or on which pipe finishes first.
+    keep-mask is drawn from ``rng`` before they start, group by group,
+    layer by layer and within a layer chunk by chunk in row order, then
+    the joined pipe's: the stream of one draw over all of a group's rows,
+    so the draws do not depend on the chunks or on which pipe finishes
+    first.
 
     Returns:
         (probabilities, logits) or, with ``return_caches``, a third
@@ -639,7 +682,9 @@ def forward_batch(descriptor, weights, x, training=False, rng=None, return_cache
     group_channels = _group_channels(descriptor)
     rows = _pipe_rows(descriptor)
     pipe_keeps = [
-        _draw_keeps(descriptor.channel_pipe, (len(idxs) * batch, descriptor.input_len, 1), rng)
+        _draw_keeps(
+            descriptor.channel_pipe, (len(idxs) * batch, descriptor.input_len, 1), rng, rows
+        )
         if training
         else None
         for _, idxs in group_channels
@@ -650,9 +695,8 @@ def forward_batch(descriptor, weights, x, training=False, rng=None, return_cache
         stacked = _stacked_rows(x, idxs)
         outs, chunk_caches = [], []
         for part in _chunks(len(stacked), rows):
-            keeps = None
-            if pipe_keeps[g] is not None:
-                keeps = iter([None if keep is None else keep[part] for keep in pipe_keeps[g]])
+            # taken off the list, so a mask that no cache holds goes with its chunk
+            keeps = iter(pipe_keeps[g].pop(0)) if pipe_keeps[g] is not None else None
             caches = [] if return_caches else None
             h = _run_pipe(descriptor.channel_pipe, group, weights, stacked[part], keeps, caches)
             outs.append(h)
@@ -667,7 +711,9 @@ def forward_batch(descriptor, weights, x, training=False, rng=None, return_cache
             outputs[idx] = h[j]
     joined = np.stack(outputs, axis=2)  # (B, L, n_channels, F)
 
-    keeps = iter(_draw_keeps(descriptor.joined_pipe, joined.shape, rng)) if training else None
+    keeps = None
+    if training:
+        keeps = iter(_draw_keeps(descriptor.joined_pipe, joined.shape, rng, len(joined))[0])
     joined_caches = [] if return_caches else None
     logits = _run_pipe(descriptor.joined_pipe, JOINED_GROUP, weights, joined, keeps, joined_caches)
     probs = _softmax(logits)

@@ -3,7 +3,6 @@ import os
 import re
 import subprocess
 import sys
-import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -521,7 +520,9 @@ class TestMalformedInputFiles:
         assert ">= 1 channel" in err
 
     @pytest.mark.parametrize("case", ["huge_n_epochs", "trailing_byte"])
-    def test_data_bytes_not_matching_header_exit_2(self, tmp_path, dataset_file, case, capsys):
+    def test_data_bytes_not_matching_header_exit_2(
+        self, tmp_path, dataset_file, case, capsys, traced_peak
+    ):
         header_line, data = Path(dataset_file).read_bytes().split(b"\n", 1)
         header = json.loads(header_line)
         if case == "huge_n_epochs":
@@ -531,12 +532,7 @@ class TestMalformedInputFiles:
         per_epoch = (header["n_channels"] * header["epoch_len_samples"] + 1) * 4
         bad, out = tmp_path / "bad.sdat", tmp_path / "out.sdat"
         bad.write_bytes(json.dumps(header).encode() + b"\n" + data)
-        tracemalloc.start()
-        try:
-            err = _exits_2_with_one_line(["surrogate", bad, out], capsys, out)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        err, peak = traced_peak(_exits_2_with_one_line, ["surrogate", bad, out], capsys, out)
         assert f"expected {header['n_epochs'] * per_epoch} data bytes, found {len(data)}" in err
         assert peak < 2**20  # refused before anything the size of the header's claim
 

@@ -5,8 +5,9 @@ byte flip of a dataset file or a checkpoint, type swaps and deleted
 fields in a generator spec, or a mangled groups file. The only allowed
 outcomes are a value that loads, or ``InvalidInputError``: through
 ``cli.main`` that is exit 0, or exit 2 with one line on stderr and no
-output file. A checkpoint carries a payload checksum, so a flip of its
-payload must exit 2. Sizes in the spec are never scaled up, so no case
+output file. A checkpoint carries a payload and a header checksum, so a
+flip of its payload, or of its header to a line that parses to another
+object, must exit 2. Sizes in the spec are never scaled up, so no case
 allocates more than a valid file would.
 """
 
@@ -82,6 +83,14 @@ def header_length(blob):
     return blob.index(b"\n") + 1
 
 
+def parsed(header_line):
+    """The object a header line parses to, or None."""
+    try:
+        return json.loads(header_line)
+    except ValueError:
+        return None
+
+
 @st.composite
 def damaged(draw, blob):
     """``blob`` truncated, or with one byte of its header or payload flipped."""
@@ -124,8 +133,13 @@ class TestCheckpoint:
         original = (files / "w.swt").read_bytes()
         blob = data.draw(damaged(original))
         split = header_length(original)
-        # the header's payload_sha256 catches every payload byte flip
-        payload_flip = len(blob) == len(original) and blob[:split] == original[:split]
+        # the header's payload_sha256 catches every payload byte flip, and
+        # its header_sha256 every header flip that parses to another object
+        same_length = len(blob) == len(original)
+        payload_flip = same_length and blob[:split] == original[:split]
+        header_edit = same_length and blob[split:] == original[split:] and parsed(
+            blob[:split]
+        ) not in (None, parsed(original[:split]))
         path, report = files / "bad.swt", files / "report.tsv"
         path.write_bytes(blob)
         try:
@@ -136,7 +150,21 @@ class TestCheckpoint:
         code = run_cli(["evaluate", files / "data.sdat", path, "--out", report], [report])
         remove(report)
         assert code == (0 if loaded else 2)
-        assert code == 2 or not payload_flip
+        assert code == 2 or not (payload_flip or header_edit)
+
+    def test_edited_seed_exits_2(self, files):
+        # the seed of a train --seed 8 checkpoint, changed to 3 by hand
+        good, bad, report = files / "seed8.swt", files / "seed3.swt", files / "report.tsv"
+        assert main(["train", str(files / "data.sdat"), str(good), "--steps", "1",
+                     "--batch", "2", "--seed", "8"]) == 0
+        blob = good.read_bytes()
+        assert blob.count(b'"seed": 8') == 1
+        bad.write_bytes(blob.replace(b'"seed": 8', b'"seed": 3'))
+        assert load_weights(good)[2]["seed"] == 8
+        with pytest.raises(InvalidInputError, match="header_sha256"):
+            load_weights(bad)
+        assert run_cli(["evaluate", files / "data.sdat", bad, "--out", report], [report]) == 2
+        remove(good, bad)
 
 
 def field_paths(node, prefix=()):

@@ -1,9 +1,9 @@
 import dataclasses
 import hashlib
+import math
 import sys
 import threading
 import time
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -858,10 +858,78 @@ class TestThreadedPipes:
             loss_and_gradients(desc, weights, x, np.array([0, 1]), training=True, rng=None)
 
 
+# channel pipes around the fold of ReLU and dropout masks into the pool:
+# it applies only from a relu Conv1D to its MaxPool1D, through Dropouts
+FOLD_PIPES = {
+    "pool-after-scale": (
+        Scale("scale", init=0.5),
+        MaxPool1D("pool_a"),
+        Conv1D("conv_a", width=3, filters=2),
+        Dropout("drop_a", rate=0.25),
+        MaxPool1D("pool_b"),
+    ),
+    "linear-conv-before-pool": (
+        Scale("scale", init=0.5),
+        Conv1D("conv_a", width=3, filters=2, activation="linear"),
+        Dropout("drop_a", rate=0.25),
+        MaxPool1D("pool_a"),
+        Conv1D("conv_b", width=3, filters=3),
+        MaxPool1D("pool_b"),
+    ),
+    "conv-feeds-conv-and-ends-pipe": (
+        Scale("scale", init=0.5),
+        Dropout("drop_scale", rate=0.25),
+        Conv1D("conv_a", width=3, filters=2),
+        Dropout("drop_a", rate=0.25),
+        Conv1D("conv_b", width=5, filters=3),
+        MaxPool1D("pool_a"),
+        Conv1D("conv_c", width=3, filters=2),
+        Dropout("drop_c", rate=0.25),
+    ),
+    "dropouts-before-pool": (
+        Scale("scale", init=0.5),
+        Conv1D("conv_a", width=3, filters=2),
+        Dropout("drop_a", rate=0.0),
+        MaxPool1D("pool_a"),
+        Conv1D("conv_b", width=3, filters=3),
+        Dropout("drop_b", rate=0.25),
+        Dropout("drop_c", rate=0.4),
+        MaxPool1D("pool_b"),
+    ),
+    "tiny": tiny_descriptor().channel_pipe,
+}
+
+
+class TestFoldedMasks:
+    @pytest.mark.parametrize("pipe", FOLD_PIPES.values(), ids=FOLD_PIPES)
+    def test_bit_equal_to_serial_loop(self, pipe, rng, monkeypatch):
+        # chunks of 3 rows over a group of 2 channels x 5 epochs: the
+        # second chunk straddles the two channels and the last is ragged
+        desc = dataclasses.replace(tiny_descriptor(input_len=40), channel_pipe=pipe)
+        widest = max(math.prod(shape) for _, shape in infer_shapes(desc).channel)
+        monkeypatch.setattr(network, "PIPE_BYTES", 3 * 8 * widest)
+        assert _pipe_rows(desc) == 3
+        weights = init_weights(desc, 29)
+        x = rng.standard_normal((5, 2, 40)) * 4
+        labels = np.array([0, 1, 2, 1, 0])
+        expected = oracles.serial_loss_and_gradients(
+            desc, weights, x, labels, rng=np.random.default_rng(8)
+        )
+        assert expected[1]["shared/scale/scale"][0] != 0  # the gradient reaches the input
+        assert_same_pass(threaded_pass(desc, weights, x, labels), expected)
+        loss, grads = loss_and_gradients(desc, weights, x, labels, training=False)
+        loss_ref, grads_ref, _ = oracles.serial_loss_and_gradients(
+            desc, weights, x, labels, training=False
+        )
+        assert loss == loss_ref
+        for key in grads_ref:
+            assert grads[key].tobytes() == grads_ref[key].tobytes(), key
+
+
 class TestMemory:
     @pytest.mark.parametrize("cores", [1, 2])
     def test_batch_128_step_holds_caches_plus_one_chunk(
-        self, cores, rng, set_usable_cores, one_blas_thread
+        self, cores, rng, set_usable_cores, one_blas_thread, traced_peak
     ):
         # a reference step at the paper's batch peaked at 79-88 MiB with
         # each layer run over a whole group's rows, and at 60-63 MiB with
@@ -872,13 +940,58 @@ class TestMemory:
         x = rng.standard_normal((128, 4, 960)) * 20
         labels = np.arange(128) % 6
         set_usable_cores(cores)
-        tracemalloc.start()
-        try:
-            loss_and_gradients(desc, weights, x, labels, rng=np.random.default_rng(0))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(
+            loss_and_gradients, desc, weights, x, labels, True, np.random.default_rng(0)
+        )
         assert peak < 75 * 2**20, f"{peak / 2**20:.1f} MiB"
+
+    @pytest.mark.parametrize(
+        "build, cores, bound_mib",
+        [
+            (reference_architecture, 1, 52),
+            (reference_architecture, 2, 52),
+            (full_architecture, 1, 112),
+            (full_architecture, 2, 112),
+        ],
+        ids=["reference-1", "reference-2", "full-1", "full-2"],
+    )
+    def test_batch_128_step_caches_only_what_backward_reads(
+        self, build, cores, bound_mib, rng, set_usable_cores, one_blas_thread, traced_peak
+    ):
+        # peaked at 60-63 MiB (reference) and 128-130 MiB (full) while each
+        # chunk also cached its ReLU and dropout masks and a padded copy of
+        # the scaled input
+        desc = build()
+        weights = init_weights(desc, 28)
+        x = rng.standard_normal((128, 4, 960)) * 20
+        labels = np.arange(128) % 6
+        set_usable_cores(cores)
+        _, peak = traced_peak(
+            loss_and_gradients, desc, weights, x, labels, True, np.random.default_rng(0)
+        )
+        assert peak < bound_mib * 2**20, f"{peak / 2**20:.1f} MiB"
+
+    @pytest.mark.parametrize(
+        "n_rows", [PIPE_ROWS - 5, 3 * PIPE_ROWS, 3 * PIPE_ROWS + 7],
+        ids=["one-chunk", "several-chunks", "ragged-last-chunk"],
+    )
+    def test_chunk_draws_are_the_whole_group_masks(self, n_rows):
+        # the serial loop draws each layer's mask over all the rows at once
+        desc = reference_architecture()
+        chunked, whole = np.random.default_rng(31), np.random.default_rng(31)
+        chunks = network._draw_keeps(desc.channel_pipe, (n_rows, 960, 1), chunked, PIPE_ROWS)
+        assert len(chunks) == len(_chunks(n_rows, PIPE_ROWS))
+        out_shapes = dict(infer_shapes(desc).channel)
+        shape, masks = None, []
+        for layer in desc.channel_pipe:
+            if isinstance(layer, Dropout):
+                masks.append(whole.random(shape) >= layer.rate)
+            else:
+                shape = (n_rows,) + out_shapes[layer.name]
+        assert len(masks) == 4
+        for k, mask in enumerate(masks):
+            assert np.array_equal(np.concatenate([chunk[k] for chunk in chunks]), mask)
+        assert chunked.bit_generator.state == whole.bit_generator.state
 
 
 @st.composite
