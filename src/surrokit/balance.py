@@ -163,10 +163,9 @@ def _augment_in_place(x, flags, config: BalanceConfig, log) -> None:
     probability alpha. Channel j of epoch i is picked when the first draw
     of the stream keyed (seed, augment, i, j) falls below alpha, and its
     surrogate continues that stream; at alpha 0 no draw can, so no
-    generator is made. The picks run in chunks of rows, each gathered
-    from ``x`` and written back (``_surrogate_rows``), which gives the
-    same samples as one channel at a time. ``log`` receives the reports
-    of the replaced channels (None for FT surrogates)."""
+    generator is made. The picks run through ``_surrogate_rows``, which
+    gives the same samples as one channel at a time. ``log`` receives
+    the reports of the replaced channels (None for FT surrogates)."""
     epochs, channels, rngs = [], [], []
     if config.alpha > 0:
         for i in np.flatnonzero(flags):

@@ -74,6 +74,8 @@ def _load_groups(path) -> dict:
                 raise InvalidInputError(
                     f"{path}:{line_no}: expected 'record_id group_id', got {line!r}"
                 )
+            if parts[0] in groups:
+                raise InvalidInputError(f"{path}:{line_no}: record {parts[0]!r} listed twice")
             groups[parts[0]] = parts[1]
     return groups
 
@@ -433,8 +435,7 @@ def _cap_malloc_arenas():
 
     glibc gives each thread that allocates concurrently an arena of its
     own, and an arena keeps freed memory for reuse, so the worker threads
-    of ``parallel`` (the network's channel-group pipes and the chunks of
-    a surrogate block) would grow the resident set by what each of them
+    of ``parallel`` would grow the resident set by what each of them
     ever held. One shared arena keeps the peak near the memory actually
     in use. The cap holds for the whole process and for every
     thread, ours or not, that allocates after the call. Where the C

@@ -1,11 +1,12 @@
 """Independent items of one call spread over the usable cores.
 
 Two maps share the cores. ``_map_partitioned`` runs items on threads:
-numpy releases the interpreter lock inside BLAS, FFT, sort and ufunc
-loops, so threads overlap where an item spends its time in a few long
-numpy calls. The network runs its channel-group pipes this way and the
-FT surrogates their chunks of rows, which take about 2.5 ms each, less
-than a fork. While a call's workers run, numpy's OpenBLAS runs one
+numpy releases the interpreter lock inside BLAS, FFT and ufunc loops,
+so threads overlap where an item spends its time in a few long numpy
+calls. The network runs its channel-group pipes this way and the FT
+surrogates their chunks of rows, which take about 2.5 ms each, less
+than a fork; both ran faster than inline (README, "Threads and
+memory"). While a call's workers run, numpy's OpenBLAS runs one
 thread, so that BLAS threads do not compete with them for the same
 cores. ``_map_processes`` runs items in forked worker processes, each
 pinned to one core with one BLAS thread, so that items with serial

@@ -1,7 +1,7 @@
 """The checks every stored channel passes, and the default channel roles.
 
 Samples are 64-bit floats, finite and at least 2 per channel, at a
-positive sample rate. File storage may quantize to 32-bit, see
+positive, finite sample rate. File storage may quantize to 32-bit, see
 :mod:`surrokit.dataio`. A ``Dataset`` checks its whole array with
 ``_check_samples``, and the surrogate functions check a single channel
 with it; one epoch is a one-epoch ``Dataset`` (``dataset.take([i])``).
@@ -22,5 +22,5 @@ def _check_samples(samples: np.ndarray, sample_rate_hz) -> None:
     # np.isfinite they allocate nothing the size of the samples
     if samples.size and not (np.isfinite(samples.min()) and np.isfinite(samples.max())):
         raise InvalidInputError("signal contains non-finite samples")
-    if not sample_rate_hz > 0:
-        raise InvalidInputError(f"sample rate must be positive, got {sample_rate_hz}")
+    if not 0 < sample_rate_hz < np.inf:
+        raise InvalidInputError(f"sample rate must be positive and finite, got {sample_rate_hz}")

@@ -297,9 +297,8 @@ def _surrogate_rows(x, cells, rngs, config: SurrogateConfig):
     samples as one row at a time. Each chunk gathers its own rows from
     ``x`` and its surrogates are written back there, so no block of all
     the rows is held. The chunks share no generator and no row, so they
-    run in parallel (``parallel``). FT chunks run on threads, each writing
-    its own rows: a chunk takes about 2.5 ms, less than a fork. IAAFT
-    chunks, whose Python between numpy calls holds the interpreter lock,
+    run in parallel (which map each kind takes, and why: ``parallel``).
+    FT chunks run on threads, each writing its own rows; IAAFT chunks
     run in forked workers, and the caller writes each chunk's rows and
     keeps its reports as they come back, in chunk order. A worker reads
     only its own chunk's rows, which no write reaches before that chunk
@@ -328,11 +327,11 @@ def _surrogate_rows(x, cells, rngs, config: SurrogateConfig):
             x[rows(c)], rngs[chunks[c]], config.iaaft_max_iters, config.iaaft_tolerance
         )
 
-    reports = ()
+    reports = []  # a list: adding to a tuple copies it, quadratic in the chunks
     for c, (surrogates, chunk_reports) in enumerate(_map_processes(run_iaaft, len(chunks))):
         x[rows(c)] = surrogates
         reports += chunk_reports
-    return reports
+    return tuple(reports)
 
 
 def iaaft_surrogate(samples, config: SurrogateConfig, seed: int):

@@ -370,6 +370,7 @@ class TestDataset:
             ("record_ids", ("a",), "2 labels and 1 record ids"),
             ("label_vocabulary", ("A", "A"), "duplicates"),
             ("x", np.zeros((2, 0, 8)), ">= 1 channel"),
+            ("sample_rate_hz", np.inf, "sample rate must be positive and finite"),
         ],
     )
     def test_invalid_fields_rejected(self, field, value, message):

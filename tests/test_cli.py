@@ -383,9 +383,10 @@ class TestMalformedHeaders:
             lambda h: h.update(label_vocabulary=3),
             lambda h: h.update(record_ids=[1, 2]),
             lambda h: h.update(sample_rate_hz="32"),
+            lambda h: h.update(sample_rate_hz=float("inf")),
         ],
         ids=["no-n_epochs", "str-n_epochs", "negative-length", "int-vocabulary",
-             "int-record-ids", "str-rate"],
+             "int-record-ids", "str-rate", "infinite-rate"],
     )
     def test_dataset_header_exit_2(self, tmp_path, dataset_file, edit, capsys):
         bad = str(tmp_path / "bad.sdat")
@@ -542,6 +543,22 @@ class TestMalformedInputFiles:
         argv = ["sweep", dataset_file, "--alphas", "0,1", "--folds", folds, "--steps", "1",
                 "--out", out]
         assert "folds" in _exits_2_with_one_line(argv, capsys, out)
+
+    @pytest.mark.parametrize("command", ["split", "sweep"])
+    def test_groups_file_listing_a_record_twice_exit_2(
+        self, tmp_path, dataset_file, command, capsys
+    ):
+        groups = tmp_path / "groups.txt"
+        groups.write_text("rec000 a\n# comment\nrec000 b\n")
+        outs = [tmp_path / "train.sdat", tmp_path / "val.sdat"]
+        argv = {
+            "split": ["split", dataset_file, "--groups-file", groups, "--out-train", outs[0],
+                      "--out-val", outs[1]],
+            "sweep": ["sweep", dataset_file, "--alphas", "0", "--folds", "1", "--steps", "1",
+                      "--groups-file", groups, "--out", outs[0]],
+        }[command]
+        err = _exits_2_with_one_line(argv, capsys, *outs)
+        assert f"{groups}:3: record 'rec000' listed twice" in err
 
 
 class TestDivergence:

@@ -576,6 +576,11 @@ class TestPartialSurrogate:
         with pytest.raises(InvalidInputError):
             partial_ft_surrogate(ar2_signal, 32.0, start, length, seed=1)
 
+    @pytest.mark.parametrize("rate", [np.inf, np.nan, 0.0])
+    def test_rate_not_positive_and_finite_rejected(self, ar2_signal, rate):
+        with pytest.raises(InvalidInputError, match="sample rate"):
+            partial_ft_surrogate(ar2_signal, rate, 0.0, 0.0, seed=1, crossfade_s=0.0)
+
     def test_deterministic(self, ar2_signal):
         a = partial_ft_surrogate(ar2_signal, 32.0, 10.0, 5.0, seed=33)
         b = partial_ft_surrogate(ar2_signal, 32.0, 10.0, 5.0, seed=33)
